@@ -10,7 +10,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: tier1 build vet lint sarif test race vuln bench bench-json bench-planner bench-load bench-chaos clean
+.PHONY: tier1 build vet lint sarif test race vuln bench bench-json bench-planner bench-load bench-chaos perfbench-check clean
 
 tier1: build vet lint race
 
@@ -99,6 +99,16 @@ BENCH_CHAOS_JSON ?= BENCH_PR10.json
 bench-chaos:
 	$(GO) test -run '^$$' -bench 'BenchmarkChaosAvailability' \
 		-benchtime=1x $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_CHAOS_JSON)
+
+# perfbench-check runs the end-to-end benchmark's own checks. perfbench/ is
+# a nested module, so `./...` at the root skips it: vet and test it in
+# place, then run one short hot-cache smoke. The smoke's answer oracle
+# parses every reply body, so the target fails unless the result line (the
+# last line of standard output) reports "correct": true.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload hot-cache --seed 1 --seconds 1 --trace 0 \
+		| tail -n 1 | tee /dev/stderr | grep -Eq '"correct": ?true'
 
 clean:
 	$(GO) clean ./...

@@ -38,9 +38,9 @@ package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -217,10 +217,10 @@ func (s *Server) EndDrain() { s.draining.Store(false) }
 // live; chaos restarts and multi-instance routing key off this signal.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // admitted wraps an expensive handler with the admission gate (and, like
@@ -289,7 +289,7 @@ func (s *Server) writeShed(w http.ResponseWriter, reason shedReason) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	writeJSON(w, http.StatusTooManyRequests, shedBody{
+	s.writeJSON(w, http.StatusTooManyRequests, shedBody{
 		Error:        fmt.Sprintf("overloaded: request shed (%s)", reason),
 		Shed:         true,
 		Reason:       string(reason),
@@ -302,12 +302,26 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v as an indented JSON body. It marshals before the status
+// goes out, so a value encoding/json refuses answers 500 (a server error)
+// instead of a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		s.writeErr(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	s.writeBody(w, code, append(body, '\n'))
+}
+
+// writeBody sends a complete JSON body. A failed write means the client hung
+// up mid-body and is counted as a disconnect.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if _, err := w.Write(body); err != nil {
+		s.clientDisconnects.Add(1)
+	}
 }
 
 // writeErr writes the uniform error payload, counting 5xx responses as
@@ -316,7 +330,7 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, format string, args .
 	if code >= 500 {
 		s.serverErrors.Add(1)
 	}
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+	s.writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // writeDisconnect records a query aborted because the client went away and
@@ -325,7 +339,7 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, format string, args .
 // abort is counted as a disconnect — never as a server error.
 func (s *Server) writeDisconnect(w http.ResponseWriter) {
 	s.clientDisconnects.Add(1)
-	writeJSON(w, 499, errorBody{Error: "client closed request"})
+	s.writeJSON(w, 499, errorBody{Error: "client closed request"})
 }
 
 // sourceHealth is one source's admission state in the /healthz payload.
@@ -361,7 +375,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		resp.Sources = append(resp.Sources, sh)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // sourceInfo describes one registered source.
@@ -395,7 +409,7 @@ func (s *Server) handleSources(w http.ResponseWriter, _ *http.Request) {
 			TuplesReturned:   st.TuplesReturned,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // afdInfo serializes one dependency.
@@ -435,7 +449,7 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 	for _, ak := range k.AFDs.AKeys {
 		info.AKeys = append(info.AKeys, ak.String())
 	}
-	writeJSON(w, http.StatusOK, info)
+	s.writeJSON(w, http.StatusOK, info)
 }
 
 // latencyJSON summarizes a source's latency histogram.
@@ -603,7 +617,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		out.HTTP.Endpoints = eps
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // plannerSection snapshots the mediator's planner accounting in wire form.
@@ -634,50 +648,28 @@ type queryRequest struct {
 	TopN int `json:"top_n,omitempty"`
 }
 
-// answerJSON is one returned tuple.
-type answerJSON struct {
-	Values      map[string]any `json:"values"`
-	Certain     bool           `json:"certain"`
-	Confidence  float64        `json:"confidence"`
-	Explanation string         `json:"explanation,omitempty"`
-}
-
-// queryResponse is the /query output for selections.
-type queryResponse struct {
-	Query     string       `json:"query"`
-	Source    string       `json:"source"`
-	Certain   []answerJSON `json:"certain"`
-	Possible  []answerJSON `json:"possible"`
-	Unranked  []answerJSON `json:"unranked,omitempty"`
-	Rewrites  []string     `json:"rewrites_issued"`
-	Generated int          `json:"rewrites_generated"`
-	// Degraded reports that some rewrites failed or were skipped; the
-	// possible answers may be incomplete (failures are annotated in
-	// rewrites_issued).
-	Degraded bool `json:"degraded,omitempty"`
-	// Stale reports the answers were served from the answer cache past
-	// their freshness bound because the source's circuit was open;
-	// StaleAgeMicros is the entry's age.
-	Stale          bool  `json:"stale,omitempty"`
-	StaleAgeMicros int64 `json:"stale_age_micros,omitempty"`
-	// Planner is the mediator's planner accounting snapshot, present only
-	// when the server was built with WithExplain.
-	Planner *plannerMetrics `json:"planner,omitempty"`
-}
-
-// aggResponse is the /query output for aggregates.
+// aggResponse is the /query output for aggregates. Selections are written by
+// the answer encoder (wire.go).
 type aggResponse struct {
-	Query          string  `json:"query"`
-	Source         string  `json:"source"`
-	Certain        float64 `json:"certain"`
-	Possible       float64 `json:"possible"`
-	Total          float64 `json:"total"`
-	CertainRows    int     `json:"certain_rows"`
-	PossibleRows   int     `json:"possible_rows"`
-	RewritesFolded int     `json:"rewrites_folded"`
-	RewritesFailed int     `json:"rewrites_failed,omitempty"`
-	Degraded       bool    `json:"degraded,omitempty"`
+	Query          string    `json:"query"`
+	Source         string    `json:"source"`
+	Certain        jsonFloat `json:"certain"`
+	Possible       jsonFloat `json:"possible"`
+	Total          jsonFloat `json:"total"`
+	CertainRows    int       `json:"certain_rows"`
+	PossibleRows   int       `json:"possible_rows"`
+	RewritesFolded int       `json:"rewrites_folded"`
+	RewritesFailed int       `json:"rewrites_failed,omitempty"`
+	Degraded       bool      `json:"degraded,omitempty"`
 }
+
+// jsonFloat is a float64 that marshals as null when it is NaN or infinite,
+// as an aggregate over no rows (AVG) or over a non-numeric attribute
+// (MIN/MAX) is.
+type jsonFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f jsonFloat) MarshalJSON() ([]byte, error) { return appendFloat(nil, float64(f)), nil }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
@@ -736,12 +728,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, aggResponse{
+		s.writeJSON(w, http.StatusOK, aggResponse{
 			Query:          st.Query.String(),
 			Source:         srcName,
-			Certain:        ans.Certain,
-			Possible:       ans.Possible,
-			Total:          ans.Total,
+			Certain:        jsonFloat(ans.Certain),
+			Possible:       jsonFloat(ans.Possible),
+			Total:          jsonFloat(ans.Total),
 			CertainRows:    ans.CertainRows,
 			PossibleRows:   ans.PossibleRows,
 			RewritesFolded: len(ans.Included),
@@ -751,6 +743,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	enc, err := newRowEncoder(src.Schema(), st.Projection)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	rs, err := s.med.QuerySelectWithCtx(r.Context(), cfg, srcName, st.Query)
 	if err != nil {
 		if r.Context().Err() != nil {
@@ -762,12 +759,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	schema := src.Schema()
 	// ORDER BY applies within the certain and possible sections (possible
 	// answers keep their confidence ranking as the primary order when no
 	// ORDER BY is given); LIMIT caps each section.
 	if len(st.Order) > 0 {
-		cmp, err := st.Comparator(schema)
+		cmp, err := st.Comparator(src.Schema())
 		if err != nil {
 			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
@@ -781,88 +777,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rs.Possible = capAnswers(rs.Possible, st.Limit)
 		rs.Unranked = capAnswers(rs.Unranked, st.Limit)
 	}
-	if len(st.Projection) > 0 {
-		projected, ps, err := rs.Project(schema, st.Projection)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, "%v", err)
+	// The planner section is the mediator's accounting snapshot, present
+	// only when the server was built with WithExplain.
+	var explain []byte
+	if s.explain {
+		if explain, err = json.Marshal(s.plannerSection()); err != nil {
+			s.writeErr(w, http.StatusInternalServerError, "encode planner section: %v", err)
 			return
 		}
-		rs, schema = projected, ps
 	}
-	resp := queryResponse{
-		Query:          st.Query.String(),
-		Source:         srcName,
-		Certain:        toJSONAnswers(schema, rs.Certain),
-		Possible:       toJSONAnswers(schema, rs.Possible),
-		Unranked:       toJSONAnswers(schema, rs.Unranked),
-		Generated:      rs.Generated,
-		Degraded:       rs.Degraded,
-		Stale:          rs.Stale,
-		StaleAgeMicros: int64(rs.StaleAge / time.Microsecond),
-	}
-	if s.explain {
-		pm := s.plannerSection()
-		resp.Planner = &pm
-	}
-	for _, rq := range rs.Issued {
-		if rq.Err != nil {
-			resp.Rewrites = append(resp.Rewrites, fmt.Sprintf("%s (precision %.3f, failed after %d attempts: %v)",
-				rq.Query, rq.Precision, rq.Attempts, rq.Err))
-			continue
-		}
-		resp.Rewrites = append(resp.Rewrites, fmt.Sprintf("%s (precision %.3f)", rq.Query, rq.Precision))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// streamEventJSON is one NDJSON line of a streamed query. Event is "answer",
-// "rewrite" or "summary"; exactly the matching field is set.
-type streamEventJSON struct {
-	Event    string      `json:"event"`
-	Answer   *answerJSON `json:"answer,omitempty"`
-	Unranked bool        `json:"unranked,omitempty"`
-	// Stale marks an answer replayed from the cache past its freshness
-	// bound because the source's circuit was open.
-	Stale   bool           `json:"stale,omitempty"`
-	Rewrite *rewriteJSON   `json:"rewrite,omitempty"`
-	Summary *streamSumJSON `json:"summary,omitempty"`
-}
-
-// rewriteJSON reports one chosen rewrite's outcome on the stream.
-type rewriteJSON struct {
-	Query       string  `json:"query"`
-	Precision   float64 `json:"precision"`
-	Attempts    int     `json:"attempts"`
-	Transferred int     `json:"transferred"`
-	Kept        int     `json:"kept"`
-	// Status is "ok", "failed", "skipped" (never issued: early stop) or
-	// "cancelled" (in flight when the top-N bound tripped).
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
-}
-
-// streamSumJSON is the final summary line of a streamed query.
-type streamSumJSON struct {
-	Query             string  `json:"query"`
-	Source            string  `json:"source"`
-	Certain           int     `json:"certain"`
-	Possible          int     `json:"possible"`
-	Unranked          int     `json:"unranked"`
-	Generated         int     `json:"rewrites_generated"`
-	Issued            int     `json:"rewrites_issued"`
-	Degraded          bool    `json:"degraded,omitempty"`
-	EarlyStopped      bool    `json:"early_stopped,omitempty"`
-	SkippedRewrites   int     `json:"skipped_rewrites,omitempty"`
-	CancelledRewrites int     `json:"cancelled_rewrites,omitempty"`
-	EstSavedTuples    float64 `json:"est_saved_tuples,omitempty"`
-	Stale             bool    `json:"stale,omitempty"`
-	StaleAgeMicros    int64   `json:"stale_age_micros,omitempty"`
+	s.writeBody(w, http.StatusOK, enc.appendSelect(nil, st.Query.String(), srcName, rs, explain))
 }
 
 // handleQueryStream serves POST /query?stream=1: the selection pipeline's
-// events re-encoded as NDJSON, one line per event, flushed as they happen.
-// Headers go out before the first event, so mid-stream failures are reported
-// as an error event rather than a status change.
+// events written as NDJSON, one line per event. Lines are flushed whenever
+// the pipeline has no event ready: a burst of answers leaves in
+// buffer-sized writes, and no line waits behind rewrite generation or a
+// source round trip. Headers go out before the first event, so mid-stream
+// failures are reported as an error event rather than a status change.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg core.Config, req queryRequest, st *sqlish.Statement, srcName string, schema *relation.Schema) {
 	// A stream emits answers in rank order as they arrive; ORDER BY and
 	// LIMIT would require the full set first, which is the batch endpoint's
@@ -878,21 +810,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 	if req.TopN > 0 {
 		cfg.TopN = req.TopN
 	}
-
-	// Per-event projection: compute the column map once.
-	outSchema := schema
-	var projCols []int
-	if len(st.Projection) > 0 {
-		ps, err := schema.Project(st.Projection...)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		outSchema = ps
-		projCols = make([]int, len(st.Projection))
-		for i, a := range st.Projection {
-			projCols[i] = schema.MustIndex(a)
-		}
+	enc, err := newRowEncoder(schema, st.Projection)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	events, err := s.med.SelectStreamWith(r.Context(), cfg, srcName, st.Query)
@@ -910,103 +831,67 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeEvent := func(ev streamEventJSON) bool {
-		if err := enc.Encode(ev); err != nil {
-			// Client gone: r.Context() is cancelled by the server when the
-			// connection drops, which aborts the pipeline; just stop writing
-			// and drain the channel so the producer can close it. Counted
-			// as a disconnect, not a server error.
-			s.clientDisconnects.Add(1)
-			return false
-		}
-		s.streamEvents.Add(1)
-		if flusher != nil {
+	unflushed := false
+	flush := func() {
+		if unflushed && flusher != nil {
 			flusher.Flush()
 		}
-		return true
+		unflushed = false
 	}
-
+	var line []byte
 	live := true
-	for ev := range events {
+	for ev, open := nextEvent(events, flush); open; ev, open = nextEvent(events, flush) {
 		if !live {
 			continue // drain after a write failure
 		}
 		switch ev.Kind {
 		case core.StreamEventAnswer:
-			a := toStreamAnswer(schema, outSchema, projCols, *ev.Answer)
-			live = writeEvent(streamEventJSON{Event: "answer", Answer: &a, Unranked: ev.Unranked, Stale: ev.Stale})
+			line = enc.appendAnswerLine(line[:0], ev.Answer, ev.Unranked, ev.Stale)
 		case core.StreamEventRewrite:
-			rw := toStreamRewrite(*ev.Rewrite)
-			live = writeEvent(streamEventJSON{Event: "rewrite", Rewrite: &rw})
+			line = appendRewriteLine(line[:0], ev.Rewrite)
 		case core.StreamEventSummary:
-			sum := ev.Summary
-			if sum.EarlyStopped {
+			if ev.Summary.EarlyStopped {
 				s.streamStops.Add(1)
 			}
-			live = writeEvent(streamEventJSON{Event: "summary", Summary: &streamSumJSON{
-				Query:             sum.Result.Query.String(),
-				Source:            sum.Result.Source,
-				Certain:           len(sum.Result.Certain),
-				Possible:          len(sum.Result.Possible),
-				Unranked:          len(sum.Result.Unranked),
-				Generated:         sum.Result.Generated,
-				Issued:            len(sum.Result.Issued),
-				Degraded:          sum.Result.Degraded,
-				EarlyStopped:      sum.EarlyStopped,
-				SkippedRewrites:   sum.SkippedRewrites,
-				CancelledRewrites: sum.CancelledRewrites,
-				EstSavedTuples:    sum.EstSavedTuples,
-				Stale:             sum.Result.Stale,
-				StaleAgeMicros:    int64(sum.Result.StaleAge / time.Microsecond),
-			}})
+			line = appendSummaryLine(line[:0], ev.Summary)
+		default:
+			continue
 		}
+		if _, err := w.Write(line); err != nil {
+			// Client gone: r.Context() is cancelled by the server when the
+			// connection drops, which aborts the pipeline; just stop writing
+			// and drain the channel so the producer can close it. Counted
+			// as a disconnect, not a server error.
+			s.clientDisconnects.Add(1)
+			live = false
+			continue
+		}
+		s.streamEvents.Add(1)
+		unflushed = true
 	}
+	flush()
 }
 
-// toStreamAnswer renders one answer for the wire, applying the request's
-// projection if any.
-func toStreamAnswer(schema, outSchema *relation.Schema, projCols []int, a core.Answer) answerJSON {
-	t := a.Tuple
-	if projCols != nil {
-		pt := make(relation.Tuple, len(projCols))
-		for i, c := range projCols {
-			pt[i] = t[c]
-		}
-		t = pt
-	}
-	vals := make(map[string]any, outSchema.Len())
-	for c := 0; c < outSchema.Len(); c++ {
-		vals[outSchema.Attr(c).Name] = valueJSON(t[c])
-	}
-	return answerJSON{
-		Values:      vals,
-		Certain:     a.Certain,
-		Confidence:  a.Confidence,
-		Explanation: a.Explanation,
-	}
-}
-
-// toStreamRewrite renders one rewrite outcome for the wire.
-func toStreamRewrite(rq core.RewrittenQuery) rewriteJSON {
-	out := rewriteJSON{
-		Query:       rq.Query.String(),
-		Precision:   rq.Precision,
-		Attempts:    rq.Attempts,
-		Transferred: rq.Transferred,
-		Kept:        rq.Kept,
-		Status:      "ok",
-	}
-	switch {
-	case rq.Err == nil:
-	case errors.Is(rq.Err, core.ErrEarlyStop) && rq.Attempts == 0:
-		out.Status, out.Error = "skipped", rq.Err.Error()
-	case errors.Is(rq.Err, core.ErrEarlyStop):
-		out.Status, out.Error = "cancelled", rq.Err.Error()
+// nextEvent receives the next stream event, calling idle (the flush) first
+// if none is ready. Before concluding that, it yields once: the producer the
+// previous receive woke is usually queued behind this goroutine and has its
+// next event a moment later. Without the yield a burst of answers was
+// flushed every other line.
+func nextEvent(events <-chan core.StreamEvent, idle func()) (core.StreamEvent, bool) {
+	select {
+	case ev, open := <-events:
+		return ev, open
 	default:
-		out.Status, out.Error = "failed", rq.Err.Error()
 	}
-	return out
+	runtime.Gosched()
+	select {
+	case ev, open := <-events:
+		return ev, open
+	default:
+	}
+	idle()
+	ev, open := <-events
+	return ev, open
 }
 
 // sortAnswers stably orders answers by the tuple comparator.
@@ -1024,40 +909,6 @@ func capAnswers(answers []core.Answer, limit int) []core.Answer {
 	return answers
 }
 
-// toJSONAnswers renders tuples as attribute-keyed maps with native JSON
-// types (null for null).
-func toJSONAnswers(s *relation.Schema, answers []core.Answer) []answerJSON {
-	out := make([]answerJSON, len(answers))
-	for i, a := range answers {
-		vals := make(map[string]any, s.Len())
-		for c := 0; c < s.Len(); c++ {
-			vals[s.Attr(c).Name] = valueJSON(a.Tuple[c])
-		}
-		out[i] = answerJSON{
-			Values:      vals,
-			Certain:     a.Certain,
-			Confidence:  a.Confidence,
-			Explanation: a.Explanation,
-		}
-	}
-	return out
-}
-
-func valueJSON(v relation.Value) any {
-	switch v.Kind() {
-	case relation.KindNull:
-		return nil
-	case relation.KindInt:
-		return v.IntVal()
-	case relation.KindFloat:
-		return v.FloatVal()
-	case relation.KindBool:
-		return v.BoolVal()
-	default:
-		return v.String()
-	}
-}
-
 // joinRequest is the POST /join input: one SQL selection per side (each
 // FROM clause names its source) and the equi-join attribute pair.
 type joinRequest struct {
@@ -1071,28 +922,10 @@ type joinRequest struct {
 	K     int     `json:"k,omitempty"`
 }
 
-// joinAnswerJSON is one joined pair on the wire.
-type joinAnswerJSON struct {
-	Left       map[string]any `json:"left"`
-	Right      map[string]any `json:"right"`
-	JoinValue  any            `json:"join_value"`
-	Certain    bool           `json:"certain"`
-	Confidence float64        `json:"confidence"`
-}
-
-// joinResponse is the POST /join output.
-type joinResponse struct {
-	LeftSource     string           `json:"left_source"`
-	RightSource    string           `json:"right_source"`
-	Answers        []joinAnswerJSON `json:"answers"`
-	PairsIssued    int              `json:"pairs_issued"`
-	Degraded       bool             `json:"degraded,omitempty"`
-	EstSavedTuples float64          `json:"est_saved_tuples,omitempty"`
-}
-
 // parseJoinSide parses one side's SQL into a plain selection, rejecting
-// clauses a join side cannot carry.
-func (s *Server) parseJoinSide(w http.ResponseWriter, side, sql string) (*sqlish.Statement, *relation.Schema, bool) {
+// clauses a join side cannot carry, and compiles the encoder for the side's
+// tuples.
+func (s *Server) parseJoinSide(w http.ResponseWriter, side, sql string) (*sqlish.Statement, *rowEncoder, bool) {
 	if sql == "" {
 		s.writeErr(w, http.StatusBadRequest, "missing %s_sql", side)
 		return nil, nil, false
@@ -1115,7 +948,12 @@ func (s *Server) parseJoinSide(w http.ResponseWriter, side, sql string) (*sqlish
 		s.writeErr(w, http.StatusBadRequest, "%s_sql: %v", side, err)
 		return nil, nil, false
 	}
-	return st, src.Schema(), true
+	enc, err := newRowEncoder(src.Schema(), nil)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, "%s_sql: %v", side, err)
+		return nil, nil, false
+	}
+	return st, enc, true
 }
 
 // handleJoin serves POST /join: the paper's Section 4.5 two-way join as
@@ -1126,11 +964,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	left, leftSchema, ok := s.parseJoinSide(w, "left", req.LeftSQL)
+	left, leftEnc, ok := s.parseJoinSide(w, "left", req.LeftSQL)
 	if !ok {
 		return
 	}
-	right, rightSchema, ok := s.parseJoinSide(w, "right", req.RightSQL)
+	right, rightEnc, ok := s.parseJoinSide(w, "right", req.RightSQL)
 	if !ok {
 		return
 	}
@@ -1157,31 +995,5 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp := joinResponse{
-		LeftSource:     spec.LeftSource,
-		RightSource:    spec.RightSource,
-		Answers:        make([]joinAnswerJSON, 0, len(res.Answers)),
-		PairsIssued:    len(res.Pairs),
-		Degraded:       res.Degraded,
-		EstSavedTuples: res.EstSavedTuples,
-	}
-	for _, a := range res.Answers {
-		resp.Answers = append(resp.Answers, joinAnswerJSON{
-			Left:       tupleValues(leftSchema, a.Left),
-			Right:      tupleValues(rightSchema, a.Right),
-			JoinValue:  valueJSON(a.JoinValue),
-			Certain:    a.Certain,
-			Confidence: a.Confidence,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// tupleValues renders one tuple as an attribute-keyed map.
-func tupleValues(s *relation.Schema, t relation.Tuple) map[string]any {
-	vals := make(map[string]any, s.Len())
-	for c := 0; c < s.Len(); c++ {
-		vals[s.Attr(c).Name] = valueJSON(t[c])
-	}
-	return vals
+	s.writeBody(w, http.StatusOK, appendJoin(nil, leftEnc, rightEnc, spec.LeftSource, spec.RightSource, res))
 }

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,10 +15,19 @@ import (
 	"qpiad/internal/datagen"
 	"qpiad/internal/nbc"
 	"qpiad/internal/planner"
+	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
 
 func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(New(testMediator(t, core.Config{Alpha: 0, K: 10})))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// testMediator builds the 4000-car test world under cfg.
+func testMediator(t *testing.T, cfg core.Config) *core.Mediator {
 	t.Helper()
 	gd := datagen.Cars(4000, 1)
 	ed, _ := datagen.MakeIncomplete(gd, 0.10, 2)
@@ -29,11 +39,9 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	med := core.New(core.Config{Alpha: 0, K: 10})
+	med := core.New(cfg)
 	med.Register(src, k)
-	srv := httptest.NewServer(New(med))
-	t.Cleanup(srv.Close)
-	return srv
+	return med
 }
 
 func postQuery(t *testing.T, srv *httptest.Server, body string) (*http.Response, []byte) {
@@ -250,18 +258,7 @@ func TestQueryErrors(t *testing.T) {
 // TestQueryExplainPlanner checks WithExplain attaches the planner section to
 // /query responses and that it reflects the mediator's planner config.
 func TestQueryExplainPlanner(t *testing.T) {
-	gd := datagen.Cars(4000, 1)
-	ed, _ := datagen.MakeIncomplete(gd, 0.10, 2)
-	src := source.New("cars", ed, source.Capabilities{})
-	smpl := ed.Sample(500, rand.New(rand.NewSource(3)))
-	k, err := core.MineKnowledge("cars", smpl,
-		float64(ed.Len())/float64(smpl.Len()), smpl.IncompleteFraction(),
-		core.KnowledgeConfig{AFD: afd.Config{MinSupport: 5}, Predictor: nbc.PredictorConfig{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med := core.New(core.Config{Alpha: 0, K: 10, Planner: &planner.Config{Scheduler: planner.NewScheduler(2)}})
-	med.Register(src, k)
+	med := testMediator(t, core.Config{Alpha: 0, K: 10, Planner: &planner.Config{Scheduler: planner.NewScheduler(2)}})
 	srv := httptest.NewServer(New(med, WithExplain()))
 	t.Cleanup(srv.Close)
 
@@ -288,5 +285,91 @@ func TestQueryExplainPlanner(t *testing.T) {
 	_, body = postQuery(t, plain, `{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'"}`)
 	if strings.Contains(string(body), `"planner"`) {
 		t.Error("plain server should not attach a planner section")
+	}
+}
+
+// TestQueryAggregateNaNIsNull pins aggregates whose value is NaN — AVG over
+// no rows, MIN over a non-numeric attribute — answering 200 with null
+// instead of an empty body.
+func TestQueryAggregateNaNIsNull(t *testing.T) {
+	srv := testServer(t)
+	for _, sql := range []string{
+		"SELECT AVG(price) FROM cars WHERE model = 'NoSuchModel'",
+		"SELECT MIN(make) FROM cars WHERE body_style = 'Convt'",
+	} {
+		resp, body := postQuery(t, srv, `{"sql": "`+sql+`"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", sql, resp.StatusCode, body)
+		}
+		var raw map[string]any
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatalf("%s: body %q: %v", sql, body, err)
+		}
+		if v, ok := raw["total"]; !ok || v != nil {
+			t.Errorf("%s: total = %v (present %v), want null", sql, v, ok)
+		}
+		if v, ok := raw["certain"]; !ok || v != nil {
+			t.Errorf("%s: certain = %v (present %v), want null", sql, v, ok)
+		}
+	}
+}
+
+// nanServer serves a CSV-loaded source whose float column holds a NaN in a
+// Convt row.
+func nanServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	const data = "id:int,make,body_style,rating:float\n" +
+		"1,Honda,Convt,NaN\n2,Honda,Convt,4.5\n3,Ford,Sedan,3\n4,Ford,Convt,+Inf\n" +
+		"5,BMW,\\N,2.5\n6,BMW,Sedan,1\n7,Honda,\\N,4\n8,Ford,Sedan,\\N\n"
+	rel, err := relation.ReadCSV("db", strings.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := core.MineKnowledge("db", rel, 1, rel.IncompleteFraction(),
+		core.KnowledgeConfig{AFD: afd.Config{MinSupport: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	med := core.New(core.Config{K: 10})
+	med.Register(source.New("db", rel, source.Capabilities{}), k)
+	srv := httptest.NewServer(New(med))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func TestQueryNaNValueIsNull(t *testing.T) {
+	srv := nanServer(t)
+	resp, body := postQuery(t, srv, `{"sql": "SELECT * FROM db WHERE body_style = 'Convt'"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatalf("body %q: %v", body, err)
+	}
+	ratings := map[float64]any{}
+	for _, a := range qr.Certain {
+		ratings[a.Values["id"].(float64)] = a.Values["rating"]
+	}
+	if len(ratings) != 3 || ratings[1] != nil || ratings[2] != 4.5 || ratings[4] != nil {
+		t.Errorf("certain ratings by id = %v, want 1:null 2:4.5 4:null", ratings)
+	}
+}
+
+// TestWriteJSONEncodeFailureIs500 pins the remaining encode-failure path: a
+// value encoding/json refuses answers 500, counted as a server error.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	s := New(core.New(core.Config{}))
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "encode response") {
+		t.Errorf("body %q (%v), want an encode error", rec.Body.Bytes(), err)
+	}
+	if got := s.serverErrors.Load(); got != 1 {
+		t.Errorf("server_errors = %d, want 1", got)
 	}
 }
