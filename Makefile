@@ -10,7 +10,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: tier1 build vet lint sarif test race vuln bench bench-json bench-planner bench-load bench-chaos perfbench-check clean
+.PHONY: tier1 build vet lint sarif test race fuzz-smoke vuln bench bench-json bench-planner bench-load bench-chaos perfbench-check clean
 
 tier1: build vet lint race
 
@@ -46,6 +46,19 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs every native fuzz target (a `func FuzzX` in a test file
+# under internal/ or cmd/) with -fuzz for 10s each; plain `go test` only
+# replays their seed corpora. -fuzz takes one target of one package per
+# run, hence the loop. A failing input is saved under the package's
+# testdata/fuzz/ and the target fails.
+fuzz-smoke:
+	for pkg in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd | xargs -n1 dirname | sort -u); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$pkg/*_test.go); do \
+			echo "fuzz-smoke: $$target in ./$$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./$$pkg; \
+		done; \
+	done
 
 # vuln scans dependencies for known vulnerabilities. govulncheck is not
 # vendored; install it where network is available:

@@ -132,10 +132,7 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 	if opts.IncludePossible {
 		cands := m.generateRewrites(k, q, base, src.Schema())
 		chosen := scoreAndSelectWith(cfg, cands)
-		seen := make(map[string]bool, len(base))
-		for _, t := range base {
-			seen[t.Key()] = true
-		}
+		seen := seedAnswerKeys(src.Schema(), base, q.ConstrainedAttrs())
 		budgetOut := false
 		for _, rq := range chosen {
 			include, weight := m.shouldInclude(rq, opts.Rule)
@@ -164,15 +161,9 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 			}
 			var contrib []relation.Tuple
 			for _, t := range rows {
-				if !t[tcol].IsNull() {
-					continue
+				if t[tcol].IsNull() && seen.add(t) {
+					contrib = append(contrib, t)
 				}
-				key := t.Key()
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				contrib = append(contrib, t)
 			}
 			if len(contrib) == 0 {
 				continue

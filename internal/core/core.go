@@ -178,6 +178,15 @@ func (k *Knowledge) predictEvidence(p *nbc.Predictor, key string, evidence map[s
 	return d
 }
 
+// PredictionMemoStats snapshots the prediction memo's counters (zero when
+// the knowledge carries no memo).
+func (k *Knowledge) PredictionMemoStats() qcache.Stats {
+	if k.predCache == nil {
+		return qcache.Stats{}
+	}
+	return k.predCache.Stats()
+}
+
 // KnowledgeConfig tunes offline mining.
 type KnowledgeConfig struct {
 	// AFD configures dependency mining.

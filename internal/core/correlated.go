@@ -139,7 +139,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 		issueQs[i] = rq.Query
 	}
 	results := fetchAll(ctx, sk, issueQs, m.cfg.Parallel, m.cfg.Retry)
-	seen := make(map[string]bool)
+	var seen answerKeys
 	for i, rq := range chosen {
 		rq.Attempts = results[i].attempts
 		if err := results[i].err; err != nil {
@@ -152,11 +152,9 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 		rq.Transferred = len(rows)
 		rs.Issued = append(rs.Issued, rq)
 		for _, t := range rows {
-			key := t.Key()
-			if seen[key] {
+			if !seen.add(t) {
 				continue
 			}
-			seen[key] = true
 			rs.Possible = append(rs.Possible, Answer{
 				Tuple:       t,
 				Confidence:  rq.Precision,

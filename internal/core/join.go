@@ -272,13 +272,22 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 	rcol := rsrc.Schema().MustIndex(spec.RightJoinAttr)
 	lpred := lk.Predictors[spec.LeftJoinAttr]
 	rpred := rk.Predictors[spec.RightJoinAttr]
+	// seenJoin dedupes joined pairs by the two tuple keys joined with
+	// \x1f, appended into jbuf; tieKeys holds each answer's key, in step
+	// with res.Answers, for the ranking's tie-break.
 	seenJoin := make(map[string]bool)
+	var jbuf []byte
+	var tieKeys []string
 	emit := func(le, re joinEntry) {
-		key := le.ans.Tuple.Key() + "\x1f" + re.ans.Tuple.Key()
-		if seenJoin[key] {
+		jbuf = le.ans.Tuple.AppendKey(jbuf[:0])
+		jbuf = append(jbuf, '\x1f')
+		jbuf = re.ans.Tuple.AppendKey(jbuf)
+		if seenJoin[string(jbuf)] {
 			return
 		}
+		key := string(jbuf)
 		seenJoin[key] = true
+		tieKeys = append(tieKeys, key)
 		res.Answers = append(res.Answers, JoinAnswer{
 			Left:      le.ans.Tuple,
 			Right:     re.ans.Tuple,
@@ -357,16 +366,16 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 	}
 	// Certain first, then descending confidence; ties broken by tuple keys
 	// so the ranking is identical whichever order the planner joined in.
-	sort.SliceStable(res.Answers, func(i, j int) bool {
-		ai, aj := res.Answers[i], res.Answers[j]
+	sort.Stable(&keyedSorter[JoinAnswer]{res.Answers, tieKeys, func(i, j int) bool {
+		ai, aj := &res.Answers[i], &res.Answers[j]
 		if ai.Certain != aj.Certain {
 			return ai.Certain
 		}
 		if ai.Confidence != aj.Confidence {
 			return ai.Confidence > aj.Confidence
 		}
-		return ai.Left.Key()+"\x1f"+ai.Right.Key() < aj.Left.Key()+"\x1f"+aj.Right.Key()
-	})
+		return tieKeys[i] < tieKeys[j]
+	}})
 	res.Explain = &planner.Explain{
 		PlannerOn: plannerOn,
 		Order:     []int{0},
@@ -498,6 +507,9 @@ type scoredPair struct {
 	pair  QueryPair
 	left  queryUnit
 	right queryUnit
+	// key is the ranking tie-break: the left query's key immediately
+	// followed by the right one's.
+	key string
 }
 
 // scorePairs implements steps 3(b), 3(c) and 4: per-value estimated
@@ -506,8 +518,14 @@ type scoredPair struct {
 // over all pairs, and F-measure top-K selection.
 func scorePairs(lunits, runits []queryUnit, alpha float64, k int) []scoredPair {
 	var pairs []scoredPair
+	rkeys := make([]string, len(runits))
+	for j, ru := range runits {
+		rkeys[j] = ru.query.Key()
+	}
+	var kbuf []byte
 	for _, lu := range lunits {
-		for _, ru := range runits {
+		lkey := lu.query.Key()
+		for j, ru := range runits {
 			estSel := 0.0
 			for i := 0; i < lu.jd.Len(); i++ {
 				v := lu.jd.Value(i)
@@ -518,6 +536,7 @@ func scorePairs(lunits, runits []queryUnit, alpha float64, k int) []scoredPair {
 				// EstSel(qp, vj) = precision × selectivity × P(vj), per side.
 				estSel += (lu.prec * lu.estSel * lu.jd.ProbAt(i)) * (ru.prec * ru.estSel * pr)
 			}
+			kbuf = append(append(kbuf[:0], lkey...), rkeys[j]...)
 			pairs = append(pairs, scoredPair{
 				pair: QueryPair{
 					Left:          lu.query,
@@ -529,6 +548,7 @@ func scorePairs(lunits, runits []queryUnit, alpha float64, k int) []scoredPair {
 				},
 				left:  lu,
 				right: ru,
+				key:   string(kbuf),
 			})
 		}
 	}
@@ -549,8 +569,7 @@ func scorePairs(lunits, runits []queryUnit, alpha float64, k int) []scoredPair {
 		if pairs[i].pair.Precision != pairs[j].pair.Precision {
 			return pairs[i].pair.Precision > pairs[j].pair.Precision
 		}
-		return pairs[i].pair.Left.Key()+pairs[i].pair.Right.Key() <
-			pairs[j].pair.Left.Key()+pairs[j].pair.Right.Key()
+		return pairs[i].key < pairs[j].key
 	})
 	if k > 0 && len(pairs) > k {
 		pairs = pairs[:k]

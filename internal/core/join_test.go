@@ -210,6 +210,25 @@ func TestJoinAnswersSortedCertainFirst(t *testing.T) {
 			lastConf = a.Confidence
 		}
 	}
+	// Answers tied on certainty and confidence (every certain answer has
+	// confidence 1) come out in ascending order of the two tuple keys
+	// joined by \x1f.
+	ties := 0
+	for i := 1; i < len(res.Answers); i++ {
+		a, b := res.Answers[i-1], res.Answers[i]
+		if a.Certain != b.Certain || a.Confidence != b.Confidence {
+			continue
+		}
+		ties++
+		ka := a.Left.Key() + "\x1f" + a.Right.Key()
+		kb := b.Left.Key() + "\x1f" + b.Right.Key()
+		if ka >= kb {
+			t.Fatalf("tied answers %d and %d out of key order:\n%q\n%q", i-1, i, ka, kb)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no tied answers: the tie-break order is untested")
+	}
 }
 
 func TestJoinErrors(t *testing.T) {

@@ -223,11 +223,10 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			return
 		}
 		fetched[i] = true
-		seen := map[string]bool{}
+		var seen answerKeys
 		if useComplete[i] {
 			for _, t := range sides[i].base {
-				if !seen[t.Key()] {
-					seen[t.Key()] = true
+				if seen.add(t) {
 					answers[i] = append(answers[i], Answer{Tuple: t, Certain: true, Confidence: 1})
 				}
 			}
@@ -254,10 +253,9 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 				continue
 			}
 			for _, t := range fres.rows {
-				if !t[tcol].IsNull() || seen[t.Key()] {
+				if !t[tcol].IsNull() || !seen.add(t) {
 					continue
 				}
-				seen[t.Key()] = true
 				answers[i] = append(answers[i], Answer{
 					Tuple:       t,
 					Confidence:  rq.Precision,
@@ -523,6 +521,8 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 	// prediction factor (adjacency i−1), then its left-attr factor
 	// (adjacency i). The product is identical whatever order the
 	// adjacencies executed in.
+	chainKeys := make([]string, 0, len(partials))
+	var kbuf []byte
 	for _, p := range partials {
 		tuples := make([]relation.Tuple, n)
 		conf := 1.0
@@ -550,27 +550,26 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			}
 		}
 		res.Answers = append(res.Answers, ChainAnswer{Tuples: tuples, Certain: certain, Confidence: conf})
-	}
-	// Certain first, then descending confidence; ties broken by the
-	// concatenated tuple keys so the ranking is identical whichever order
-	// the planner joined in.
-	chainKey := func(ts []relation.Tuple) string {
-		key := ""
-		for _, t := range ts {
-			key += t.Key() + "\x1f"
+		// The tie-break key: each member's tuple key followed by \x1f.
+		kbuf = kbuf[:0]
+		for _, t := range tuples {
+			kbuf = append(t.AppendKey(kbuf), '\x1f')
 		}
-		return key
+		chainKeys = append(chainKeys, string(kbuf))
 	}
-	sort.SliceStable(res.Answers, func(i, j int) bool {
-		ai, aj := res.Answers[i], res.Answers[j]
+	// Certain first, then descending confidence; ties broken by the chain
+	// keys so the ranking is identical whichever order the planner joined
+	// in.
+	sort.Stable(&keyedSorter[ChainAnswer]{res.Answers, chainKeys, func(i, j int) bool {
+		ai, aj := &res.Answers[i], &res.Answers[j]
 		if ai.Certain != aj.Certain {
 			return ai.Certain
 		}
 		if ai.Confidence != aj.Confidence {
 			return ai.Confidence > aj.Confidence
 		}
-		return chainKey(ai.Tuples) < chainKey(aj.Tuples)
-	})
+		return chainKeys[i] < chainKeys[j]
+	}})
 	res.Explain = &planner.Explain{PlannerOn: plannerOn, Order: order, Steps: steps}
 	return res, nil
 }

@@ -176,8 +176,7 @@ func (m *Mediator) generateRewrites(k *Knowledge, q relation.Query, base []relat
 			pkbuf = append(pkbuf[:0], target...)
 			for i, ax := range dtr {
 				evidence[ax] = combo[i]
-				pkbuf = append(pkbuf, '\x1f')
-				pkbuf = append(pkbuf, combo[i].Key()...)
+				pkbuf = combo[i].AppendKey(append(pkbuf, '\x1f'))
 				if constrainedDtr[i] {
 					// Keep the original constraint on Ax (Section 4.2,
 					// multi-attribute case).
@@ -251,7 +250,7 @@ func ScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) 
 	for i := range cands {
 		keys[i] = cands[i].Query.Key()
 	}
-	sort.Stable(&rewriteSorter{cands, keys, func(i, j int) bool {
+	sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
 		switch ord {
 		case OrderSelectivity:
 			if cands[i].EstSel != cands[j].EstSel {
@@ -276,7 +275,7 @@ func ScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) 
 	// arbitrary-ordering ablation the issue order is left as selected, so
 	// the ablation measures what ordering is worth.
 	if ord != OrderArbitrary {
-		sort.Stable(&rewriteSorter{cands, keys, func(i, j int) bool {
+		sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
 			if cands[i].Precision != cands[j].Precision {
 				return cands[i].Precision > cands[j].Precision
 			}
@@ -286,17 +285,19 @@ func ScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) 
 	return cands
 }
 
-// rewriteSorter sorts candidates and their precomputed query keys in
-// lockstep, keeping the key slice aligned across both sort passes.
-type rewriteSorter struct {
-	cands []RewrittenQuery
+// keyedSorter sorts items and their precomputed tie-break keys in
+// lockstep, keeping the key slice aligned across sort passes. Rankings end
+// in a canonical-key tie-break, and building keys inside an O(n log n)
+// comparator would rebuild each one log n times.
+type keyedSorter[T any] struct {
+	items []T
 	keys  []string
 	less  func(i, j int) bool
 }
 
-func (s *rewriteSorter) Len() int           { return len(s.cands) }
-func (s *rewriteSorter) Less(i, j int) bool { return s.less(i, j) }
-func (s *rewriteSorter) Swap(i, j int) {
-	s.cands[i], s.cands[j] = s.cands[j], s.cands[i]
+func (s *keyedSorter[T]) Len() int           { return len(s.items) }
+func (s *keyedSorter[T]) Less(i, j int) bool { return s.less(i, j) }
+func (s *keyedSorter[T]) Swap(i, j int) {
+	s.items[i], s.items[j] = s.items[j], s.items[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }

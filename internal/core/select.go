@@ -106,10 +106,13 @@ func (m *Mediator) staleFallback(key string, cfg Config, err error) (*ResultSet,
 // the ordering policy. Parallel only affects wall-clock time, and Retry can
 // only affect degraded results, which are never kept in the cache.
 func answerKey(srcName string, q relation.Query, cfg Config) string {
-	return srcName + "\x1e" + q.Key() + "\x1e" +
-		strconv.FormatFloat(cfg.Alpha, 'g', -1, 64) + "\x1f" +
-		strconv.Itoa(cfg.K) + "\x1f" +
-		strconv.Itoa(int(cfg.Ordering))
+	b := make([]byte, 0, 128)
+	b = append(append(b, srcName...), '\x1e')
+	b = append(append(b, q.Key()...), '\x1e')
+	b = strconv.AppendFloat(b, cfg.Alpha, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, '\x1f'), int64(cfg.K), 10)
+	b = strconv.AppendInt(append(b, '\x1f'), int64(cfg.Ordering), 10)
+	return string(b)
 }
 
 // clone shallow-copies the result set so callers can sort, trim and project
@@ -164,11 +167,8 @@ func (m *Mediator) querySelectUncached(ctx context.Context, cfg Config, srcName 
 	chosen := scoreAndSelectWith(cfg, cands)
 
 	// Step 2(d)+(e): retrieve the extended result set and post-filter.
-	seen := make(map[string]bool, len(base))
-	for _, t := range base {
-		seen[t.Key()] = true
-	}
 	constrained := q.ConstrainedAttrs()
+	seen := seedAnswerKeys(src.Schema(), base, constrained)
 	issueQs := issueQueries(src, chosen)
 	results := fetchAllSched(ctx, src, issueQs, cfg.Parallel, cfg.Retry,
 		cfg.Planner.Sched(), rewritePriorities(chosen))
@@ -216,7 +216,7 @@ func issueQueries(src *source.Source, chosen []RewrittenQuery) []relation.Query 
 // streaming executor can emit exactly them. A failed or budget-skipped
 // rewrite degrades the result instead of failing it, and is still accounted
 // in Issued so cost analysis sees it.
-func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []string, seen map[string]bool, rq RewrittenQuery, res fetchResult) (possible, unranked []Answer) {
+func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []string, seen *answerKeys, rq RewrittenQuery, res fetchResult) (possible, unranked []Answer) {
 	rq.Attempts = res.attempts
 	if err := res.err; err != nil {
 		rq.Err = err
@@ -241,14 +241,9 @@ func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []str
 		// Post-filtering: keep only tuples whose target attribute is
 		// null — others are either already certain answers or certain
 		// non-answers (Step 2e).
-		if !t[tcol].IsNull() {
+		if !t[tcol].IsNull() || !seen.add(t) {
 			continue
 		}
-		key := t.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		rq.Kept++
 		ans := Answer{
 			Tuple:       t,
@@ -266,6 +261,55 @@ func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []str
 	rs.Unranked = append(rs.Unranked, unranked...)
 	rs.Issued = append(rs.Issued, rq)
 	return possible, unranked
+}
+
+// answerKeys is the set of answers already returned, by canonical tuple
+// key: Step 2(e) drops a fetched tuple that is already an answer. Keys are
+// appended into buf, which is reused across tuples, and looked up with
+// seen[string(buf)], which does not copy, so only a new answer allocates.
+// The zero value is an empty set.
+type answerKeys struct {
+	seen map[string]struct{}
+	buf  []byte
+}
+
+// seedAnswerKeys returns the set a rewrite fold starts from: the certain
+// answers a rewrite can fetch again. The fold keeps only tuples null on
+// their rewrite's target, which is a constrained attribute, and tuples with
+// equal keys are null on the same attributes, so a certain answer non-null
+// on every constrained attribute never collides with a kept tuple and is
+// not keyed. A certain answer satisfies every predicate, so only under an
+// IS NULL predicate is anything keyed at all.
+func seedAnswerKeys(schema *relation.Schema, base []relation.Tuple, constrained []string) *answerKeys {
+	cols := make([]int, 0, len(constrained))
+	for _, a := range constrained {
+		if c, ok := schema.Index(a); ok {
+			cols = append(cols, c)
+		}
+	}
+	seen := &answerKeys{}
+	for _, t := range base {
+		for _, c := range cols {
+			if t[c].IsNull() {
+				seen.add(t)
+				break
+			}
+		}
+	}
+	return seen
+}
+
+// add records t and reports whether it was new.
+func (ak *answerKeys) add(t relation.Tuple) bool {
+	ak.buf = t.AppendKey(ak.buf[:0])
+	if _, ok := ak.seen[string(ak.buf)]; ok {
+		return false
+	}
+	if ak.seen == nil {
+		ak.seen = make(map[string]struct{})
+	}
+	ak.seen[string(ak.buf)] = struct{}{}
+	return true
 }
 
 // AllAnswers returns certain answers followed by ranked possible answers

@@ -246,11 +246,8 @@ func (m *Mediator) streamRun(ctx context.Context, cfg Config, src *source.Source
 	rs.Generated = len(cands)
 	chosen := scoreAndSelectWith(cfg, cands)
 
-	seen := make(map[string]bool, len(base))
-	for _, t := range base {
-		seen[t.Key()] = true
-	}
 	constrained := q.ConstrainedAttrs()
+	seen := seedAnswerKeys(src.Schema(), base, constrained)
 
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -12,7 +12,8 @@
 //	GET  /knowledge?source=S mined AFDs / AKeys / pruned AFDs for S
 //	GET  /metrics            per-source query/retry/error counters with
 //	                         latency percentiles, breaker/hedge counters,
-//	                         plus answer-cache and staleness counters
+//	                         per-source knowledge-memo counters, plus
+//	                         answer-cache and staleness counters
 //	POST /query              {"sql": "SELECT ..."} → certain + ranked
 //	                         possible answers (or the aggregate result),
 //	                         with confidences and AFD explanations
@@ -49,6 +50,7 @@ import (
 	"qpiad/internal/core"
 	"qpiad/internal/latency"
 	"qpiad/internal/planner"
+	"qpiad/internal/qcache"
 	"qpiad/internal/relation"
 	"qpiad/internal/sqlish"
 )
@@ -490,6 +492,28 @@ type sourceMetrics struct {
 	Breaker         *breakerJSON `json:"breaker,omitempty"`
 }
 
+// knowledgeMetrics is one source's entry in the knowledge section of
+// /metrics: the counters of the two memos its mined knowledge keeps, the
+// selectivity estimator's sample-count memo and the NBC prediction memo,
+// both bounded LRUs.
+type knowledgeMetrics struct {
+	Source          string      `json:"source"`
+	SelectivityMemo memoMetrics `json:"selectivity_memo"`
+	PredictionMemo  memoMetrics `json:"prediction_memo"`
+}
+
+// memoMetrics is one memo's counters.
+type memoMetrics struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
+}
+
+func memoJSON(st qcache.Stats) memoMetrics {
+	return memoMetrics{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries}
+}
+
 // cacheMetrics is the mediator answer-cache section of the /metrics payload.
 type cacheMetrics struct {
 	Hits        uint64 `json:"hits"`
@@ -538,16 +562,22 @@ type httpMetrics struct {
 
 // metricsResponse is the full /metrics payload.
 type metricsResponse struct {
-	Sources   []sourceMetrics `json:"sources"`
-	Cache     cacheMetrics    `json:"cache"`
-	Streaming streamMetrics   `json:"streaming"`
-	Planner   plannerMetrics  `json:"planner"`
-	HTTP      httpMetrics     `json:"http"`
+	Sources []sourceMetrics `json:"sources"`
+	// Knowledge lists, per source with mined knowledge, its memo counters.
+	Knowledge []knowledgeMetrics `json:"knowledge"`
+	Cache     cacheMetrics       `json:"cache"`
+	Streaming streamMetrics      `json:"streaming"`
+	Planner   plannerMetrics     `json:"planner"`
+	HTTP      httpMetrics        `json:"http"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	out := metricsResponse{Sources: make([]sourceMetrics, 0, len(s.med.SourceNames()))}
-	for _, name := range s.med.SourceNames() {
+	names := s.med.SourceNames()
+	out := metricsResponse{
+		Sources:   make([]sourceMetrics, 0, len(names)),
+		Knowledge: make([]knowledgeMetrics, 0, len(names)),
+	}
+	for _, name := range names {
 		src, _ := s.med.Source(name)
 		mt := src.Metrics()
 		sm := sourceMetrics{
@@ -583,6 +613,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 		out.Sources = append(out.Sources, sm)
+		if k, ok := s.med.Knowledge(name); ok && k != nil && k.Sel != nil {
+			out.Knowledge = append(out.Knowledge, knowledgeMetrics{
+				Source:          name,
+				SelectivityMemo: memoJSON(k.Sel.MemoStats()),
+				PredictionMemo:  memoJSON(k.PredictionMemoStats()),
+			})
+		}
 	}
 	cs := s.med.CacheStats()
 	out.Cache = cacheMetrics{

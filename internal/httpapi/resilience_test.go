@@ -119,6 +119,57 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsKnowledgeSection requires /metrics to report each source's
+// knowledge memos exactly as the mined knowledge counts them, and a
+// repeated uncached query to be answered from both memos.
+func TestMetricsKnowledgeSection(t *testing.T) {
+	med := testMediator(t, core.Config{Alpha: 0, K: 10})
+	srv := httptest.NewServer(New(med))
+	t.Cleanup(srv.Close)
+	k, _ := med.Knowledge("cars")
+	want := func() knowledgeMetrics {
+		return knowledgeMetrics{
+			Source:          "cars",
+			SelectivityMemo: memoJSON(k.Sel.MemoStats()),
+			PredictionMemo:  memoJSON(k.PredictionMemoStats()),
+		}
+	}
+	check := func(stage string) knowledgeMetrics {
+		t.Helper()
+		got := getMetrics(t, srv)
+		if len(got.Knowledge) != 1 || got.Knowledge[0] != want() {
+			t.Fatalf("%s: /metrics knowledge = %+v, want %+v", stage, got.Knowledge, want())
+		}
+		return got.Knowledge[0]
+	}
+	if cold := check("before any query"); cold != (knowledgeMetrics{Source: "cars"}) {
+		t.Fatalf("memos used before any query: %+v", cold)
+	}
+	body := `{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'", "no_cache": true}`
+	if resp, out := postQuery(t, srv, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	first := check("after one query")
+	for name, m := range map[string]memoMetrics{"selectivity": first.SelectivityMemo, "prediction": first.PredictionMemo} {
+		if m.Misses == 0 || m.Entries != int(m.Misses-m.Evictions) {
+			t.Errorf("%s memo after one query: %+v, want misses that all became entries", name, m)
+		}
+	}
+	if resp, out := postQuery(t, srv, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	second := check("after the repeat")
+	for name, pair := range map[string][2]memoMetrics{
+		"selectivity": {first.SelectivityMemo, second.SelectivityMemo},
+		"prediction":  {first.PredictionMemo, second.PredictionMemo},
+	} {
+		before, after := pair[0], pair[1]
+		if after.Misses != before.Misses || after.Hits <= before.Hits {
+			t.Errorf("%s memo: repeat query went %+v -> %+v, want only hits", name, before, after)
+		}
+	}
+}
+
 // TestQueryDegradedAnnotation verifies a failing rewrite surfaces in the
 // /query response: degraded flag set, failure annotated in rewrites_issued.
 func TestQueryDegradedAnnotation(t *testing.T) {

@@ -221,8 +221,9 @@ func Train(sample *relation.Relation, target string, features []string, cfg Conf
 	for i := range cl.totals {
 		cl.totals[i] = make([]int, len(cl.classes))
 	}
-	// Second pass: counts. jbuf is reused across rows so joint-key encoding
-	// allocates only when a new combination is interned into the map.
+	// Second pass: counts. jbuf is reused across rows and the joint table
+	// is looked up with joint[string(jbuf)], which does not copy, so a
+	// joint key allocates only when a new combination is interned.
 	var jbuf []byte
 	for _, t := range sample.Tuples() {
 		v := t[tcol]
@@ -250,7 +251,7 @@ func Train(sample *relation.Relation, target string, features []string, cfg Conf
 			cl.totals[fi][ci]++
 		}
 		if allPresent && !cl.jointOff {
-			jbuf = appendJointKey(jbuf[:0], t, fcols)
+			jbuf = t.AppendKeyOn(jbuf[:0], fcols)
 			row := cl.joint[string(jbuf)]
 			if row == nil {
 				row = make([]int, len(cl.classes))
@@ -276,31 +277,17 @@ func (c *Classifier) prior(ci int) float64 {
 	return (float64(c.classCount[ci]) + c.m*p) / (float64(c.trainRows) + c.m)
 }
 
-// cond returns the m-estimate-smoothed P(feature fi = key | class ci).
-// The uniform prior reserves mass for one unseen value beyond the training
-// domain, so no conditional probability is ever zero.
-func (c *Classifier) cond(fi int, key string, ci int) float64 {
+// cond returns the m-estimate-smoothed P(feature fi = v | class ci), given
+// v's count row (nil for a value unseen in training). The uniform prior
+// reserves mass for one unseen value beyond the training domain, so no
+// conditional probability is ever zero.
+func (c *Classifier) cond(fi int, row []int, ci int) float64 {
 	p := 1.0 / float64(c.domain[fi]+1)
 	n := 0
-	if row, ok := c.counts[fi][key]; ok {
+	if row != nil {
 		n = row[ci]
 	}
 	return (float64(n) + c.m*p) / (float64(c.totals[fi][ci]) + c.m)
-}
-
-// appendJointKey appends the encoded full feature vector of t over fcols to
-// dst and returns it. Callers reuse dst across rows; looking the result up
-// via joint[string(dst)] is allocation-free (the compiler elides the string
-// copy for map access), so a string is only materialized when a new
-// combination is interned.
-func appendJointKey(dst []byte, t relation.Tuple, fcols []int) []byte {
-	for i, fc := range fcols {
-		if i > 0 {
-			dst = append(dst, '\x1f')
-		}
-		dst = append(dst, t[fc].Key()...)
-	}
-	return dst
 }
 
 // PredictEvidence computes P(target | evidence) for the given attribute →
@@ -317,24 +304,26 @@ func (c *Classifier) PredictEvidence(evidence map[string]relation.Value) Distrib
 		logw[ci] = math.Log(c.prior(ci))
 	}
 	allPresent := len(c.Features) > 0
-	// jbuf accumulates the joint key in place of the former []string +
-	// strings.Join pair; it is only consulted when every feature is present.
-	var jbuf []byte
+	// Each feature value's key is appended to jbuf and its count row looked
+	// up with counts[fi][string(key)], which does not copy. While every
+	// feature is present, jbuf is also the joint key (the value keys joined
+	// by \x1f); it is only consulted then.
+	var arr [128]byte
+	jbuf := arr[:0]
 	for fi, f := range c.Features {
 		v, ok := evidence[f]
 		if !ok || v.IsNull() {
 			allPresent = false
 			continue
 		}
-		k := v.Key()
-		if allPresent {
-			if fi > 0 {
-				jbuf = append(jbuf, '\x1f')
-			}
-			jbuf = append(jbuf, k...)
+		if fi > 0 {
+			jbuf = append(jbuf, '\x1f')
 		}
+		start := len(jbuf)
+		jbuf = v.AppendKey(jbuf)
+		row := c.counts[fi][string(jbuf[start:])]
 		for ci := range c.classes {
-			logw[ci] += math.Log(c.cond(fi, k, ci))
+			logw[ci] += math.Log(c.cond(fi, row, ci))
 		}
 	}
 	// Normalize in log space for stability.

@@ -1,8 +1,9 @@
 package relation
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -244,21 +245,51 @@ func (q Query) With(p Predicate) Query {
 }
 
 // Key returns a canonical encoding of the query, used to avoid issuing the
-// same rewritten query twice. Predicate order is normalized.
+// same rewritten query twice: the relation name, then each predicate as
+// attr \x1e op \x1e value key \x1e high key in byte order, then the
+// aggregate if any, joined by \x1f. Predicate order is normalized.
+//
+// The predicates are encoded into one buffer and their spans sorted in
+// place, so a key costs one allocation for the result (plus buffer growth
+// past a few hundred bytes).
 func (q Query) Key() string {
-	parts := make([]string, 0, len(q.Preds)+2)
-	parts = append(parts, q.Relation)
-	ps := make([]string, len(q.Preds))
-	for i, p := range q.Preds {
-		ps[i] = p.Attr + "\x1e" + p.Op.String() + "\x1e" + p.Value.Key() + "\x1e" + p.High.Key()
+	var encBuf [256]byte
+	var spanBuf [8]keySpan
+	enc, spans := encBuf[:0], spanBuf[:0]
+	for _, p := range q.Preds {
+		start := len(enc)
+		enc = append(enc, p.Attr...)
+		enc = append(enc, '\x1e')
+		enc = append(enc, p.Op.String()...)
+		enc = append(enc, '\x1e')
+		enc = p.Value.AppendKey(enc)
+		enc = append(enc, '\x1e')
+		enc = p.High.AppendKey(enc)
+		spans = append(spans, keySpan{start, len(enc)})
 	}
-	sort.Strings(ps)
-	parts = append(parts, ps...)
+	slices.SortFunc(spans, func(a, b keySpan) int {
+		return bytes.Compare(enc[a.lo:a.hi], enc[b.lo:b.hi])
+	})
+	var agg string
 	if q.Agg != nil {
-		parts = append(parts, q.Agg.String())
+		agg = q.Agg.String()
 	}
-	return strings.Join(parts, "\x1f")
+	var b strings.Builder
+	b.Grow(len(q.Relation) + len(enc) + len(spans) + 1 + len(agg))
+	b.WriteString(q.Relation)
+	for _, sp := range spans {
+		b.WriteByte('\x1f')
+		b.Write(enc[sp.lo:sp.hi])
+	}
+	if q.Agg != nil {
+		b.WriteByte('\x1f')
+		b.WriteString(agg)
+	}
+	return b.String()
 }
+
+// keySpan is one predicate's encoding within Query.Key's buffer.
+type keySpan struct{ lo, hi int }
 
 // String renders the query in the paper's sigma notation.
 func (q Query) String() string {

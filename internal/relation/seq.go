@@ -134,6 +134,9 @@ func DistinctOnSeq(s *Schema, seq TupleSeq, attrs []string) TupleSeq {
 			cols[i] = c
 		}
 		seen := make(map[string]bool)
+		// buf is reused across tuples: a combination already seen costs
+		// no allocation, only a new one is copied into the map.
+		var buf []byte
 		for t := range seq {
 			null := false
 			for _, c := range cols {
@@ -145,11 +148,11 @@ func DistinctOnSeq(s *Schema, seq TupleSeq, attrs []string) TupleSeq {
 			if null {
 				continue
 			}
-			k := t.KeyOn(cols)
-			if seen[k] {
+			buf = t.AppendKeyOn(buf[:0], cols)
+			if seen[string(buf)] {
 				continue
 			}
-			seen[k] = true
+			seen[string(buf)] = true
 			proj := make(Tuple, len(cols))
 			for i, c := range cols {
 				proj[i] = t[c]

@@ -59,29 +59,43 @@ func (t Tuple) NullCountOn(s *Schema, names []string) int {
 }
 
 // Key returns a canonical encoding of the whole tuple, usable for duplicate
-// detection. Nulls participate (null groups with null).
+// detection: the value keys joined by \x1f. Nulls participate (null groups
+// with null).
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [128]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends t's canonical key (see Key) to dst and returns the
+// extended slice. Appending into a buffer with enough capacity allocates
+// nothing.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			dst = append(dst, '\x1f')
 		}
-		b.WriteString(v.Key())
+		dst = v.AppendKey(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // KeyOn returns a canonical encoding of the tuple restricted to the given
 // attribute positions.
 func (t Tuple) KeyOn(cols []int) string {
-	var b strings.Builder
+	var buf [128]byte
+	return string(t.AppendKeyOn(buf[:0], cols))
+}
+
+// AppendKeyOn appends t's canonical key over the given attribute positions
+// (see KeyOn) to dst and returns the extended slice.
+func (t Tuple) AppendKeyOn(dst []byte, cols []int) []byte {
 	for i, c := range cols {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			dst = append(dst, '\x1f')
 		}
-		b.WriteString(t[c].Key())
+		dst = t[c].AppendKey(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // IsCompletionOf reports whether complete tuple t belongs to the set of

@@ -218,24 +218,37 @@ func (v Value) Compare(o Value) (int, bool) {
 }
 
 // Key returns a canonical string encoding of the value usable as a map key.
-// Distinct values have distinct keys and identical values identical keys.
+// Two values share a key exactly when they have the same kind and the same
+// payload, with two exceptions for floats: every NaN has the one key "fNaN",
+// and -0 and +0 have different keys. So Key is finer than Identical across
+// kinds (Int(1) and Float(1) are Identical but keyed "i1" and "f1") and on
+// signed zeros, and coarser on NaN (Identical to nothing, itself included).
+// The mediator's duplicate elimination and DistinctOn go by Key.
 func (v Value) Key() string {
+	var buf [64]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends v's canonical key (see Key) to dst and returns the
+// extended slice. Hot loops append into one reused buffer and look maps up
+// with m[string(buf)], which Go does without copying the bytes.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(dst, 0)
 	case KindString:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	case KindInt:
-		return "i" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
 	case KindFloat:
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
 	case KindBool:
 		if v.b {
-			return "bt"
+			return append(dst, 'b', 't')
 		}
-		return "bf"
+		return append(dst, 'b', 'f')
 	}
-	return ""
+	return dst
 }
 
 // String renders the value for display. Null renders as "null".

@@ -139,14 +139,56 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-// Property: Key is injective on the generated sample of int/float/string
-// values and consistent with Identical.
+// keyedSame is Key's contract spelled out: the same kind and the same
+// payload, where every NaN is one payload and -0 and +0 are two.
+func keyedSame(x, y Value) bool {
+	if x.Kind() != y.Kind() {
+		return false
+	}
+	switch x.Kind() {
+	case KindNull:
+		return true
+	case KindString:
+		return x.Str() == y.Str()
+	case KindInt:
+		return x.IntVal() == y.IntVal()
+	case KindFloat:
+		a, b := x.FloatVal(), y.FloatVal()
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return math.IsNaN(a) && math.IsNaN(b)
+		}
+		return math.Float64bits(a) == math.Float64bits(b)
+	default:
+		return x.BoolVal() == y.BoolVal()
+	}
+}
+
+// Property: two values share a key exactly when keyedSame holds, and Key
+// agrees with Identical except on the three documented cases — an int and
+// a float of the same number, -0 against +0, and NaN against NaN.
 func TestValueKeyConsistentWithIdentical(t *testing.T) {
-	f := func(a, b int64, s1, s2 string) bool {
-		vals := []Value{Int(a), Int(b), String(s1), String(s2), Null()}
-		for _, x := range vals {
-			for _, y := range vals {
-				if (x.Key() == y.Key()) != x.Identical(y) {
+	f := func(a, b int64, s1, s2 string, x, y float64, p, q bool) bool {
+		vals := []Value{
+			Int(a), Int(b), String(s1), String(s2), Null(), Bool(p), Bool(q),
+			Float(x), Float(y), Float(float64(a)), Float(math.NaN()),
+			Float(math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)),
+			Float(0), Float(math.Copysign(0, -1)), Int(0), Int(1), Float(1),
+			String("1"), String("i1"),
+		}
+		for _, v := range vals {
+			for _, w := range vals {
+				same := v.Key() == w.Key()
+				if same != keyedSame(v, w) {
+					return false
+				}
+				if same == v.Identical(w) {
+					continue
+				}
+				crossKind := v.Kind() != w.Kind()
+				nv, _ := v.Numeric()
+				signedZero := v.Kind() == KindFloat && nv == 0
+				nan := v.Kind() == KindFloat && math.IsNaN(nv)
+				if !crossKind && !signedZero && !nan {
 					return false
 				}
 			}
@@ -155,6 +197,18 @@ func TestValueKeyConsistentWithIdentical(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// The three exceptions, pinned.
+	negZero := Float(math.Copysign(0, -1))
+	nan := Float(math.NaN())
+	if !Int(1).Identical(Float(1)) || Int(1).Key() == Float(1).Key() {
+		t.Error("Int(1) and Float(1): Identical, keys differ")
+	}
+	if !Float(0).Identical(negZero) || Float(0).Key() == negZero.Key() {
+		t.Error("+0 and -0: Identical, keys differ")
+	}
+	if nan.Identical(nan) || nan.Key() != Float(-math.NaN()).Key() {
+		t.Error("NaN: not Identical to itself, one key for every NaN")
 	}
 }
 
