@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"qpiad/internal/relation"
-	"qpiad/internal/source"
 )
 
 // InclusionRule selects how a rewritten query's aggregate contribution is
@@ -66,11 +64,12 @@ type AggAnswer struct {
 	// Included are the rewritten queries whose results were combined.
 	Included []RewrittenQuery
 	// Failed are rewritten queries that were selected for inclusion but
-	// could not be fetched (after retries) or were skipped on budget
-	// exhaustion; each carries its Err and Attempts.
+	// contributed nothing: the fetch failed after retries, was skipped
+	// unissued (budget exhausted or circuit open), or the aggregate over
+	// the fetched tuples failed. Each carries its Err and Attempts.
 	Failed []RewrittenQuery
 	// Degraded reports that Failed is non-empty: the possible contribution
-	// underestimates what a fully reliable source would have yielded.
+	// may miss what a fully reliable source would have yielded.
 	Degraded bool
 }
 
@@ -104,23 +103,11 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 	if q.Agg == nil {
 		return nil, fmt.Errorf("core: QueryAggregate needs an aggregate query")
 	}
-	src, k, ok := m.lookup(srcName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", srcName)
-	}
-	if k == nil {
-		return nil, fmt.Errorf("core: no knowledge mined for source %q", srcName)
+	src, k, base, err := m.fetchBase(ctx, cfg, srcName, q)
+	if err != nil {
+		return nil, err
 	}
 	agg := *q.Agg
-	if agg.Attr != "" && !src.Schema().Has(agg.Attr) {
-		return nil, fmt.Errorf("core: aggregate attribute %q not in source %q", agg.Attr, srcName)
-	}
-
-	bres := fetchOne(ctx, src, q, cfg.Retry)
-	if bres.err != nil {
-		return nil, fmt.Errorf("core: base query: %w", bres.err)
-	}
-	base := bres.rows
 	out := &AggAnswer{}
 	certain, rows, err := m.aggregateOver(src.Schema(), k, agg, base, opts.PredictMissing)
 	if err != nil {
@@ -130,37 +117,34 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 	out.CertainRows = rows
 
 	if opts.IncludePossible {
-		cands := m.generateRewrites(k, q, base, src.Schema())
-		chosen := scoreAndSelectWith(cfg, cands)
+		// Only the chosen rewrites the inclusion rule admits are issued;
+		// their contributions fold in issue (descending precision) order.
+		var included []RewrittenQuery
+		for _, rq := range scoreAndSelectWith(cfg, m.generateRewrites(k, q, base, src.Schema())) {
+			if include, _ := m.shouldInclude(rq, opts.Rule); include {
+				included = append(included, rq)
+			}
+		}
+		results := fetchAll(ctx, src, issueQueries(src, included), cfg.Parallel, cfg.Retry,
+			cfg.Planner.Sched(), rewritePriorities(included))
 		seen := seedAnswerKeys(src.Schema(), base, q.ConstrainedAttrs())
-		budgetOut := false
-		for _, rq := range chosen {
-			include, weight := m.shouldInclude(rq, opts.Rule)
-			if !include {
+		fail := func(rq RewrittenQuery, err error) {
+			rq.Err = err
+			out.Failed = append(out.Failed, rq)
+			out.Degraded = true
+		}
+		for i, rq := range included {
+			rq.Attempts = results[i].attempts
+			if err := results[i].err; err != nil {
+				fail(rq, err)
 				continue
 			}
-			if budgetOut {
-				rq.Err = errSkippedBudget
-				out.Failed = append(out.Failed, rq)
-				out.Degraded = true
-				continue
-			}
-			fres := fetchOne(ctx, src, rq.Query, cfg.Retry)
-			rq.Attempts = fres.attempts
-			if fres.err != nil {
-				rq.Err = fres.err
-				out.Failed = append(out.Failed, rq)
-				out.Degraded = true
-				budgetOut = errors.Is(fres.err, source.ErrQueryBudget)
-				continue
-			}
-			rows := fres.rows
 			tcol, ok := src.Schema().Index(rq.TargetAttr)
 			if !ok {
 				continue
 			}
 			var contrib []relation.Tuple
-			for _, t := range rows {
+			for _, t := range results[i].rows {
 				if t[tcol].IsNull() && seen.add(t) {
 					contrib = append(contrib, t)
 				}
@@ -170,8 +154,10 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 			}
 			val, n, err := m.aggregateOver(src.Schema(), k, agg, contrib, opts.PredictMissing)
 			if err != nil {
+				fail(rq, err)
 				continue
 			}
+			_, weight := m.shouldInclude(rq, opts.Rule)
 			out.Possible += weight * val
 			out.PossibleRows += n
 			out.Included = append(out.Included, rq)

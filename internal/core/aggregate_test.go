@@ -1,10 +1,19 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"qpiad/internal/afd"
+	"qpiad/internal/breaker"
+	"qpiad/internal/faults"
+	"qpiad/internal/nbc"
+	"qpiad/internal/planner"
 	"qpiad/internal/relation"
+	"qpiad/internal/source"
 )
 
 func countQuery() relation.Query {
@@ -128,5 +137,169 @@ func TestAggregateErrors(t *testing.T) {
 func TestInclusionRuleString(t *testing.T) {
 	if RuleArgmax.String() != "argmax" || RuleFractional.String() != "fractional" {
 		t.Error("rule names")
+	}
+}
+
+// trimFixture is a 100-row world in which model determines body_style (Z4
+// is Convt, Civic is Sedan) and only the rows missing their body_style
+// carry a trim, a string. AVG(trim) is NaN over the certain answers of a
+// body_style query and fails over any rewrite's contribution.
+func trimFixture(t *testing.T, cfg Config) *Mediator {
+	t.Helper()
+	rel := relation.New("cars", relation.MustSchema(
+		relation.Attribute{Name: "id", Kind: relation.KindString},
+		relation.Attribute{Name: "model", Kind: relation.KindString},
+		relation.Attribute{Name: "body_style", Kind: relation.KindString},
+		relation.Attribute{Name: "trim", Kind: relation.KindString},
+	))
+	add := func(model string, style, trim relation.Value, n int) {
+		for i := 0; i < n; i++ {
+			id := relation.String(fmt.Sprint(rel.Len()))
+			rel.MustInsert(relation.Tuple{id, relation.String(model), style, trim})
+		}
+	}
+	add("Z4", relation.String("Convt"), relation.Null(), 40)
+	add("Z4", relation.Null(), relation.String("M"), 10)
+	add("Civic", relation.String("Sedan"), relation.Null(), 40)
+	add("Civic", relation.Null(), relation.String("LX"), 10)
+	smpl := rel.Clone()
+	k, err := MineKnowledge("cars", smpl, 1, smpl.IncompleteFraction(), KnowledgeConfig{
+		AFD:       afd.Config{MinSupport: 5},
+		Predictor: nbc.PredictorConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(cfg)
+	m.Register(source.New("cars", rel, source.Capabilities{}), k)
+	return m
+}
+
+// TestAggregateFoldFailureDegrades pins that a contribution whose
+// aggregate fails is reported, not dropped: the rewrite lands in Failed
+// with the fold's error and the answer is Degraded.
+func TestAggregateFoldFailureDegrades(t *testing.T) {
+	m := trimFixture(t, Config{Alpha: 1, K: 0})
+	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
+	q.Agg = &relation.Aggregate{Func: relation.AggAvg, Attr: "trim"}
+	ans, err := m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleArgmax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.Degraded || len(ans.Failed) == 0 {
+		t.Fatalf("failed contribution not reported: Degraded=%v Failed=%d Included=%d",
+			ans.Degraded, len(ans.Failed), len(ans.Included))
+	}
+	for _, rq := range ans.Failed {
+		if rq.Err == nil || rq.Attempts != 1 {
+			t.Errorf("failed rewrite %v: Err=%v Attempts=%d, want the fold error after 1 attempt",
+				rq.Query, rq.Err, rq.Attempts)
+		}
+	}
+	if len(ans.Included) != 0 || ans.PossibleRows != 0 {
+		t.Errorf("a failed contribution was folded in: Included=%d PossibleRows=%d",
+			len(ans.Included), ans.PossibleRows)
+	}
+}
+
+// TestAggregateOpenCircuitStopsPlan pins the plan-level open-circuit skip
+// on the aggregate path: once the breaker rejects one rewrite, the rest of
+// the plan is skipped unissued and reported in Failed.
+func TestAggregateOpenCircuitStopsPlan(t *testing.T) {
+	cfg := Config{Alpha: 1, K: 0, Retry: fastRetry(1), Breaker: trippy()}
+	f := newFixtureAttr(t, cfg, "price")
+	// Base query up (ordinal 0), every rewrite after it down: two failures
+	// trip the circuit, the third rewrite is rejected.
+	f.src.SetFaults(faults.New(faults.Profile{FlapUp: 1, FlapDown: 1 << 30}))
+	q := relation.NewQuery("cars", relation.Between("price", relation.Int(20000), relation.Int(40000)))
+	q.Agg = &relation.Aggregate{Func: relation.AggCount}
+	ans, err := f.m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.src.Stats().BreakerRejected; got != 1 {
+		t.Errorf("BreakerRejected = %d, want 1 (rest of the plan skipped)", got)
+	}
+	if !ans.Degraded {
+		t.Error("open-circuit aggregate must be Degraded")
+	}
+	rejected, skipped := 0, 0
+	for _, rq := range ans.Failed {
+		switch {
+		case errors.Is(rq.Err, errSkippedOpen):
+			skipped++
+			if rq.Attempts != 0 {
+				t.Errorf("skipped rewrite %v made %d attempts", rq.Query, rq.Attempts)
+			}
+		case errors.Is(rq.Err, breaker.ErrOpen):
+			rejected++
+		}
+	}
+	if want := len(ans.Failed) - trippy().ConsecutiveFailures - 1; rejected != 1 || want <= 0 || skipped != want {
+		t.Errorf("of %d failed rewrites %d rejected and %d skipped unissued, want 1 and %d",
+			len(ans.Failed), rejected, skipped, want)
+	}
+}
+
+// TestAggregateScheduled pins that an attached cross-query scheduler
+// admits every aggregate rewrite fetch.
+func TestAggregateScheduled(t *testing.T) {
+	sched := planner.NewScheduler(2)
+	f := newFixture(t, Config{Alpha: 1, K: 0, Planner: &planner.Config{Scheduler: sched}})
+	ans, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{IncludePossible: true, Rule: RuleArgmax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Included) == 0 {
+		t.Fatal("scenario needs included rewrites")
+	}
+	st := sched.Stats()
+	if st.Admitted != int64(len(ans.Included)) {
+		t.Errorf("scheduler admitted %d fetches, want one per included rewrite (%d)",
+			st.Admitted, len(ans.Included))
+	}
+	if st.InFlight != 0 || st.Queued != 0 {
+		t.Errorf("scheduler leaked slots: %+v", st)
+	}
+}
+
+// TestAggregateParallelSameAnswer pins that parallel issue changes timing
+// only: the whole AggAnswer is the same at Parallel 1 and 8.
+func TestAggregateParallelSameAnswer(t *testing.T) {
+	seq := newFixtureAttr(t, Config{Alpha: 1, K: 0, Parallel: 1}, "price")
+	par := newFixtureAttr(t, Config{Alpha: 1, K: 0, Parallel: 8}, "price")
+	civic := relation.NewQuery("cars", relation.Eq("model", relation.String("Civic")))
+	band := relation.NewQuery("cars", relation.Between("price", relation.Int(20000), relation.Int(40000)))
+	fanOut := 0
+	for _, tc := range []struct {
+		q   relation.Query
+		agg relation.Aggregate
+	}{
+		{band, relation.Aggregate{Func: relation.AggCount}},
+		{band, relation.Aggregate{Func: relation.AggSum, Attr: "year"}},
+		{band, relation.Aggregate{Func: relation.AggMax, Attr: "year"}},
+		{civic, relation.Aggregate{Func: relation.AggSum, Attr: "price"}},
+		{civic, relation.Aggregate{Func: relation.AggAvg, Attr: "price"}},
+	} {
+		for _, rule := range []InclusionRule{RuleArgmax, RuleFractional} {
+			q := tc.q.Clone()
+			q.Agg = &tc.agg
+			opts := AggOptions{IncludePossible: true, PredictMissing: true, Rule: rule}
+			a, err := seq.m.QueryAggregate("cars", q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := par.m.QueryAggregate("cars", q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%v %v: Parallel 1 and 8 differ:\n seq: %+v\n par: %+v", tc.agg, rule, a, b)
+			}
+			fanOut = max(fanOut, len(a.Included))
+		}
+	}
+	if fanOut < 2 {
+		t.Errorf("no aggregate folded more than %d rewrites: nothing ran in parallel", fanOut)
 	}
 }

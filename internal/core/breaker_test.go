@@ -68,7 +68,7 @@ func TestFetchAllOpenSkip(t *testing.T) {
 		for i := range queries {
 			queries[i] = relation.NewQuery("cars", relation.Eq("model", relation.String("Z4")))
 		}
-		results := fetchAll(context.Background(), f.src, queries, parallel, fastRetry(1))
+		results := fetchAll(context.Background(), f.src, queries, parallel, fastRetry(1), nil, nil)
 		for i, res := range results {
 			if !errors.Is(res.err, breaker.ErrOpen) {
 				t.Fatalf("parallel=%d: result %d err = %v, want ErrOpen", parallel, i, res.err)

@@ -278,3 +278,34 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 		t.Error("source relation answers changed after caller mutation")
 	}
 }
+
+// TestBatchSelectIgnoresTopN pins that batch select returns every answer
+// whatever cfg.TopN says, on a cache miss and on the hit that follows.
+// TopN bounds streams only and answerKey leaves it out, so a batch run
+// that honoured it would cache a truncated answer for every later caller.
+func TestBatchSelectIgnoresTopN(t *testing.T) {
+	f := newFixture(t, Config{Alpha: 1, K: 10})
+	q := convtQuery()
+	full, err := f.m.QuerySelectWith(Config{Alpha: 1, K: 10, NoCache: true}, "cars", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Possible) < 2 || len(full.Issued) < 2 {
+		t.Fatalf("scenario needs more than one possible answer and rewrite, got %d and %d",
+			len(full.Possible), len(full.Issued))
+	}
+	cfg := Config{Alpha: 1, K: 10, TopN: 1}
+	for _, call := range []string{"miss", "hit"} {
+		rs, err := f.m.QuerySelectWith(cfg, "cars", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rs, full) {
+			t.Errorf("%s with TopN=1 differs from TopN=0: %d possible, %d issued; want %d and %d",
+				call, len(rs.Possible), len(rs.Issued), len(full.Possible), len(full.Issued))
+		}
+	}
+	if st := f.m.CacheStats(); st.Hits != 1 {
+		t.Errorf("cache hits = %d, want 1", st.Hits)
+	}
+}

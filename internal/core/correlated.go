@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"qpiad/internal/breaker"
 	"qpiad/internal/relation"
 )
 
@@ -138,13 +140,18 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 	for i, rq := range chosen {
 		issueQs[i] = rq.Query
 	}
-	results := fetchAll(ctx, sk, issueQs, m.cfg.Parallel, m.cfg.Retry)
+	results := fetchAll(ctx, sk, issueQs, m.cfg.Parallel, m.cfg.Retry,
+		m.cfg.Planner.Sched(), rewritePriorities(chosen))
 	var seen answerKeys
 	for i, rq := range chosen {
 		rq.Attempts = results[i].attempts
 		if err := results[i].err; err != nil {
 			rq.Err = err
 			rs.Degraded = true
+			if errors.Is(err, breaker.ErrOpen) {
+				// Never sent: the same saved-tuples accounting as select.
+				rs.EstSavedTuples += rq.EstSel
+			}
 			rs.Issued = append(rs.Issued, rq)
 			continue
 		}

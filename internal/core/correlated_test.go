@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"qpiad/internal/breaker"
+	"qpiad/internal/faults"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -142,5 +145,34 @@ func TestCorrelatedDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic ranking at %d", i)
 		}
+	}
+}
+
+// TestCorrelatedOpenCircuitAccounting pins the select path's open-circuit
+// accounting on correlated queries: a rewrite rejected or skipped behind the
+// target's open circuit degrades the result and counts its estimated
+// selectivity as saved tuples.
+func TestCorrelatedOpenCircuitAccounting(t *testing.T) {
+	f, ysrc, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 10, Retry: fastRetry(1), Breaker: trippy()})
+	ysrc.SetFaults(faults.New(faults.Profile{FlapUp: 0, FlapDown: 1 << 30}))
+	q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
+	rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := 0
+	for _, rq := range rs.Issued {
+		if errors.Is(rq.Err, breaker.ErrOpen) {
+			open++
+		}
+	}
+	if open == 0 {
+		t.Fatalf("scenario needs an open-circuit rewrite; issued %d", len(rs.Issued))
+	}
+	if !rs.Degraded {
+		t.Error("open-circuit correlated query must be Degraded")
+	}
+	if rs.EstSavedTuples <= 0 {
+		t.Errorf("EstSavedTuples = %v, want > 0 for %d open-circuit rewrites", rs.EstSavedTuples, open)
 	}
 }

@@ -212,9 +212,10 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 
 	// Materialize one source's answer set: certain answers when any
 	// adjacency selected the complete query, plus post-filtered rewrite
-	// results in sorted key order. After the source's circuit rejects one
-	// rewrite, the rest are skipped unissued — the same plan-level
-	// short-circuit the select path applies (errSkippedOpen).
+	// results in sorted key order. The rewrites go through the fetch
+	// engine, so after the source's circuit rejects one the rest are
+	// skipped unissued (errSkippedOpen), as on the select path; both count
+	// their estimated selectivity as saved tuples.
 	answers := make([][]Answer, n)
 	fetched := make([]bool, n)
 	skipped := make([]bool, n)
@@ -231,20 +232,21 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 				}
 			}
 		}
-		open := false
-		for _, key := range sortedSelected(i) {
-			rq := selected[i][key]
-			if open {
+		keys := sortedSelected(i)
+		rqs := make([]RewrittenQuery, len(keys))
+		queries := make([]relation.Query, len(keys))
+		pris := make([]float64, len(keys))
+		for j, key := range keys {
+			rqs[j] = selected[i][key]
+			queries[j] = rqs[j].Query
+			pris[j] = planner.Priority(rqs[j].Precision, rqs[j].EstSel)
+		}
+		results := fetchAll(ctx, sides[i].src, queries, m.cfg.Parallel, m.cfg.Retry, sched, pris)
+		for j, rq := range rqs {
+			if err := results[j].err; err != nil {
 				res.Degraded = true
-				res.EstSavedTuples += rq.EstSel
-				continue
-			}
-			fres := fetchOneSched(ctx, sides[i].src, rq.Query, m.cfg.Retry, sched, planner.Priority(rq.Precision, rq.EstSel))
-			if fres.err != nil {
-				res.Degraded = true
-				if errors.Is(fres.err, breaker.ErrOpen) {
+				if errors.Is(err, breaker.ErrOpen) {
 					res.EstSavedTuples += rq.EstSel
-					open = true
 				}
 				continue
 			}
@@ -252,7 +254,7 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			if !ok {
 				continue
 			}
-			for _, t := range fres.rows {
+			for _, t := range results[j].rows {
 				if !t[tcol].IsNull() || !seen.add(t) {
 					continue
 				}

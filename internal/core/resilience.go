@@ -289,21 +289,27 @@ func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *break
 	}
 }
 
-// fetchAll issues the queries against the source, at most parallel at a
-// time (sequential when parallel <= 1), each under the retry policy and
-// the caller's context — cancelling ctx stops in-flight attempts and
-// retry backoffs promptly.
-// Results are positional so callers process them in the original precision
-// order regardless of completion order.
+// fetcher is the mediator's one rewrite-fetch engine. Every fan-out of
+// rewritten queries — select and stream, aggregates, correlated sources and
+// chain joins — issues through it (the two-way join alone fetches per pair,
+// because with the planner on whether it fetches a unit depends on what the
+// pair's other unit returned).
+//
+// startFetch issues the queries against one source, at most parallel at a
+// time (one at a time when parallel <= 1), each under the retry policy and
+// the caller's context — cancelling ctx stops in-flight attempts and retry
+// backoffs promptly. Results are positional and each is readable as soon as
+// it resolves (result), so callers fold them in the original precision
+// order regardless of completion order; fetchAll is start-then-wait.
 //
 // Budget-aware early stop: once the source reports ErrQueryBudget, the
-// remaining queries are not issued at all — they resolve to a skip error
+// remaining queries are not issued at all — they resolve to errSkippedBudget
 // (errors.Is(err, source.ErrQueryBudget)) without touching the source, so
-// the Rejected counter reflects exactly one refusal. In the parallel path
-// budget consumption is made deterministic by admitting queries in index
-// order: each query waits for its predecessor to be either admitted
-// (budget consumed, via source.WithAdmitSignal) or finished, while
-// execution itself still overlaps up to the parallelism bound.
+// the Rejected counter reflects exactly one refusal. Budget consumption is
+// deterministic because queries are admitted in index order: gates[i] opens
+// when query i-1 has been admitted (budget consumed, via
+// source.WithAdmitSignal) or has finished, while execution itself still
+// overlaps up to the parallelism bound.
 //
 // Breaker-aware early stop mirrors the budget behavior: once the source's
 // circuit breaker rejects a query (breaker.ErrOpen), the remaining queries
@@ -311,89 +317,106 @@ func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *break
 // enough evidence — hammering an open circuit with the rest of the top-K
 // would only inflate BreakerRejected without retrieving anything.
 //
+// Each fetch holds a cross-query scheduler slot (sched, admitted by its
+// positional priority in pris against concurrent plans; nil pris means
+// priority zero) for its duration; a nil sched disables that. The scheduler
+// composes with the gate chain: gates serialize budget consumption within
+// this plan, the scheduler arbitrates between plans. stopIssuing (the
+// streaming top-N bound) resolves every not-yet-admitted query to
+// ErrEarlyStop; a cancelled slot wait resolves like a cancelled fetch, and
+// skipped queries never touch the scheduler.
+//
 // Note: when retries race with successors' admissions (faults + budget +
 // parallel combined), which attempt consumes the last budget slot is
 // scheduling-dependent; fault decisions themselves stay deterministic.
-func fetchAll(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy) []fetchResult {
-	return fetchAllSched(ctx, src, queries, parallel, pol, nil, nil)
+type fetcher struct {
+	results []fetchResult
+	ready   []chan struct{}
+	wg      sync.WaitGroup
+	stop    atomic.Bool
+	cancel  context.CancelFunc
 }
 
-// fetchAllSched is fetchAll with every fetch admitted through the
-// cross-query scheduler (nil sched degrades to plain fetchAll). pris are
-// positional priorities for the queries; nil means priority zero. The
-// scheduler composes with — it does not replace — the plan-local admission
-// order: gates still serialize budget consumption in index order within
-// this plan, while the scheduler arbitrates between concurrent plans.
-func fetchAllSched(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) []fetchResult {
-	pri := func(i int) float64 {
-		if i < len(pris) {
-			return pris[i]
-		}
-		return 0
+// startFetch launches one worker per query and returns at once.
+func startFetch(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) *fetcher {
+	ctx, cancel := context.WithCancel(ctx)
+	f := &fetcher{
+		results: make([]fetchResult, len(queries)),
+		ready:   make([]chan struct{}, len(queries)),
+		cancel:  cancel,
 	}
-	results := make([]fetchResult, len(queries))
-	if parallel <= 1 || len(queries) <= 1 {
-		budgetOut, openOut := false, false
-		for i, q := range queries {
-			switch {
-			case openOut:
-				results[i] = fetchResult{err: errSkippedOpen}
-				continue
-			case budgetOut:
-				results[i] = fetchResult{err: errSkippedBudget}
-				continue
-			}
-			results[i] = fetchOneSched(ctx, src, q, pol, sched, pri(i))
-			if errors.Is(results[i].err, source.ErrQueryBudget) {
-				budgetOut = true
-			}
-			if errors.Is(results[i].err, breaker.ErrOpen) {
-				openOut = true
-			}
-		}
-		return results
-	}
-
-	sem := make(chan struct{}, parallel)
-	// gates[i] opens when query i-1 has been admitted or has finished;
-	// gates[0] is open from the start.
+	sem := make(chan struct{}, max(parallel, 1))
 	gates := make([]chan struct{}, len(queries)+1)
 	for i := range gates {
 		gates[i] = make(chan struct{})
 	}
 	close(gates[0])
 	var budgetOut, openOut atomic.Bool
-	var wg sync.WaitGroup
 	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q relation.Query) {
-			defer wg.Done()
+		f.ready[i] = make(chan struct{})
+		pri := 0.0
+		if i < len(pris) {
+			pri = pris[i]
+		}
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			defer close(f.ready[i])
 			var once sync.Once
 			open := func() { once.Do(func() { close(gates[i+1]) }) }
-			defer open() // rejected/finished queries release the successor too
+			defer open() // skipped/finished queries release the successor too
 			// Gate first, semaphore second: a semaphore holder is always
 			// executing (never gate-waiting), so the chain cannot deadlock.
 			<-gates[i]
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if openOut.Load() {
-				results[i] = fetchResult{err: errSkippedOpen}
-				return
+			switch {
+			case f.stop.Load():
+				f.results[i] = fetchResult{err: ErrEarlyStop}
+			case openOut.Load():
+				f.results[i] = fetchResult{err: errSkippedOpen}
+			case budgetOut.Load():
+				f.results[i] = fetchResult{err: errSkippedBudget}
+			default:
+				f.results[i] = fetchOneSched(source.WithAdmitSignal(ctx, open), src, q, pol, sched, pri)
+				if errors.Is(f.results[i].err, source.ErrQueryBudget) {
+					budgetOut.Store(true)
+				}
+				if errors.Is(f.results[i].err, breaker.ErrOpen) {
+					openOut.Store(true)
+				}
 			}
-			if budgetOut.Load() {
-				results[i] = fetchResult{err: errSkippedBudget}
-				return
-			}
-			qctx := source.WithAdmitSignal(ctx, open)
-			results[i] = fetchOneSched(qctx, src, q, pol, sched, pri(i))
-			if errors.Is(results[i].err, source.ErrQueryBudget) {
-				budgetOut.Store(true)
-			}
-			if errors.Is(results[i].err, breaker.ErrOpen) {
-				openOut.Store(true)
-			}
-		}(i, q)
+		}()
 	}
-	wg.Wait()
-	return results
+	return f
+}
+
+// result blocks until query i has resolved (completed, failed, or been
+// skipped) and returns its outcome.
+func (f *fetcher) result(i int) fetchResult {
+	<-f.ready[i]
+	return f.results[i]
+}
+
+// stopIssuing prevents any not-yet-admitted query from being sent (it will
+// resolve with ErrEarlyStop) and cancels the context governing in-flight
+// fetches.
+func (f *fetcher) stopIssuing() {
+	f.stop.Store(true)
+	f.cancel()
+}
+
+// wait blocks until every query has resolved, then releases the engine's
+// context.
+func (f *fetcher) wait() {
+	f.wg.Wait()
+	f.cancel()
+}
+
+// fetchAll issues the queries through the engine and waits on every
+// result.
+func fetchAll(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) []fetchResult {
+	f := startFetch(ctx, src, queries, parallel, pol, sched, pris)
+	f.wait()
+	return f.results
 }

@@ -12,6 +12,7 @@ import (
 	"qpiad/internal/afd"
 	"qpiad/internal/faults"
 	"qpiad/internal/nbc"
+	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
 
@@ -460,5 +461,67 @@ func TestFetchOneAttemptTimeout(t *testing.T) {
 	}
 	if st := src.Stats(); st.Errors != 3 {
 		t.Errorf("Errors = %d, want 3", st.Errors)
+	}
+}
+
+// recordingSource wraps a source and records the order QueryCtx calls
+// arrive in (by the id each query selects) and the peak number in flight.
+// The wrapped source signals admission as usual; each call then holds for
+// a short sleep, so calls the engine lets overlap do overlap.
+type recordingSource struct {
+	src      *source.Source
+	hold     time.Duration
+	mu       sync.Mutex
+	inFlight int
+	peak     int
+	order    []int64
+}
+
+func (r *recordingSource) QueryCtx(ctx context.Context, q relation.Query) ([]relation.Tuple, error) {
+	r.mu.Lock()
+	r.inFlight++
+	r.peak = max(r.peak, r.inFlight)
+	r.order = append(r.order, q.Preds[0].Value.IntVal())
+	r.mu.Unlock()
+	rows, err := r.src.QueryCtx(ctx, q)
+	time.Sleep(r.hold)
+	r.mu.Lock()
+	r.inFlight--
+	r.mu.Unlock()
+	return rows, err
+}
+
+// TestFetchEngineBound pins the engine's concurrency bound: at Parallel 0
+// and 1 one query runs at a time, in index order; at Parallel 3 queries
+// overlap but never more than 3 at once. Results stay positional.
+func TestFetchEngineBound(t *testing.T) {
+	gd := buildCarsGD(100, 5)
+	idCol := gd.Schema.MustIndex("id")
+	queries := make([]relation.Query, 10)
+	for i := range queries {
+		queries[i] = relation.NewQuery("cars", relation.Eq("id", relation.Int(int64(i))))
+	}
+	for _, tc := range []struct{ parallel, minPeak, maxPeak int }{
+		{0, 1, 1}, {1, 1, 1}, {3, 2, 3},
+	} {
+		rec := &recordingSource{src: source.New("cars", gd, source.Capabilities{}), hold: 5 * time.Millisecond}
+		results := fetchAll(context.Background(), rec, queries, tc.parallel, fastRetry(1), nil, nil)
+		for i, res := range results {
+			if res.err != nil || len(res.rows) != 1 || res.rows[0][idCol].IntVal() != int64(i) {
+				t.Fatalf("parallel=%d: result %d = %d rows, err %v; want the row with id %d",
+					tc.parallel, i, len(res.rows), res.err, i)
+			}
+		}
+		if rec.peak < tc.minPeak || rec.peak > tc.maxPeak {
+			t.Errorf("parallel=%d: peak in-flight = %d, want %d..%d", tc.parallel, rec.peak, tc.minPeak, tc.maxPeak)
+		}
+		if tc.maxPeak == 1 {
+			for i, id := range rec.order {
+				if id != int64(i) {
+					t.Fatalf("parallel=%d: call %d selected id %d; calls out of index order: %v",
+						tc.parallel, i, id, rec.order)
+				}
+			}
+		}
 	}
 }

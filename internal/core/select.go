@@ -136,22 +136,59 @@ func (rs *ResultSet) clone() *ResultSet {
 
 // querySelectUncached runs the full selection pipeline against the source.
 func (m *Mediator) querySelectUncached(ctx context.Context, cfg Config, srcName string, q relation.Query) (*ResultSet, error) {
+	src, k, base, err := m.fetchBase(ctx, cfg, srcName, q)
+	if err != nil {
+		return nil, err
+	}
+	// Batch returns every answer: TopN bounds streams only, and answerKey
+	// leaves it out, so a truncated answer must never reach the cache.
+	cfg.TopN = 0
+	return m.runSelect(ctx, cfg, src, k, q, base, nil).Result, nil
+}
+
+// fetchBase resolves the named source and runs Step 1, the base query q,
+// retried like any other: its rows are the certain answers. Without mined
+// knowledge there is nothing to rewrite with and without the base set
+// nothing to rewrite from, so both are errors. An aggregate query's
+// attribute is checked against the schema before the source is queried.
+func (m *Mediator) fetchBase(ctx context.Context, cfg Config, srcName string, q relation.Query) (*source.Source, *Knowledge, []relation.Tuple, error) {
 	src, k, ok := m.lookup(srcName)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", srcName)
+		return nil, nil, nil, fmt.Errorf("core: unknown source %q", srcName)
 	}
 	if k == nil {
-		return nil, fmt.Errorf("core: no knowledge mined for source %q", srcName)
+		return nil, nil, nil, fmt.Errorf("core: no knowledge mined for source %q", srcName)
 	}
-
-	// Step 1: certain answers. The base query is retried like any other;
-	// without it there is nothing to rewrite from, so failure is fatal.
+	if a := q.Agg; a != nil && a.Attr != "" && !src.Schema().Has(a.Attr) {
+		return nil, nil, nil, fmt.Errorf("core: aggregate attribute %q not in source %q", a.Attr, srcName)
+	}
 	bres := fetchOne(ctx, src, q, cfg.Retry)
 	if bres.err != nil {
-		return nil, fmt.Errorf("core: base query: %w", bres.err)
+		return nil, nil, nil, fmt.Errorf("core: base query: %w", bres.err)
 	}
-	base := bres.rows
-	rs := &ResultSet{Query: q, Source: srcName}
+	return src, k, bres.rows, nil
+}
+
+// runSelect is the selection pipeline after the base query, shared by batch
+// and stream: certain answers from the base set, rewrite generation (Step
+// 2a) and top-K selection (2b–c), the chosen rewrites through the fetch
+// engine, and the fold in issue order (2d–e), which is descending precision
+// and so rank order. emit, when non-nil, receives every answer as it is
+// folded and every rewrite's outcome; batch passes nil and only folds.
+// cfg.TopN > 0 arms the streaming early stop (see stream.go).
+func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source, k *Knowledge, q relation.Query, base []relation.Tuple, emit func(StreamEvent)) *StreamSummary {
+	emitAnswers := func(answers []Answer, unranked bool) {
+		if emit == nil {
+			return
+		}
+		for _, a := range answers {
+			emit(StreamEvent{Kind: StreamEventAnswer, Answer: &a, Unranked: unranked})
+		}
+	}
+
+	// Certain answers go out before any rewriting (NBC inference, scoring)
+	// happens: time-to-first-answer is one source round-trip.
+	rs := &ResultSet{Query: q, Source: src.Name()}
 	for _, t := range base {
 		rs.Certain = append(rs.Certain, Answer{
 			Tuple:      t,
@@ -160,6 +197,7 @@ func (m *Mediator) querySelectUncached(ctx context.Context, cfg Config, srcName 
 			FromQuery:  q,
 		})
 	}
+	emitAnswers(rs.Certain, false)
 
 	// Step 2(a): generate; 2(b)+(c): order and select.
 	cands := m.generateRewrites(k, q, base, src.Schema())
@@ -169,13 +207,51 @@ func (m *Mediator) querySelectUncached(ctx context.Context, cfg Config, srcName 
 	// Step 2(d)+(e): retrieve the extended result set and post-filter.
 	constrained := q.ConstrainedAttrs()
 	seen := seedAnswerKeys(src.Schema(), base, constrained)
-	issueQs := issueQueries(src, chosen)
-	results := fetchAllSched(ctx, src, issueQs, cfg.Parallel, cfg.Retry,
+	fetch := startFetch(ctx, src, issueQueries(src, chosen), cfg.Parallel, cfg.Retry,
 		cfg.Planner.Sched(), rewritePriorities(chosen))
-	for i, rq := range chosen {
-		foldRewriteResult(rs, src.Schema(), constrained, seen, rq, results[i])
+	sum := &StreamSummary{Result: rs}
+	for i := range chosen {
+		res := fetch.result(i)
+		if sum.EarlyStopped {
+			// The bound tripped at an earlier rewrite: account this one as
+			// saved (never issued) or cancelled (already in flight), emit
+			// its outcome, and fold nothing — folding completed stragglers
+			// would make the answer set depend on cancellation timing.
+			rq := chosen[i]
+			rq.Attempts = res.attempts
+			rq.Transferred = len(res.rows)
+			rq.Err = ErrEarlyStop
+			if res.attempts == 0 {
+				sum.SkippedRewrites++
+				sum.EstSavedTuples += rq.EstSel
+			} else {
+				sum.CancelledRewrites++
+			}
+			rs.Issued = append(rs.Issued, rq)
+			if emit != nil {
+				emit(StreamEvent{Kind: StreamEventRewrite, Rewrite: &rq})
+			}
+			continue
+		}
+		possible, unranked := foldRewriteResult(rs, src.Schema(), constrained, seen, chosen[i], res)
+		if emit != nil {
+			emitAnswers(possible, false)
+			emitAnswers(unranked, true)
+			done := rs.Issued[len(rs.Issued)-1]
+			emit(StreamEvent{Kind: StreamEventRewrite, Rewrite: &done})
+		}
+		// The admissible bound: rewrites are processed in descending
+		// estimated precision, so once TopN possible answers are out, no
+		// later rewrite can place an answer above them. The stop decision
+		// depends only on fold order, never on completion timing, so the
+		// emitted answer set is deterministic.
+		if cfg.TopN > 0 && len(rs.Possible) >= cfg.TopN && i < len(chosen)-1 {
+			sum.EarlyStopped = true
+			fetch.stopIssuing()
+		}
 	}
-	return rs, nil
+	fetch.wait()
+	return sum
 }
 
 // rewritePriorities maps chosen rewrites to their cross-query scheduling

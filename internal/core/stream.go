@@ -4,27 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"qpiad/internal/breaker"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
 
-// This file implements the streaming selection executor. Batch QuerySelect
-// issues all K chosen rewrites behind an all-queries barrier and only then
-// assembles the answer list, so the user sees nothing until the slowest
-// rewrite returns and always pays for the full top-K fan-out. SelectStream
-// instead emits answers as they become available while preserving exactly
-// the batch semantics:
+// This file implements the streaming form of selection. Batch QuerySelect
+// returns the answer list once every chosen rewrite has been folded;
+// SelectStream runs the same pipeline (runSelect) and emits each answer as
+// it is folded:
 //
 //   - certain answers are emitted as soon as the base query returns, before
 //     any rewriting work starts;
-//   - rewrites are issued through the same bounded-parallelism,
-//     ordered-admission, retry-governed machinery as the batch path, but
-//     their results are folded and emitted strictly in issue (descending
+//   - rewrites are issued through the fetch engine (fetcher), and their
+//     results are folded and emitted strictly in issue (descending
 //     estimated precision) order — which is also rank order, so the client
 //     receives the answer list incrementally in its final order;
 //   - a final summary event carries the reassembled ResultSet with the
@@ -152,16 +145,8 @@ func (m *Mediator) SelectStream(ctx context.Context, srcName string, q relation.
 // last cached answer within the staleness bound is replayed as a stream —
 // every answer event flagged Stale — instead of failing.
 func (m *Mediator) SelectStreamWith(ctx context.Context, cfg Config, srcName string, q relation.Query) (<-chan StreamEvent, error) {
-	src, k, ok := m.lookup(srcName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", srcName)
-	}
-	if k == nil {
-		return nil, fmt.Errorf("core: no knowledge mined for source %q", srcName)
-	}
-	bres := fetchOne(ctx, src, q, cfg.Retry)
-	if bres.err != nil {
-		err := fmt.Errorf("core: base query: %w", bres.err)
+	src, k, base, err := m.fetchBase(ctx, cfg, srcName, q)
+	if err != nil {
 		if m.cache != nil && !cfg.NoCache {
 			if rs, ok := m.staleFallback(answerKey(srcName, q, cfg), cfg, err); ok {
 				events := make(chan StreamEvent)
@@ -172,7 +157,7 @@ func (m *Mediator) SelectStreamWith(ctx context.Context, cfg Config, srcName str
 		return nil, err
 	}
 	events := make(chan StreamEvent)
-	go m.streamRun(ctx, cfg, src, k, q, bres.rows, events)
+	go m.streamRun(ctx, cfg, src, k, q, base, events)
 	return events, nil
 }
 
@@ -207,9 +192,9 @@ func streamStale(ctx context.Context, rs *ResultSet, events chan<- StreamEvent) 
 	emit(StreamEvent{Kind: StreamEventSummary, Summary: &StreamSummary{Result: rs}})
 }
 
-// streamRun is the streaming executor body: emit certain answers, generate
-// and select rewrites, issue them through the streaming fetcher, fold and
-// emit results in rank order, then summarize.
+// streamRun adapts the selection runner to the channel: every event
+// runSelect emits is sent in order, then the summary, then the channel is
+// closed. Once ctx is cancelled nothing more is sent.
 func (m *Mediator) streamRun(ctx context.Context, cfg Config, src *source.Source, k *Knowledge, q relation.Query, base []relation.Tuple, events chan<- StreamEvent) {
 	defer close(events)
 	live := true
@@ -223,207 +208,6 @@ func (m *Mediator) streamRun(ctx context.Context, cfg Config, src *source.Source
 			live = false
 		}
 	}
-	emitAnswer := func(a Answer, unranked bool) {
-		emit(StreamEvent{Kind: StreamEventAnswer, Answer: &a, Unranked: unranked})
-	}
-
-	// Certain answers stream out before any rewriting (NBC inference,
-	// scoring) happens: time-to-first-answer is one source round-trip.
-	rs := &ResultSet{Query: q, Source: src.Name()}
-	for _, t := range base {
-		rs.Certain = append(rs.Certain, Answer{
-			Tuple:      t,
-			Certain:    true,
-			Confidence: 1,
-			FromQuery:  q,
-		})
-	}
-	for _, a := range rs.Certain {
-		emitAnswer(a, false)
-	}
-
-	cands := m.generateRewrites(k, q, base, src.Schema())
-	rs.Generated = len(cands)
-	chosen := scoreAndSelectWith(cfg, cands)
-
-	constrained := q.ConstrainedAttrs()
-	seen := seedAnswerKeys(src.Schema(), base, constrained)
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fetch := startStreamFetch(fctx, cancel, src, issueQueries(src, chosen), cfg.Parallel, cfg.Retry,
-		cfg.Planner.Sched(), rewritePriorities(chosen))
-	sum := &StreamSummary{Result: rs}
-	for i := range chosen {
-		res := fetch.result(i)
-		if sum.EarlyStopped {
-			// The bound tripped at an earlier rewrite: account this one as
-			// saved (never issued) or cancelled (already in flight), emit
-			// its outcome, and fold nothing — folding completed stragglers
-			// would make the answer set depend on cancellation timing.
-			rq := chosen[i]
-			rq.Attempts = res.attempts
-			rq.Transferred = len(res.rows)
-			rq.Err = ErrEarlyStop
-			if res.attempts == 0 {
-				sum.SkippedRewrites++
-				sum.EstSavedTuples += rq.EstSel
-			} else {
-				sum.CancelledRewrites++
-			}
-			rs.Issued = append(rs.Issued, rq)
-			emit(StreamEvent{Kind: StreamEventRewrite, Rewrite: &rq})
-			continue
-		}
-		possible, unranked := foldRewriteResult(rs, src.Schema(), constrained, seen, chosen[i], res)
-		for _, a := range possible {
-			emitAnswer(a, false)
-		}
-		for _, a := range unranked {
-			emitAnswer(a, true)
-		}
-		done := rs.Issued[len(rs.Issued)-1]
-		emit(StreamEvent{Kind: StreamEventRewrite, Rewrite: &done})
-		// The admissible bound: rewrites are processed in descending
-		// estimated precision, so once TopN possible answers are out, no
-		// later rewrite can place an answer above them. The stop decision
-		// depends only on fold order, never on completion timing, so the
-		// emitted answer set is deterministic.
-		if cfg.TopN > 0 && len(rs.Possible) >= cfg.TopN && i < len(chosen)-1 {
-			sum.EarlyStopped = true
-			fetch.stopIssuing()
-		}
-	}
-	fetch.wait()
+	sum := m.runSelect(ctx, cfg, src, k, q, base, emit)
 	emit(StreamEvent{Kind: StreamEventSummary, Summary: sum})
-}
-
-// streamFetch issues queries through the same bounded-parallelism,
-// ordered-admission, budget-aware machinery as the batch fetchAll, but
-// delivers each positional result as soon as it is available instead of
-// behind an all-queries barrier, and supports stopping admission mid-run.
-type streamFetch struct {
-	results []fetchResult
-	ready   []chan struct{}
-	wg      sync.WaitGroup
-	stop    atomic.Bool
-	cancel  context.CancelFunc
-}
-
-// startStreamFetch launches the fetch workers. ctx governs every source
-// call; cancel is invoked by stopIssuing to abort in-flight fetches. The
-// admission-order guarantees match fetchAll: queries consume source budget
-// in index order even while executing concurrently. sched/pris mirror
-// fetchAllSched: each fetch holds a cross-query scheduler slot (admitted by
-// priority against concurrent plans) for its duration; nil sched disables
-// that. Early-stop composes cleanly — a cancelled slot wait resolves like a
-// cancelled fetch, and skipped rewrites never touch the scheduler.
-func startStreamFetch(ctx context.Context, cancel context.CancelFunc, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) *streamFetch {
-	pri := func(i int) float64 {
-		if i < len(pris) {
-			return pris[i]
-		}
-		return 0
-	}
-	f := &streamFetch{
-		results: make([]fetchResult, len(queries)),
-		ready:   make([]chan struct{}, len(queries)),
-		cancel:  cancel,
-	}
-	for i := range f.ready {
-		f.ready[i] = make(chan struct{})
-	}
-	if parallel <= 1 || len(queries) <= 1 {
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			budgetOut, openOut := false, false
-			for i, q := range queries {
-				switch {
-				case f.stop.Load():
-					f.results[i] = fetchResult{err: ErrEarlyStop}
-				case openOut:
-					f.results[i] = fetchResult{err: errSkippedOpen}
-				case budgetOut:
-					f.results[i] = fetchResult{err: errSkippedBudget}
-				default:
-					f.results[i] = fetchOneSched(ctx, src, q, pol, sched, pri(i))
-					if errors.Is(f.results[i].err, source.ErrQueryBudget) {
-						budgetOut = true
-					}
-					if errors.Is(f.results[i].err, breaker.ErrOpen) {
-						openOut = true
-					}
-				}
-				close(f.ready[i])
-			}
-		}()
-		return f
-	}
-
-	sem := make(chan struct{}, parallel)
-	// gates[i] opens when query i-1 has been admitted or has finished;
-	// gates[0] is open from the start (same chain as fetchAll).
-	gates := make([]chan struct{}, len(queries)+1)
-	for i := range gates {
-		gates[i] = make(chan struct{})
-	}
-	close(gates[0])
-	var budgetOut, openOut atomic.Bool
-	for i, q := range queries {
-		f.wg.Add(1)
-		go func(i int, q relation.Query) {
-			defer f.wg.Done()
-			defer close(f.ready[i])
-			var once sync.Once
-			open := func() { once.Do(func() { close(gates[i+1]) }) }
-			defer open() // skipped/finished queries release the successor too
-			// Gate first, semaphore second: a semaphore holder is always
-			// executing (never gate-waiting), so the chain cannot deadlock.
-			<-gates[i]
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if f.stop.Load() {
-				f.results[i] = fetchResult{err: ErrEarlyStop}
-				return
-			}
-			if openOut.Load() {
-				f.results[i] = fetchResult{err: errSkippedOpen}
-				return
-			}
-			if budgetOut.Load() {
-				f.results[i] = fetchResult{err: errSkippedBudget}
-				return
-			}
-			qctx := source.WithAdmitSignal(ctx, open)
-			f.results[i] = fetchOneSched(qctx, src, q, pol, sched, pri(i))
-			if errors.Is(f.results[i].err, source.ErrQueryBudget) {
-				budgetOut.Store(true)
-			}
-			if errors.Is(f.results[i].err, breaker.ErrOpen) {
-				openOut.Store(true)
-			}
-		}(i, q)
-	}
-	return f
-}
-
-// result blocks until query i has resolved (completed, failed, or been
-// skipped) and returns its outcome.
-func (f *streamFetch) result(i int) fetchResult {
-	<-f.ready[i]
-	return f.results[i]
-}
-
-// stopIssuing prevents any not-yet-admitted query from being sent (it will
-// resolve with ErrEarlyStop) and cancels the context governing in-flight
-// fetches.
-func (f *streamFetch) stopIssuing() {
-	f.stop.Store(true)
-	f.cancel()
-}
-
-// wait blocks until every worker has resolved.
-func (f *streamFetch) wait() {
-	f.wg.Wait()
 }
