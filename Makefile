@@ -1,6 +1,6 @@
 # QPIAD build/test targets. `make tier1` is the gate CI runs: build, vet,
-# the project's own analyzers (lint), and the full test suite under the
-# race detector.
+# the gofmt check, the project's own analyzers (lint), and the full test
+# suite under the race detector.
 
 GO ?= go
 
@@ -10,15 +10,23 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: tier1 build vet lint sarif test race fuzz-smoke vuln bench bench-json bench-planner bench-load bench-chaos perfbench-check clean
+.PHONY: tier1 build vet fmt-check lint sarif test race fuzz-smoke vuln bench bench-json bench-planner bench-load bench-chaos perfbench-check clean
 
-tier1: build vet lint race
+tier1: build vet fmt-check lint race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would change any tracked .go file, and lists
+# those files. testdata/ is skipped: its analyzer fixtures align their
+# `// want` comments by hand. Untracked trees (the gitignored .bench_build/)
+# are never listed.
+fmt-check:
+	unformatted=$$(git ls-files -- '*.go' ':!*/testdata/*' | xargs -r gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # lint runs the project's custom analyzers (cancelleak, ctxflow, errdrop,
 # lockbalance, locksafe, nakedgoroutine, nodeterm, tupleescape) over the

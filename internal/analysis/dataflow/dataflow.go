@@ -3,11 +3,11 @@
 //
 // The lattice is fixed and four-valued, per tracked key:
 //
-//	        Top  ("may": paths disagree)
-//	       /   \
-//	     No     Yes  ("must not" / "must" hold the fact)
-//	       \   /
-//	       Bottom  (no information yet / unreachable)
+//	   Top  ("may": paths disagree)
+//	  /   \
+//	No     Yes  ("must not" / "must" hold the fact)
+//	  \   /
+//	  Bottom  (no information yet / unreachable)
 //
 // Join is the least upper bound: Bottom is the identity, equal values join
 // to themselves, and No ⊔ Yes = Top. A State maps client-chosen keys

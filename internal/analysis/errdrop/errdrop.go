@@ -177,7 +177,7 @@ func wrapFix(pass *analysis.Pass, fn flow.Function, stmt *ast.ExprStmt, call *as
 	rets := append(zeros[:len(zeros)-1:len(zeros)-1], "err")
 	text := "if err := " + buf.String() + "; err != nil {\nreturn " + join(rets) + "\n}"
 	return analysis.SuggestedFix{
-		Message: "return the error to the caller",
+		Message:   "return the error to the caller",
 		TextEdits: []analysis.TextEdit{{Pos: stmt.Pos(), End: stmt.End(), NewText: []byte(text)}},
 	}, true
 }

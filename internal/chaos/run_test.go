@@ -22,10 +22,10 @@ func smallConfig(t *testing.T, seed int64) Config {
 		// The race-enabled full suite saturates the machine; with the
 		// default 1s deadline honest queueing delay reads as downtime.
 		ProbeTimeout: 5 * time.Second,
-		LoadWorkers:   2,
-		LoadRate:      30,
-		Dir:           t.TempDir(),
-		Logf:          t.Logf,
+		LoadWorkers:  2,
+		LoadRate:     30,
+		Dir:          t.TempDir(),
+		Logf:         t.Logf,
 	}
 }
 

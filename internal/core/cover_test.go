@@ -73,27 +73,6 @@ func TestInclusionRuleStringUnknown(t *testing.T) {
 	}
 }
 
-func TestPredicateHoldsRemainingOps(t *testing.T) {
-	// The ops not covered by the main table test.
-	if !predicateHolds(relation.Predicate{Attr: "a", Op: relation.OpLe, Value: relation.Int(5)}, relation.Int(5)) {
-		t.Error("Le boundary")
-	}
-	if predicateHolds(relation.Predicate{Attr: "a", Op: relation.OpGt, Value: relation.Int(5)}, relation.Int(5)) {
-		t.Error("Gt boundary")
-	}
-	if predicateHolds(relation.Predicate{Attr: "a", Op: relation.OpNotNull}, relation.Null()) {
-		t.Error("NotNull on null")
-	}
-	// Incomparable kinds fail ordering operators.
-	if predicateHolds(relation.Predicate{Attr: "a", Op: relation.OpLt, Value: relation.Int(5)}, relation.String("x")) {
-		t.Error("cross-kind Lt should fail")
-	}
-	// Unknown op is false.
-	if predicateHolds(relation.Predicate{Attr: "a", Op: relation.Op(99), Value: relation.Int(1)}, relation.Int(1)) {
-		t.Error("unknown op should be false")
-	}
-}
-
 func TestSaveFileErrors(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	if err := f.k.SaveFile("/nonexistent-dir/x.json", KnowledgeConfig{}); err == nil {

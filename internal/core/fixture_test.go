@@ -149,7 +149,7 @@ func (f *fixture) src2(t *testing.T) *source.Source {
 func (f *fixture) relevantNullCount(pred relation.Predicate) int {
 	n := 0
 	for _, v := range f.truth {
-		if predicateHolds(pred, v) {
+		if pred.Holds(v) {
 			n++
 		}
 	}
@@ -160,7 +160,7 @@ func (f *fixture) relevantNullCount(pred relation.Predicate) int {
 func (f *fixture) isRelevant(ans Answer, pred relation.Predicate) bool {
 	id := int(ans.Tuple[f.idCol].IntVal())
 	tv, ok := f.truth[id]
-	return ok && predicateHolds(pred, tv)
+	return ok && pred.Holds(tv)
 }
 
 // precisionOf computes the fraction of the given answers that are relevant.

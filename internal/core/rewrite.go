@@ -73,48 +73,11 @@ func PredicateMass(d nbc.Distribution, pred relation.Predicate) float64 {
 func predProb(d nbc.Distribution, pred relation.Predicate) float64 {
 	total := 0.0
 	for i := 0; i < d.Len(); i++ {
-		v := d.Value(i)
-		if predicateHolds(pred, v) {
+		if pred.Holds(d.Value(i)) {
 			total += d.ProbAt(i)
 		}
 	}
 	return total
-}
-
-// predicateHolds evaluates pred against a candidate value directly.
-func predicateHolds(pred relation.Predicate, v relation.Value) bool {
-	switch pred.Op {
-	case relation.OpIsNull:
-		return v.IsNull()
-	case relation.OpNotNull:
-		return !v.IsNull()
-	}
-	if v.IsNull() {
-		return false
-	}
-	switch pred.Op {
-	case relation.OpEq:
-		return v.Equal(pred.Value)
-	case relation.OpNe:
-		return !v.Equal(pred.Value)
-	case relation.OpLt:
-		c, ok := v.Compare(pred.Value)
-		return ok && c < 0
-	case relation.OpLe:
-		c, ok := v.Compare(pred.Value)
-		return ok && c <= 0
-	case relation.OpGt:
-		c, ok := v.Compare(pred.Value)
-		return ok && c > 0
-	case relation.OpGe:
-		c, ok := v.Compare(pred.Value)
-		return ok && c >= 0
-	case relation.OpBetween:
-		lo, ok1 := v.Compare(pred.Value)
-		hi, ok2 := v.Compare(pred.High)
-		return ok1 && ok2 && lo >= 0 && hi <= 0
-	}
-	return false
 }
 
 // GenerateRewrites is the exported form of QPIAD's Step 2(a), used by
@@ -202,7 +165,7 @@ func (m *Mediator) generateRewrites(k *Knowledge, q relation.Query, base []relat
 				TargetPred:        pred,
 				Evidence:          evidence,
 				Precision:         predProb(dist, pred),
-				ModeSatisfiesPred: modeOK && predicateHolds(pred, mode),
+				ModeSatisfiesPred: modeOK && pred.Holds(mode),
 				EstSel:            k.Sel.EstSel(rq),
 				Explanation:       explain,
 			})

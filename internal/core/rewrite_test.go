@@ -51,31 +51,6 @@ func TestFMeasureProperties(t *testing.T) {
 	}
 }
 
-func TestPredicateHolds(t *testing.T) {
-	cases := []struct {
-		pred relation.Predicate
-		v    relation.Value
-		want bool
-	}{
-		{relation.Eq("a", relation.String("x")), relation.String("x"), true},
-		{relation.Eq("a", relation.String("x")), relation.String("y"), false},
-		{relation.Eq("a", relation.String("x")), relation.Null(), false},
-		{relation.Between("a", relation.Int(5), relation.Int(10)), relation.Int(7), true},
-		{relation.Between("a", relation.Int(5), relation.Int(10)), relation.Int(11), false},
-		{relation.Predicate{Attr: "a", Op: relation.OpLt, Value: relation.Int(5)}, relation.Int(4), true},
-		{relation.Predicate{Attr: "a", Op: relation.OpGe, Value: relation.Int(5)}, relation.Int(5), true},
-		{relation.Predicate{Attr: "a", Op: relation.OpNe, Value: relation.Int(5)}, relation.Int(4), true},
-		{relation.IsNull("a"), relation.Null(), true},
-		{relation.IsNull("a"), relation.Int(1), false},
-		{relation.Predicate{Attr: "a", Op: relation.OpNotNull}, relation.Int(1), true},
-	}
-	for _, c := range cases {
-		if got := predicateHolds(c.pred, c.v); got != c.want {
-			t.Errorf("predicateHolds(%v, %v) = %v, want %v", c.pred, c.v, got, c.want)
-		}
-	}
-}
-
 func TestPredicateMass(t *testing.T) {
 	d := nbc.NewDistribution(
 		[]relation.Value{relation.Int(10), relation.Int(20), relation.Int(30)},

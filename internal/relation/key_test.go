@@ -20,11 +20,11 @@ func refValueKey(v Value) string {
 	case KindString:
 		return "s" + v.s
 	case KindInt:
-		return "i" + strconv.FormatInt(v.i, 10)
+		return "i" + strconv.FormatInt(v.IntVal(), 10)
 	case KindFloat:
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "f" + strconv.FormatFloat(v.FloatVal(), 'g', -1, 64)
 	case KindBool:
-		if v.b {
+		if v.BoolVal() {
 			return "bt"
 		}
 		return "bf"

@@ -80,15 +80,19 @@ func Between(attr string, lo, hi Value) Predicate {
 // IsNull builds a null-binding predicate.
 func IsNull(attr string) Predicate { return Predicate{Attr: attr, Op: OpIsNull} }
 
-// Matches evaluates the predicate against tuple t under schema s.
-// SQL three-valued semantics collapse to boolean: a null attribute value
-// fails every operator except OpIsNull.
+// Matches evaluates the predicate against tuple t under schema s: the
+// attribute's value must satisfy Holds. A predicate on an attribute the
+// schema lacks matches nothing.
 func (p Predicate) Matches(s *Schema, t Tuple) bool {
 	i, ok := s.Index(p.Attr)
-	if !ok {
-		return false
-	}
-	v := t[i]
+	return ok && p.Holds(t[i])
+}
+
+// Holds evaluates the predicate against one attribute value: the value-level
+// check that Matches, Relation.Scan and the mediator's probability mass all
+// share. SQL three-valued semantics collapse to boolean: a null value fails
+// every operator except OpIsNull.
+func (p Predicate) Holds(v Value) bool {
 	switch p.Op {
 	case OpIsNull:
 		return v.IsNull()
@@ -175,22 +179,6 @@ func (q Query) Clone() Query {
 // answer in Definition 2 when the query is a selection).
 func (q Query) Matches(s *Schema, t Tuple) bool {
 	for _, p := range q.Preds {
-		if !p.Matches(s, t) {
-			return false
-		}
-	}
-	return true
-}
-
-// matchesExcept is Matches with the predicate at index skip omitted. Scan
-// uses it to avoid re-evaluating the drive predicate, which every tuple on
-// the drive posting list satisfies by construction. skip < 0 evaluates all
-// predicates.
-func (q Query) matchesExcept(s *Schema, t Tuple, skip int) bool {
-	for i, p := range q.Preds {
-		if i == skip {
-			continue
-		}
 		if !p.Matches(s, t) {
 			return false
 		}

@@ -28,6 +28,65 @@ func TestPredicateEq(t *testing.T) {
 	}
 }
 
+// TestPredicateHolds checks the value-level operator switch that Matches,
+// Scan and the mediator's probability mass share.
+func TestPredicateHolds(t *testing.T) {
+	cases := []struct {
+		pred Predicate
+		v    Value
+		want bool
+	}{
+		{Eq("a", String("x")), String("x"), true},
+		{Eq("a", String("x")), String("y"), false},
+		{Eq("a", String("x")), Null(), false},
+		{Between("a", Int(5), Int(10)), Int(7), true},
+		{Between("a", Int(5), Int(10)), Int(11), false},
+		{Predicate{Attr: "a", Op: OpLt, Value: Int(5)}, Int(4), true},
+		{Predicate{Attr: "a", Op: OpGe, Value: Int(5)}, Int(5), true},
+		{Predicate{Attr: "a", Op: OpNe, Value: Int(5)}, Int(4), true},
+		{IsNull("a"), Null(), true},
+		{IsNull("a"), Int(1), false},
+		{Predicate{Attr: "a", Op: OpNotNull}, Int(1), true},
+	}
+	for _, c := range cases {
+		checkHolds(t, c.pred, c.v, c.want)
+	}
+}
+
+func TestPredicateHoldsRemainingOps(t *testing.T) {
+	// The ops not covered by the main table test.
+	cases := []struct {
+		name string
+		pred Predicate
+		v    Value
+		want bool
+	}{
+		{"Le boundary", Predicate{Attr: "a", Op: OpLe, Value: Int(5)}, Int(5), true},
+		{"Gt boundary", Predicate{Attr: "a", Op: OpGt, Value: Int(5)}, Int(5), false},
+		{"NotNull on null", Predicate{Attr: "a", Op: OpNotNull}, Null(), false},
+		// Incomparable kinds fail ordering operators.
+		{"cross-kind Lt", Predicate{Attr: "a", Op: OpLt, Value: Int(5)}, String("x"), false},
+		// Unknown op is false.
+		{"unknown op", Predicate{Attr: "a", Op: Op(99), Value: Int(1)}, Int(1), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkHolds(t, c.pred, c.v, c.want) })
+	}
+}
+
+// checkHolds asserts that p.Holds(v) is want, and that Matches on the
+// one-attribute tuple {v} agrees with it.
+func checkHolds(t *testing.T, p Predicate, v Value, want bool) {
+	t.Helper()
+	if got := p.Holds(v); got != want {
+		t.Errorf("%v.Holds(%v) = %v, want %v", p, v, got, want)
+	}
+	s := MustSchema(Attribute{Name: "a", Kind: v.Kind()})
+	if got := p.Matches(s, Tuple{v}); got != want {
+		t.Errorf("%v.Matches({%v}) = %v, want %v", p, v, got, want)
+	}
+}
+
 func TestPredicateOrderingOps(t *testing.T) {
 	s := carSchema()
 	tu := sampleTuple() // year = 2004

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -196,7 +197,8 @@ func (r *Relation) Count(q Query) int {
 // a full scan. Posting lists hold positions in insertion order, so the
 // drive choice never changes the output order. The drive predicate itself
 // is satisfied by construction of its posting list and is not re-evaluated
-// per tuple.
+// per tuple; each other predicate's column is resolved once per call and
+// its value tested with Predicate.Holds.
 //
 // Yielded tuples alias the relation's store: hold one past the yield only
 // via Tuple.Clone (or pipe through Cloned).
@@ -228,9 +230,23 @@ func (r *Relation) Scan(q Query) TupleSeq {
 				return
 			}
 		}
+		var predBuf [8]Predicate
+		var colBuf [8]int
+		preds, cols := predBuf[:0], colBuf[:0]
+		for pi, p := range q.Preds {
+			if pi == driveIdx {
+				continue
+			}
+			col, ok := r.Schema.Index(p.Attr)
+			if !ok {
+				// An attribute the schema lacks matches no tuple.
+				return
+			}
+			preds, cols = append(preds, p), append(cols, col)
+		}
 		if driven {
 			for _, pos := range drive {
-				if t := r.tuples[pos]; q.matchesExcept(r.Schema, t, driveIdx) {
+				if t := r.tuples[pos]; holdsAll(preds, cols, t) {
 					if !yield(t) {
 						return
 					}
@@ -239,13 +255,23 @@ func (r *Relation) Scan(q Query) TupleSeq {
 			return
 		}
 		for _, t := range r.tuples {
-			if q.Matches(r.Schema, t) {
+			if holdsAll(preds, cols, t) {
 				if !yield(t) {
 					return
 				}
 			}
 		}
 	}
+}
+
+// holdsAll reports whether every preds[j] holds on column cols[j] of t.
+func holdsAll(preds []Predicate, cols []int, t Tuple) bool {
+	for j := range preds {
+		if !preds[j].Holds(t[cols[j]]) {
+			return false
+		}
+	}
+	return true
 }
 
 // probeMode classifies what the index can do for one predicate.
@@ -268,9 +294,9 @@ const (
 // a column at the schema kind, while Value.Key is kind-sensitive — probing
 // a float column's index with an int constant's key would miss every tuple
 // that Predicate.Matches accepts via cross-kind numeric equality, silently
-// emptying the result. probeKeyed is returned only when posting-list
-// membership implies the predicate holds, which is what lets Scan skip
-// re-evaluating the drive predicate per tuple.
+// emptying the result. probeKeyed is returned only when the posting list
+// holds exactly the tuples the predicate accepts, which is what lets Scan
+// skip re-evaluating the drive predicate per tuple.
 func (r *Relation) probeKey(p Predicate) (string, probeMode) {
 	col, ok := r.Schema.Index(p.Attr)
 	if !ok {
@@ -293,15 +319,22 @@ func (r *Relation) probeKey(p Predicate) (string, probeMode) {
 	}
 	want := r.Schema.Attr(col).Kind
 	switch {
-	case v.Kind() == want:
-		return v.Key(), probeKeyed
 	case want == KindFloat:
 		// Int constants compare Equal to float columns via float64
-		// conversion; the converted key matches exactly those tuples.
-		if f, ok := v.Numeric(); ok {
-			return Float(f).Key(), probeKeyed
+		// conversion; the converted key matches exactly those tuples. Keys
+		// and Equal disagree on two floats: every NaN shares one key but
+		// equals nothing, and -0 and +0 are keyed apart but Equal. So a NaN
+		// constant matches nothing, and a zero cannot drive the scan.
+		f, ok := v.Numeric()
+		switch {
+		case !ok || math.IsNaN(f):
+			return "", probeEmpty
+		case f == 0:
+			return "", probeNone
 		}
-		return "", probeEmpty
+		return Float(f).Key(), probeKeyed
+	case v.Kind() == want:
+		return v.Key(), probeKeyed
 	case want == KindInt && v.Kind() == KindFloat:
 		// A float constant can equal an int column value only when it is
 		// integral; beyond 2^53 several ints share one float64, so the

@@ -283,6 +283,40 @@ func TestScanCrossKindProbe(t *testing.T) {
 	if n := r.Count(NewQuery("cars", Eq("price", Null()))); n != 0 {
 		t.Errorf("equality against null: %d matches, want 0", n)
 	}
+
+	// Keys and Equal disagree on two floats: -0 and +0 are keyed apart
+	// but Equal, and every NaN shares one key but equals nothing. So a
+	// zero constant must not drive the scan, and a NaN matches nothing.
+	negZero := math.Copysign(0, -1)
+	r.MustInsert(Tuple{Int(4), String("BMW"), Float(negZero), Int(2004), Bool(true)})
+	r.MustInsert(Tuple{Int(5), String("BMW"), Float(0), Int(2005), Bool(true)})
+	r.MustInsert(Tuple{Int(6), String("Honda"), Float(math.NaN()), Int(2006), Bool(false)})
+	zeroAndNaN := []struct {
+		name string
+		q    Query
+		want int
+	}{
+		{"price = 0", NewQuery("cars", Eq("price", Float(0))), 2},
+		{"price = -0", NewQuery("cars", Eq("price", Float(negZero))), 2},
+		{"price = int 0", NewQuery("cars", Eq("price", Int(0))), 2},
+		{"price = NaN", NewQuery("cars", Eq("price", Float(math.NaN()))), 0},
+		{"make = BMW and price = 0", NewQuery("cars", Eq("make", String("BMW")), Eq("price", Float(0))), 2},
+		{"make = Honda and price = NaN", NewQuery("cars", Eq("make", String("Honda")), Eq("price", Float(math.NaN()))), 0},
+	}
+	for _, c := range zeroAndNaN {
+		want := 0
+		for _, tu := range r.Tuples() {
+			if c.q.Matches(r.Schema, tu) {
+				want++
+			}
+		}
+		if want != c.want {
+			t.Fatalf("%s: Matches accepts %d tuples, want %d", c.name, want, c.want)
+		}
+		if n := r.Count(c.q); n != c.want {
+			t.Errorf("%s: %d matches, want %d", c.name, n, c.want)
+		}
+	}
 }
 
 func TestFoldMatchesApply(t *testing.T) {

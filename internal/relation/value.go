@@ -9,6 +9,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -67,12 +68,17 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Value is a single attribute value. The zero Value is null.
+//
+// The int, float and bool payloads share one word, n: an int as its two's
+// complement bits, a float as math.Float64bits, a bool as 0 or 1. That keeps
+// a Value at 32 bytes on 64-bit platforms. So == and reflect.DeepEqual on
+// Values compare float bits: NaN equals NaN there, and -0 differs from +0.
+// Equal compares float64 values (NaN equals nothing, -0 equals +0); compare
+// Values with Equal or Identical, and key maps by Key, never by Value.
 type Value struct {
 	kind Kind
 	s    string
-	i    int64
-	f    float64
-	b    bool
+	n    uint64
 }
 
 // Null returns the null value.
@@ -82,13 +88,18 @@ func Null() Value { return Value{} }
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int returns an int-kinded value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a float-kinded value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Bool returns a bool-kinded value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -109,7 +120,7 @@ func (v Value) IntVal() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("relation: IntVal on %s value", v.kind))
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // FloatVal returns the float payload. It panics if v is not float-kinded.
@@ -117,7 +128,7 @@ func (v Value) FloatVal() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("relation: FloatVal on %s value", v.kind))
 	}
-	return v.f
+	return math.Float64frombits(v.n)
 }
 
 // BoolVal returns the bool payload. It panics if v is not bool-kinded.
@@ -125,7 +136,7 @@ func (v Value) BoolVal() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("relation: BoolVal on %s value", v.kind))
 	}
-	return v.b
+	return v.n != 0
 }
 
 // Numeric returns the value as a float64 for int and float kinds.
@@ -133,9 +144,9 @@ func (v Value) BoolVal() bool {
 func (v Value) Numeric() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.n), true
 	default:
 		return 0, false
 	}
@@ -158,12 +169,10 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindString:
 		return v.s == o.s
-	case KindInt:
-		return v.i == o.i
+	case KindInt, KindBool:
+		return v.n == o.n
 	case KindFloat:
-		return v.f == o.f
-	case KindBool:
-		return v.b == o.b
+		return math.Float64frombits(v.n) == math.Float64frombits(o.n)
 	}
 	return false
 }
@@ -206,9 +215,9 @@ func (v Value) Compare(o Value) (int, bool) {
 		return strings.Compare(v.s, o.s), true
 	case KindBool:
 		switch {
-		case v.b == o.b:
+		case v.n == o.n:
 			return 0, true
-		case !v.b:
+		case v.n == 0:
 			return -1, true
 		default:
 			return 1, true
@@ -239,11 +248,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindString:
 		return append(append(dst, 's'), v.s...)
 	case KindInt:
-		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
+		return strconv.AppendInt(append(dst, 'i'), int64(v.n), 10)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return append(dst, 'b', 't')
 		}
 		return append(dst, 'b', 'f')
@@ -259,11 +268,11 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	}
 	return "?"
 }

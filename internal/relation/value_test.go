@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -255,5 +256,16 @@ func TestNumeric(t *testing.T) {
 	}
 	if _, ok := Null().Numeric(); ok {
 		t.Error("Null.Numeric() should not be ok")
+	}
+}
+
+// TestValueSize pins Value's layout: a kind, a string and one payload word
+// make 32 bytes on 64-bit platforms. A field added later fails here.
+func TestValueSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned on 64-bit platforms only")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
 	}
 }
