@@ -23,7 +23,9 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	row := make([]string, r.Schema.Len())
 	for _, t := range r.tuples {
 		for i, v := range t {
-			row[i] = v.Encode()
+			// csv.Reader drops the carriage return before every newline,
+			// so a value's "\r\n" is written with one carriage return more.
+			row[i] = strings.ReplaceAll(v.Encode(), "\r\n", "\r\r\n")
 		}
 		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("relation: write csv row: %w", err)

@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -89,9 +90,10 @@ func (p Predicate) Matches(s *Schema, t Tuple) bool {
 }
 
 // Holds evaluates the predicate against one attribute value: the value-level
-// check that Matches, Relation.Scan and the mediator's probability mass all
-// share. SQL three-valued semantics collapse to boolean: a null value fails
-// every operator except OpIsNull.
+// check that Matches and the mediator's probability mass share, and that
+// Relation.Scan's compiled tests reproduce. SQL three-valued semantics
+// collapse to boolean: a null value fails every operator except OpIsNull,
+// and a comparison with a null constant fails every value.
 func (p Predicate) Holds(v Value) bool {
 	switch p.Op {
 	case OpIsNull:
@@ -106,7 +108,8 @@ func (p Predicate) Holds(v Value) bool {
 	case OpEq:
 		return v.Equal(p.Value)
 	case OpNe:
-		return !v.Equal(p.Value)
+		// As with =, a comparison with NULL is unknown: no row matches.
+		return !p.Value.IsNull() && !v.Equal(p.Value)
 	case OpLt:
 		c, ok := v.Compare(p.Value)
 		return ok && c < 0
@@ -125,6 +128,96 @@ func (p Predicate) Holds(v Value) bool {
 		return ok1 && ok2 && lo >= 0 && hi <= 0
 	}
 	return false
+}
+
+// testKind is the form of a predicate compiled for Relation.Scan.
+type testKind uint8
+
+const (
+	testHolds  testKind = iota // the fallback: Predicate.Holds on the row cell
+	testCodeEq                 // string =: dictionary code compare
+	testWordEq                 // int = Int: exact 64-bit compare
+	testRange                  // numeric <=, >= and BETWEEN, through float64
+)
+
+// scanTest is one predicate compiled against its attribute's column. It
+// answers exactly what Predicate.Holds answers on the row cell.
+type scanTest struct {
+	kind   testKind
+	codes  []uint32 // testCodeEq
+	null   []bool   // testWordEq, testRange
+	words  []uint64
+	ints   bool // words hold int64s, not float64 bits
+	code   uint32
+	word   uint64
+	lo, hi float64
+	pred   *Predicate // testHolds
+	col    int        // testHolds
+}
+
+// compileTest compiles p into a test over its attribute's column, building
+// the column if needed. ok is false when p provably matches no tuple: its
+// attribute is not in the schema, it compares with NULL, or it asks for
+// equality with a string no row holds.
+func (r *Relation) compileTest(p *Predicate) (t scanTest, ok bool) {
+	col, ok := r.Schema.Index(p.Attr)
+	if !ok {
+		return t, false
+	}
+	kind := r.Schema.Attr(col).Kind
+	switch {
+	case p.Op == OpIsNull || p.Op == OpNotNull:
+		// Tested on the row cell, below.
+	case p.Value.IsNull() || p.Op == OpBetween && p.High.IsNull():
+		// A comparison with NULL is unknown: no row matches.
+		return t, false
+	case kind == KindString && p.Op == OpEq && p.Value.Kind() == KindString:
+		c := r.column(col)
+		// A constant missing from the dictionary gets code 0, which only
+		// null rows carry, so it matches nothing.
+		code := c.dict[p.Value.Str()]
+		return scanTest{kind: testCodeEq, codes: c.codes, code: code}, code != 0
+	case kind == KindInt && p.Op == OpEq && p.Value.Kind() == KindInt:
+		c := r.column(col)
+		return scanTest{kind: testWordEq, null: c.null, words: c.words, word: uint64(p.Value.IntVal())}, true
+	case (kind == KindInt || kind == KindFloat) && (p.Op == OpLe || p.Op == OpGe || p.Op == OpBetween):
+		lo, lok := p.Value.Numeric()
+		hi, hok := p.High.Numeric()
+		switch p.Op {
+		case OpLe:
+			lo, hi, hok = math.Inf(-1), lo, true
+		case OpGe:
+			hi, hok = math.Inf(1), true
+		}
+		if lok && hok {
+			c := r.column(col)
+			return scanTest{kind: testRange, null: c.null, words: c.words, ints: kind == KindInt, lo: lo, hi: hi}, true
+		}
+	}
+	return scanTest{kind: testHolds, pred: p, col: col}, true
+}
+
+// holds reports whether the tuple at position pos of tuples passes t.
+func (t *scanTest) holds(tuples []Tuple, pos int) bool {
+	switch t.kind {
+	case testHolds:
+		return t.pred.Holds(tuples[pos][t.col])
+	case testCodeEq:
+		return t.codes[pos] == t.code
+	case testWordEq:
+		return t.words[pos] == t.word && !t.null[pos]
+	}
+	if t.null[pos] {
+		return false
+	}
+	f := math.Float64frombits(t.words[pos])
+	if t.ints {
+		f = float64(int64(t.words[pos]))
+	}
+	// Value.Compare orders through float64 and calls NaN equal to every
+	// number, so a NaN cell or bound passes <=, >= and BETWEEN. That is
+	// why the range test is not lo <= f && f <= hi.
+	return !(f < t.lo) && !(f > t.hi)
 }
 
 // NullOn reports whether tuple t is null on the predicate's attribute.

@@ -47,6 +47,9 @@ func TestPredicateHolds(t *testing.T) {
 		{IsNull("a"), Null(), true},
 		{IsNull("a"), Int(1), false},
 		{Predicate{Attr: "a", Op: OpNotNull}, Int(1), true},
+		// != NULL is unknown, as = NULL is: no row matches.
+		{Predicate{Attr: "a", Op: OpNe, Value: Null()}, Int(4), false},
+		{Predicate{Attr: "a", Op: OpNe, Value: Null()}, String("x"), false},
 	}
 	for _, c := range cases {
 		checkHolds(t, c.pred, c.v, c.want)

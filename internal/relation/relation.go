@@ -18,9 +18,10 @@ type Relation struct {
 
 	mu      sync.Mutex
 	indexes map[string]map[string][]int // attr -> value key -> tuple positions
-	// indexed mirrors indexes != nil without the mutex, so the insert path
-	// (which must invalidate) stays lock-free during bulk loading, before
-	// any index has ever been built.
+	columns []*column                   // by schema position, each built on first use
+	// indexed mirrors indexes != nil || columns != nil without the mutex,
+	// so the insert path (which must invalidate) stays lock-free during
+	// bulk loading, before any index or column has ever been built.
 	indexed atomic.Bool
 }
 
@@ -145,6 +146,7 @@ func (r *Relation) invalidateIndexes() {
 	}
 	r.mu.Lock()
 	r.indexes = nil
+	r.columns = nil
 	r.indexed.Store(false)
 	r.mu.Unlock()
 }
@@ -173,6 +175,66 @@ func (r *Relation) index(attr string) map[string][]int {
 	return idx
 }
 
+// column holds one attribute's cells in tuple-position order without
+// pointers, so the GC never scans it and a scan tests a dense array
+// instead of loading each tuple's heap row. coerce stores every non-null
+// cell at the schema kind, so no row needs a kind of its own.
+type column struct {
+	// String attributes: a dictionary code per row, 0 for null. dict holds
+	// the stored cells only; Scan looks query constants up without adding
+	// them, so queries never grow it.
+	codes []uint32
+	dict  map[string]uint32
+	// Int and float attributes: a null flag and a payload word per row,
+	// two's complement for ints and math.Float64bits for floats.
+	null  []bool
+	words []uint64
+}
+
+// column returns (building if needed) the column of the string, int or
+// float attribute at schema position col.
+func (r *Relation) column(col int) *column {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.columns == nil {
+		r.columns = make([]*column, r.Schema.Len())
+		r.indexed.Store(true)
+	}
+	if c := r.columns[col]; c != nil {
+		return c
+	}
+	c := new(column)
+	if r.Schema.Attr(col).Kind == KindString {
+		c.codes = make([]uint32, len(r.tuples))
+		c.dict = make(map[string]uint32)
+		for i, t := range r.tuples {
+			if v := t[col]; !v.IsNull() {
+				code, ok := c.dict[v.Str()]
+				if !ok {
+					code = uint32(len(c.dict) + 1)
+					c.dict[v.Str()] = code
+				}
+				c.codes[i] = code
+			}
+		}
+	} else {
+		c.null = make([]bool, len(r.tuples))
+		c.words = make([]uint64, len(r.tuples))
+		for i, t := range r.tuples {
+			switch v := t[col]; v.Kind() {
+			case KindNull:
+				c.null[i] = true
+			case KindInt:
+				c.words[i] = uint64(v.IntVal())
+			case KindFloat:
+				c.words[i] = math.Float64bits(v.FloatVal())
+			}
+		}
+	}
+	r.columns[col] = c
+	return c
+}
+
 // Select returns the tuples satisfying the query's predicates, driven by the
 // smallest applicable index posting list. The returned slice aliases the
 // relation's tuples: callers may read it freely but must not mutate the
@@ -197,8 +259,8 @@ func (r *Relation) Count(q Query) int {
 // a full scan. Posting lists hold positions in insertion order, so the
 // drive choice never changes the output order. The drive predicate itself
 // is satisfied by construction of its posting list and is not re-evaluated
-// per tuple; each other predicate's column is resolved once per call and
-// its value tested with Predicate.Holds.
+// per tuple; each other predicate is compiled once per call into a test
+// over its attribute's column (see compileTest).
 //
 // Yielded tuples alias the relation's store: hold one past the yield only
 // via Tuple.Clone (or pipe through Cloned).
@@ -230,44 +292,39 @@ func (r *Relation) Scan(q Query) TupleSeq {
 				return
 			}
 		}
-		var predBuf [8]Predicate
-		var colBuf [8]int
-		preds, cols := predBuf[:0], colBuf[:0]
-		for pi, p := range q.Preds {
+		var testBuf [8]scanTest
+		tests := testBuf[:0]
+		for pi := range q.Preds {
 			if pi == driveIdx {
 				continue
 			}
-			col, ok := r.Schema.Index(p.Attr)
+			t, ok := r.compileTest(&q.Preds[pi])
 			if !ok {
-				// An attribute the schema lacks matches no tuple.
+				// The predicate matches no tuple: the conjunction is empty.
 				return
 			}
-			preds, cols = append(preds, p), append(cols, col)
+			tests = append(tests, t)
 		}
 		if driven {
 			for _, pos := range drive {
-				if t := r.tuples[pos]; holdsAll(preds, cols, t) {
-					if !yield(t) {
-						return
-					}
+				if passes(tests, r.tuples, pos) && !yield(r.tuples[pos]) {
+					return
 				}
 			}
 			return
 		}
-		for _, t := range r.tuples {
-			if holdsAll(preds, cols, t) {
-				if !yield(t) {
-					return
-				}
+		for pos, t := range r.tuples {
+			if passes(tests, r.tuples, pos) && !yield(t) {
+				return
 			}
 		}
 	}
 }
 
-// holdsAll reports whether every preds[j] holds on column cols[j] of t.
-func holdsAll(preds []Predicate, cols []int, t Tuple) bool {
-	for j := range preds {
-		if !preds[j].Holds(t[cols[j]]) {
+// passes reports whether the tuple at position pos passes every test.
+func passes(tests []scanTest, tuples []Tuple, pos int) bool {
+	for j := range tests {
+		if !tests[j].holds(tuples, pos) {
 			return false
 		}
 	}
@@ -475,17 +532,6 @@ func (r *Relation) IndexStats(attr string) (Stats, bool) {
 		}
 	}
 	return st, true
-}
-
-// IndexCardinality returns the posting-list length for one attribute value:
-// exactly how many stored tuples carry that value (nulls included when v is
-// the null value). Zero when the attribute is unknown or the value absent.
-func (r *Relation) IndexCardinality(attr string, v Value) int {
-	idx := r.index(attr)
-	if idx == nil {
-		return 0
-	}
-	return len(idx[v.Key()])
 }
 
 // IncompleteFraction returns the fraction of tuples containing at least one

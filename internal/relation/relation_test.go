@@ -486,22 +486,6 @@ func TestIndexStats(t *testing.T) {
 	}
 }
 
-func TestIndexCardinality(t *testing.T) {
-	r := paperFragment()
-	if got := r.IndexCardinality("model", String("Z4")); got != 2 {
-		t.Errorf("IndexCardinality(model, Z4) = %d, want 2", got)
-	}
-	if got := r.IndexCardinality("body_style", Null()); got != 2 {
-		t.Errorf("IndexCardinality(body_style, null) = %d, want 2", got)
-	}
-	if got := r.IndexCardinality("model", String("F150")); got != 0 {
-		t.Errorf("absent value should report 0, got %d", got)
-	}
-	if got := r.IndexCardinality("nope", String("x")); got != 0 {
-		t.Errorf("unknown attribute should report 0, got %d", got)
-	}
-}
-
 func TestIndexStatsInvalidatedByInsert(t *testing.T) {
 	r := paperFragment()
 	before, _ := r.IndexStats("model")

@@ -444,8 +444,9 @@ func TestCoerceDoesNotMutateOnError(t *testing.T) {
 
 // TestConcurrentSelectDuringFirstIndexBuild exercises the indexed-atomic /
 // mutex handoff: many goroutines Select concurrently right after a bulk
-// load, so the first index build races with other readers (run under
-// -race).
+// load, so the first index and column builds race with other readers (run
+// under -race). Each goroutine starts at a different query, so different
+// attributes' first builds overlap.
 func TestConcurrentSelectDuringFirstIndexBuild(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		r := randomRelation(rand.New(rand.NewSource(int64(round))), 500)
@@ -455,6 +456,16 @@ func TestConcurrentSelectDuringFirstIndexBuild(t *testing.T) {
 			NewQuery("prop", IsNull("price")),
 			NewQuery("prop", Eq("price", Int(2000))), // cross-kind probe
 			NewQuery("prop"),
+			// Non-drive predicates compiled to column tests, numeric
+			// ranges on an int and a float column, beside fallback ops.
+			NewQuery("prop", IsNull("price"), Predicate{Attr: "make", Op: OpNe, Value: String("BMW")},
+				Between("year", Int(2001), Int(2004))),
+			NewQuery("prop", Eq("make", String("Audi")), Predicate{Attr: "price", Op: OpLe, Value: Int(3000)},
+				Predicate{Attr: "used", Op: OpNe, Value: Bool(true)}),
+			// An int equality and a string equality that the id posting
+			// list, of one tuple, leaves to be tested per tuple.
+			NewQuery("prop", Eq("id", Int(int64(7*round))), Eq("year", Int(2003)), Eq("make", String("BMW"))),
+			NewQuery("prop", Predicate{Attr: "year", Op: OpGe, Value: Int(2002)}, Predicate{Attr: "price", Op: OpLe, Value: Int(2000)}),
 		}
 		want := make([]int, len(queries))
 		for i, q := range queries {
@@ -465,9 +476,10 @@ func TestConcurrentSelectDuringFirstIndexBuild(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for i, q := range queries {
-					if n := r.Count(q); n != want[i] {
-						t.Errorf("goroutine %d: Count(%s) = %d, want %d", g, q, n, want[i])
+				for k := range queries {
+					i := (g + k) % len(queries)
+					if n := r.Count(queries[i]); n != want[i] {
+						t.Errorf("goroutine %d: Count(%s) = %d, want %d", g, queries[i], n, want[i])
 					}
 				}
 			}(g)
