@@ -8,7 +8,7 @@
 // variable — keeps a live reference into the store, which a later insert or
 // in-place mutation can corrupt. The rule enforced here is the ownership
 // contract documented in internal/relation/seq.go and DESIGN.md: hold a
-// tuple past the yield only via Tuple.Clone (or the Cloned pipeline stage).
+// tuple past the yield only via a copy (Tuple.Clone).
 //
 // The pass inspects the two iterator boundaries:
 //
@@ -139,7 +139,7 @@ func checkBody(pass *analysis.Pass, body ast.Node, tup types.Object, from, to to
 				continue
 			}
 			pass.Reportf(as.Pos(),
-				"tuple %s yielded to this %s is stored into %s, which outlives the yield; it may alias the relation store — hold a copy via Clone (or pipe through Cloned)",
+				"tuple %s yielded to this %s is stored into %s, which outlives the yield; it may alias the relation store — hold a copy via Clone",
 				tup.Name(), kind, root.Name)
 		}
 		return true

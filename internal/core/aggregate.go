@@ -125,7 +125,8 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 				included = append(included, rq)
 			}
 		}
-		results := fetchAll(ctx, src, issueQueries(src, included), cfg.Parallel, cfg.Retry,
+		queries, keeps := issueQueries(src, included)
+		results := fetchAll(ctx, src, queries, keeps, cfg.Parallel, cfg.Retry,
 			cfg.Planner.Sched(), rewritePriorities(included))
 		seen := seedAnswerKeys(src.Schema(), base, q.ConstrainedAttrs())
 		fail := func(rq RewrittenQuery, err error) {
@@ -135,17 +136,14 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 		}
 		for i, rq := range included {
 			rq.Attempts = results[i].attempts
+			rq.Transferred = results[i].transferred
 			if err := results[i].err; err != nil {
 				fail(rq, err)
 				continue
 			}
-			tcol, ok := src.Schema().Index(rq.TargetAttr)
-			if !ok {
-				continue
-			}
 			var contrib []relation.Tuple
 			for _, t := range results[i].rows {
-				if t[tcol].IsNull() && seen.add(t) {
+				if seen.add(t) {
 					contrib = append(contrib, t)
 				}
 			}
@@ -157,6 +155,7 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 				fail(rq, err)
 				continue
 			}
+			rq.Kept = len(contrib)
 			_, weight := m.shouldInclude(rq, opts.Rule)
 			out.Possible += weight * val
 			out.PossibleRows += n

@@ -63,6 +63,35 @@ func TestAggregateWithPossibleApproachesTruth(t *testing.T) {
 	}
 }
 
+// TestAggregateRewriteAccounting pins each included rewrite's transfer
+// accounting: it kept at least one of the tuples it transferred, and for
+// COUNT(*) the kept tuples are exactly the possible rows.
+func TestAggregateRewriteAccounting(t *testing.T) {
+	f := newFixture(t, Config{Alpha: 1, K: 0})
+	ans, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{
+		IncludePossible: true,
+		PredictMissing:  true,
+		Rule:            RuleArgmax,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Included) == 0 {
+		t.Fatal("scenario needs included rewrites")
+	}
+	kept := 0
+	for _, rq := range ans.Included {
+		if rq.Kept <= 0 || rq.Kept > rq.Transferred {
+			t.Errorf("rewrite %v: kept %d of %d transferred, want 0 < kept <= transferred",
+				rq.Query, rq.Kept, rq.Transferred)
+		}
+		kept += rq.Kept
+	}
+	if kept != ans.PossibleRows {
+		t.Errorf("Σ Kept = %d, want the %d possible rows COUNT(*) folded", kept, ans.PossibleRows)
+	}
+}
+
 func TestAggregateArgmaxExcludesUnlikelyRewrites(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
 	// Query for Coupe: the only models with Coupe mass (Z4 at 0.05,

@@ -57,7 +57,7 @@ func TestFetchAllOpenSkip(t *testing.T) {
 		f.src.SetFaults(faults.New(faults.Profile{FlapDown: 1})) // always down
 		// Trip the circuit.
 		for i := 0; i < 2; i++ {
-			fetchOne(context.Background(), f.src, convtQuery(), fastRetry(1))
+			fetchOne(context.Background(), f.src, convtQuery(), nil, fastRetry(1))
 		}
 		if st := f.src.Breaker().State(); st != breaker.StateOpen {
 			t.Fatalf("parallel=%d: breaker state = %v, want open", parallel, st)
@@ -68,7 +68,7 @@ func TestFetchAllOpenSkip(t *testing.T) {
 		for i := range queries {
 			queries[i] = relation.NewQuery("cars", relation.Eq("model", relation.String("Z4")))
 		}
-		results := fetchAll(context.Background(), f.src, queries, parallel, fastRetry(1), nil, nil)
+		results := fetchAll(context.Background(), f.src, queries, nil, parallel, fastRetry(1), nil, nil)
 		for i, res := range results {
 			if !errors.Is(res.err, breaker.ErrOpen) {
 				t.Fatalf("parallel=%d: result %d err = %v, want ErrOpen", parallel, i, res.err)
@@ -288,15 +288,30 @@ type hedgeFake struct {
 
 func (h *hedgeFake) Breaker() *breaker.Breaker { return h.br }
 
-func (h *hedgeFake) QueryCtx(ctx context.Context, q relation.Query) ([]relation.Tuple, error) {
+func (h *hedgeFake) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
 	if faults.IsHedge(ctx) {
 		h.hedgeServed.Add(1)
-		return h.rows, nil
+		return keptRows(h.rows, keep), len(h.rows), nil
 	}
 	h.primaryStarted.Add(1)
 	<-ctx.Done()
 	h.primaryCancelled.Add(1)
-	return nil, ctx.Err()
+	return nil, 0, ctx.Err()
+}
+
+// keptRows is what a fake source returns for rows under keep: the rows
+// keep accepts, all of them when keep is nil.
+func keptRows(rows []relation.Tuple, keep func(relation.Tuple) bool) []relation.Tuple {
+	if keep == nil {
+		return rows
+	}
+	var out []relation.Tuple
+	for _, t := range rows {
+		if keep(t) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // hedgeBreaker returns a breaker warmed past MinSamples so HedgeDelay
@@ -325,7 +340,7 @@ func TestHedgeWinsAgainstSlowPrimary(t *testing.T) {
 	pol := fastRetry(1)
 	pol.Hedge = HedgePolicy{Enabled: true, MaxDelay: 5 * time.Millisecond}
 
-	res := fetchOne(context.Background(), fake, convtQuery(), pol)
+	res := fetchOne(context.Background(), fake, convtQuery(), nil, pol)
 	if res.err != nil {
 		t.Fatalf("hedged fetch failed: %v", res.err)
 	}
@@ -357,17 +372,17 @@ type slowHedgeFake struct {
 
 func (h *slowHedgeFake) Breaker() *breaker.Breaker { return h.br }
 
-func (h *slowHedgeFake) QueryCtx(ctx context.Context, q relation.Query) ([]relation.Tuple, error) {
+func (h *slowHedgeFake) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
 	if faults.IsHedge(ctx) {
-		return nil, faults.ErrTransient
+		return nil, 0, faults.ErrTransient
 	}
 	t := time.NewTimer(20 * time.Millisecond)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return h.rows, nil
+		return keptRows(h.rows, keep), len(h.rows), nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 }
 
@@ -378,7 +393,7 @@ func TestHedgeLossAccounting(t *testing.T) {
 	pol := fastRetry(1)
 	pol.Hedge = HedgePolicy{Enabled: true, MaxDelay: 2 * time.Millisecond}
 
-	res := fetchOne(context.Background(), fake, convtQuery(), pol)
+	res := fetchOne(context.Background(), fake, convtQuery(), nil, pol)
 	if res.err != nil || len(res.rows) != 1 {
 		t.Fatalf("primary should win: rows=%d err=%v", len(res.rows), res.err)
 	}
@@ -386,6 +401,25 @@ func TestHedgeLossAccounting(t *testing.T) {
 	if snap.HedgesLaunched != 1 || snap.HedgeWins != 0 || snap.HedgeLosses != 1 {
 		t.Errorf("hedge accounting = launched %d wins %d losses %d, want 1/0/1",
 			snap.HedgesLaunched, snap.HedgeWins, snap.HedgeLosses)
+	}
+}
+
+// TestHedgeLegsShareKeep verifies the hedge leg fetches under the
+// attempt's post-filter: the winner's kept rows come back with its count
+// of transferred tuples.
+func TestHedgeLegsShareKeep(t *testing.T) {
+	fake := &hedgeFake{br: hedgeBreaker(t), rows: []relation.Tuple{{relation.String("x")}, {relation.Null()}}}
+	pol := fastRetry(1)
+	pol.Hedge = HedgePolicy{Enabled: true, MaxDelay: 5 * time.Millisecond}
+	keep := func(tu relation.Tuple) bool { return tu[0].IsNull() }
+
+	res := fetchOne(context.Background(), fake, convtQuery(), keep, pol)
+	if res.err != nil || len(res.rows) != 1 || !res.rows[0][0].IsNull() || res.transferred != 2 {
+		t.Fatalf("hedged fetch = %v rows, %d transferred, err %v; want the null row of 2 transferred",
+			res.rows, res.transferred, res.err)
+	}
+	if fake.hedgeServed.Load() != 1 {
+		t.Errorf("hedge legs served = %d, want 1", fake.hedgeServed.Load())
 	}
 }
 
@@ -400,7 +434,7 @@ func TestHedgeDisabledOrCold(t *testing.T) {
 	pol := fastRetry(1)
 	pol.Hedge = HedgePolicy{Enabled: true}
 	// No Breaker() method at all: never hedged.
-	if res := fetchOne(context.Background(), plain, convtQuery(), pol); res.err != nil {
+	if res := fetchOne(context.Background(), plain, convtQuery(), nil, pol); res.err != nil {
 		t.Fatal(res.err)
 	}
 	if calls.Load() != 1 {
@@ -410,7 +444,7 @@ func TestHedgeDisabledOrCold(t *testing.T) {
 	cold := &hedgeFake{br: breaker.New("cold", breaker.Config{MinSamples: 100})}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	res := fetchOne(ctx, cold, convtQuery(), pol)
+	res := fetchOne(ctx, cold, convtQuery(), nil, pol)
 	if !errors.Is(res.err, context.DeadlineExceeded) {
 		t.Fatalf("cold-breaker primary should run unhedged to deadline: %v", res.err)
 	}
@@ -422,8 +456,9 @@ func TestHedgeDisabledOrCold(t *testing.T) {
 // queryableFunc adapts a function to the queryable interface.
 type queryableFunc func(context.Context, relation.Query) ([]relation.Tuple, error)
 
-func (f queryableFunc) QueryCtx(ctx context.Context, q relation.Query) ([]relation.Tuple, error) {
-	return f(ctx, q)
+func (f queryableFunc) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
+	rows, err := f(ctx, q)
+	return keptRows(rows, keep), len(rows), err
 }
 
 // TestPermanentErrorsNeverRetried is the classification audit: capability
@@ -434,12 +469,12 @@ func TestPermanentErrorsNeverRetried(t *testing.T) {
 	pol := fastRetry(5)
 
 	// Null-binding refusal.
-	res := fetchOne(context.Background(), f.src, relation.NewQuery("cars", relation.IsNull("body_style")), pol)
+	res := fetchOne(context.Background(), f.src, relation.NewQuery("cars", relation.IsNull("body_style")), nil, pol)
 	if !errors.Is(res.err, source.ErrNullBinding) || res.attempts != 1 {
 		t.Errorf("null binding: err=%v attempts=%d, want ErrNullBinding in 1 attempt", res.err, res.attempts)
 	}
 	// Unsupported attribute.
-	res = fetchOne(context.Background(), f.src, relation.NewQuery("cars", relation.Eq("nope", relation.String("x"))), pol)
+	res = fetchOne(context.Background(), f.src, relation.NewQuery("cars", relation.Eq("nope", relation.String("x"))), nil, pol)
 	if !errors.Is(res.err, source.ErrUnsupportedAttr) || res.attempts != 1 {
 		t.Errorf("unsupported attr: err=%v attempts=%d, want ErrUnsupportedAttr in 1 attempt", res.err, res.attempts)
 	}
@@ -447,9 +482,9 @@ func TestPermanentErrorsNeverRetried(t *testing.T) {
 	f.src.SetBreaker(breaker.New("cars", *trippy()))
 	f.src.SetFaults(faults.New(faults.Profile{FlapDown: 1}))
 	for i := 0; i < 2; i++ {
-		fetchOne(context.Background(), f.src, convtQuery(), fastRetry(1))
+		fetchOne(context.Background(), f.src, convtQuery(), nil, fastRetry(1))
 	}
-	res = fetchOne(context.Background(), f.src, convtQuery(), pol)
+	res = fetchOne(context.Background(), f.src, convtQuery(), nil, pol)
 	if !errors.Is(res.err, breaker.ErrOpen) || res.attempts != 1 {
 		t.Errorf("open circuit: err=%v attempts=%d, want ErrOpen in 1 attempt", res.err, res.attempts)
 	}

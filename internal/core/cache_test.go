@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -244,9 +245,11 @@ func TestParallelMiningEquivalence(t *testing.T) {
 
 // TestCachedAnswersNeverAliasStore is the aliasing audit for the lazy
 // pipeline: Relation.Select hands out store-aliasing tuples, but every
-// tuple must cross the source wall as a clone, so a caller mutating a
+// tuple must cross the source wall as a copy, so a caller mutating a
 // ResultSet's tuples can corrupt neither the backing relation nor what a
-// later cached call returns.
+// later cached call returns. Every entry point that returns tuples is
+// audited: batch select, the stream, the two-way join, the chain and the
+// correlated select.
 func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 5})
 	q := convtQuery()
@@ -259,23 +262,101 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	if len(cold.Certain) == 0 {
 		t.Fatal("fixture query returned no certain answers")
 	}
-	for _, a := range cold.AllAnswers() {
-		for c := range a.Tuple {
-			a.Tuple[c] = relation.Null()
-		}
-	}
-	for i := 0; i < f.ed.Len(); i++ {
-		if !f.ed.Tuple(i).Equal(pristine.Tuple(i)) {
-			t.Fatalf("mutating answer tuples corrupted store tuple %d", i)
-		}
-	}
+	checkStoreWall(t, "batch select", answerTuples(cold.AllAnswers()), f.ed)
 	// Note: tuples ARE shared between the cached master and its shallow
 	// clones — the documented ResultSet.clone contract (callers sort, trim
 	// and project; Project builds fresh tuples). The guarantee under test
 	// is the store wall: no answer tuple aliases the relation's backing
-	// store, because Source.QueryCtx clones at the wire boundary.
+	// store, because Source.Fetch copies at the wire boundary.
 	if f.ed.Count(q) != pristine.Count(q) {
 		t.Error("source relation answers changed after caller mutation")
+	}
+
+	events, err := f.m.SelectStream(context.Background(), "cars", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []relation.Tuple
+	for ev := range events {
+		if ev.Kind == StreamEventAnswer {
+			streamed = append(streamed, ev.Answer.Tuple)
+		}
+	}
+	checkStoreWall(t, "stream", streamed, f.ed)
+
+	jf := newJoinFixture(t, Config{Alpha: 0, K: 10})
+	jres, err := jf.m.QueryJoin(joinSpec(2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var joined []relation.Tuple
+	for _, a := range jres.Answers {
+		joined = append(joined, a.Left, a.Right)
+	}
+	checkStoreWall(t, "two-way join", joined, jf.ed, jf.complaintsED)
+
+	cf := newChainFixture(t)
+	cres, err := cf.m.QueryJoinChain(pairChainSpec(2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chained []relation.Tuple
+	for _, a := range cres.Answers {
+		chained = append(chained, a.Tuples...)
+	}
+	checkStoreWall(t, "chain", chained, cf.cars, cf.comp)
+
+	xf, ysrc, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 10})
+	xrs, err := xf.m.QuerySelectCorrelated("yahoo",
+		relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStoreWall(t, "correlated", answerTuples(xrs.AllAnswers()), ysrc.Relation())
+}
+
+// answerTuples lists the answers' tuples in order.
+func answerTuples(answers []Answer) []relation.Tuple {
+	out := make([]relation.Tuple, len(answers))
+	for i, a := range answers {
+		out[i] = a.Tuple
+	}
+	return out
+}
+
+// checkStoreWall audits one entry point's answer tuples against the store
+// wall: appending to the first leaves every other answer as it was, and
+// overwriting them all leaves every store as it was.
+func checkStoreWall(t *testing.T, entry string, answers []relation.Tuple, stores ...*relation.Relation) {
+	t.Helper()
+	if len(answers) < 2 {
+		t.Fatalf("%s: scenario needs two answers, got %d", entry, len(answers))
+	}
+	pristine := make([]*relation.Relation, len(stores))
+	for i, r := range stores {
+		pristine[i] = r.Clone()
+	}
+	before := make([]relation.Tuple, len(answers))
+	for i, a := range answers {
+		before[i] = a.Clone()
+	}
+	_ = append(answers[0], relation.String("appended"))
+	for i := 1; i < len(answers); i++ {
+		if !reflect.DeepEqual(answers[i], before[i]) {
+			t.Fatalf("%s: appending to answer 0 changed answer %d", entry, i)
+		}
+	}
+	for _, a := range answers {
+		for c := range a {
+			a[c] = relation.Null()
+		}
+	}
+	for si, r := range stores {
+		for i := 0; i < r.Len(); i++ {
+			if !reflect.DeepEqual(r.Tuple(i), pristine[si].Tuple(i)) {
+				t.Fatalf("%s: mutating answer tuples corrupted store %s tuple %d", entry, r.Name, i)
+			}
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 	}
 
 	// Step 1 (modified): base set from the correlated source.
-	bres := fetchOne(ctx, sc, q, m.cfg.Retry)
+	bres := fetchOne(ctx, sc, q, nil, m.cfg.Retry)
 	if bres.err != nil {
 		return nil, fmt.Errorf("core: correlated base query: %w", bres.err)
 	}
@@ -140,7 +140,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 	for i, rq := range chosen {
 		issueQs[i] = rq.Query
 	}
-	results := fetchAll(ctx, sk, issueQs, m.cfg.Parallel, m.cfg.Retry,
+	results := fetchAll(ctx, sk, issueQs, nil, m.cfg.Parallel, m.cfg.Retry,
 		m.cfg.Planner.Sched(), rewritePriorities(chosen))
 	var seen answerKeys
 	for i, rq := range chosen {
@@ -155,13 +155,12 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 			rs.Issued = append(rs.Issued, rq)
 			continue
 		}
-		rows := results[i].rows
-		rq.Transferred = len(rows)
-		rs.Issued = append(rs.Issued, rq)
-		for _, t := range rows {
+		rq.Transferred = results[i].transferred
+		for _, t := range results[i].rows {
 			if !seen.add(t) {
 				continue
 			}
+			rq.Kept++
 			rs.Possible = append(rs.Possible, Answer{
 				Tuple:       t,
 				Confidence:  rq.Precision,
@@ -169,6 +168,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 				Explanation: rq.Explanation + fmt.Sprintf(" (learned from correlated source %s)", plan.Correlated),
 			})
 		}
+		rs.Issued = append(rs.Issued, rq)
 	}
 	return rs, nil
 }

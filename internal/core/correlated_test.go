@@ -176,3 +176,32 @@ func TestCorrelatedOpenCircuitAccounting(t *testing.T) {
 		t.Errorf("EstSavedTuples = %v, want > 0 for %d open-circuit rewrites", rs.EstSavedTuples, open)
 	}
 }
+
+// TestCorrelatedRewriteAccounting pins each issued rewrite's transfer
+// accounting: Transferred is what the target source sent, and the kept
+// rows add up to the possible answers.
+func TestCorrelatedRewriteAccounting(t *testing.T) {
+	f, ysrc, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 10})
+	q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
+	rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Possible) == 0 {
+		t.Fatal("scenario needs possible answers")
+	}
+	kept, transferred := 0, 0
+	for _, rq := range rs.Issued {
+		if rq.Kept > rq.Transferred {
+			t.Errorf("rewrite %v: kept %d of %d transferred", rq.Query, rq.Kept, rq.Transferred)
+		}
+		kept += rq.Kept
+		transferred += rq.Transferred
+	}
+	if kept != len(rs.Possible) {
+		t.Errorf("Σ Kept = %d, want %d possible answers", kept, len(rs.Possible))
+	}
+	if st := ysrc.Stats(); transferred != st.TuplesReturned {
+		t.Errorf("Σ Transferred = %d, want the %d tuples yahoo returned", transferred, st.TuplesReturned)
+	}
+}

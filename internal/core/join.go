@@ -152,7 +152,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 	// expensive one is queried; answer sets are order-independent.
 	var lbase, rbase []relation.Tuple
 	fetchBase := func(src queryable, q relation.Query, side string, out *[]relation.Tuple) error {
-		bres := fetchOne(ctx, src, q, m.cfg.Retry)
+		bres := fetchOne(ctx, src, q, nil, m.cfg.Retry)
 		if bres.err != nil {
 			return fmt.Errorf("core: %s base query: %w", side, bres.err)
 		}
@@ -196,7 +196,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 	var actLeft, actRight int
 	leftOpen, rightOpen := false, false
 	fetch := func(u queryUnit, src interface {
-		QueryCtx(context.Context, relation.Query) ([]relation.Tuple, error)
+		queryable
 		Schema() *relation.Schema
 	}, cache map[string]*sideResult, base []relation.Tuple, open *bool, act *int) *sideResult {
 		key := u.query.Key()
@@ -217,7 +217,8 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 			res.Degraded = true
 			res.EstSavedTuples += u.rq.EstSel
 		default:
-			fres := fetchOneSched(ctx, src, u.query, m.cfg.Retry, sched, planner.Priority(u.prec, u.estSel))
+			fres := fetchOneSched(ctx, src, u.query, postFilter(src.Schema(), u.rq), m.cfg.Retry,
+				sched, planner.Priority(u.prec, u.estSel))
 			if fres.err != nil {
 				// A component that stays unfetchable after retries degrades
 				// the join rather than failing it.
@@ -227,19 +228,13 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 					*open = true
 				}
 			} else {
-				tcol, ok := src.Schema().Index(u.rq.TargetAttr)
-				if ok {
-					for _, t := range fres.rows {
-						if !t[tcol].IsNull() {
-							continue
-						}
-						sr.answers = append(sr.answers, Answer{
-							Tuple:       t,
-							Confidence:  u.rq.Precision,
-							FromQuery:   u.query,
-							Explanation: u.rq.Explanation,
-						})
-					}
+				for _, t := range fres.rows {
+					sr.answers = append(sr.answers, Answer{
+						Tuple:       t,
+						Confidence:  u.rq.Precision,
+						FromQuery:   u.query,
+						Explanation: u.rq.Explanation,
+					})
 				}
 			}
 		}

@@ -156,7 +156,7 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		if sides[i].baseFetched {
 			return nil
 		}
-		bres := fetchOne(ctx, sides[i].src, spec.Queries[i], m.cfg.Retry)
+		bres := fetchOne(ctx, sides[i].src, spec.Queries[i], nil, m.cfg.Retry)
 		if bres.err != nil {
 			return fmt.Errorf("core: base query on %q: %w", spec.Sources[i], bres.err)
 		}
@@ -235,13 +235,15 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		keys := sortedSelected(i)
 		rqs := make([]RewrittenQuery, len(keys))
 		queries := make([]relation.Query, len(keys))
+		keeps := make([]func(relation.Tuple) bool, len(keys))
 		pris := make([]float64, len(keys))
 		for j, key := range keys {
 			rqs[j] = selected[i][key]
 			queries[j] = rqs[j].Query
+			keeps[j] = postFilter(sides[i].src.Schema(), rqs[j])
 			pris[j] = planner.Priority(rqs[j].Precision, rqs[j].EstSel)
 		}
-		results := fetchAll(ctx, sides[i].src, queries, m.cfg.Parallel, m.cfg.Retry, sched, pris)
+		results := fetchAll(ctx, sides[i].src, queries, keeps, m.cfg.Parallel, m.cfg.Retry, sched, pris)
 		for j, rq := range rqs {
 			if err := results[j].err; err != nil {
 				res.Degraded = true
@@ -250,12 +252,8 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 				}
 				continue
 			}
-			tcol, ok := sides[i].src.Schema().Index(rq.TargetAttr)
-			if !ok {
-				continue
-			}
 			for _, t := range results[j].rows {
-				if !t[tcol].IsNull() || !seen.add(t) {
+				if !seen.add(t) {
 					continue
 				}
 				answers[i] = append(answers[i], Answer{
@@ -578,7 +576,7 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 
 // sourceIface is the slice of the source API the chain join uses.
 type sourceIface interface {
-	QueryCtx(context.Context, relation.Query) ([]relation.Tuple, error)
+	queryable
 	Schema() *relation.Schema
 	Name() string
 }

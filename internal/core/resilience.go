@@ -77,16 +77,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// queryable is the slice of the source API the fetch path needs.
+// queryable is the slice of the source API the fetch path needs:
+// source.Source.Fetch.
 type queryable interface {
-	QueryCtx(context.Context, relation.Query) ([]relation.Tuple, error)
+	Fetch(context.Context, relation.Query, func(relation.Tuple) bool) ([]relation.Tuple, int, error)
 }
 
 // fetchResult is the outcome of fetching one query, retries included.
 type fetchResult struct {
-	rows     []relation.Tuple
-	err      error // final error, nil on success
-	attempts int   // attempts actually made (0 when skipped unissued)
+	rows        []relation.Tuple // the transferred tuples the query's keep accepted
+	transferred int              // tuples the source sent, kept or not
+	err         error            // final error, nil on success
+	attempts    int              // attempts actually made (0 when skipped unissued)
 }
 
 // errSkippedBudget marks a query the mediator never sent because the source
@@ -108,8 +110,9 @@ var errSkippedOpen = fmt.Errorf("core: rewrite not issued: %w", breaker.ErrOpen)
 // deterministic refusals — capability rejections (ErrUnsupportedAttr,
 // ErrNullBinding, ErrRangeBinding), budget exhaustion, and open-circuit
 // admission rejections (breaker.ErrOpen) — return immediately: retrying a
-// source that refused on principle only wastes its budget.
-func fetchOne(ctx context.Context, src queryable, q relation.Query, pol RetryPolicy) fetchResult {
+// source that refused on principle only wastes its budget. keep is the
+// source's post-filter (see source.Source.Fetch); nil keeps every row.
+func fetchOne(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, pol RetryPolicy) fetchResult {
 	pol = pol.withDefaults()
 	if pol.QueryDeadline > 0 {
 		var cancel context.CancelFunc
@@ -125,7 +128,7 @@ func fetchOne(ctx context.Context, src queryable, q relation.Query, pol RetryPol
 		if pol.AttemptTimeout > 0 {
 			actx, cancel = context.WithTimeout(actx, pol.AttemptTimeout)
 		}
-		res.rows, res.err = attemptQuery(actx, src, q, pol)
+		res.rows, res.transferred, res.err = attemptQuery(actx, src, q, keep, pol)
 		cancel()
 		if res.err == nil || !faults.Retryable(res.err) ||
 			attempt >= pol.MaxAttempts || ctx.Err() != nil {
@@ -158,14 +161,14 @@ func fetchOne(ctx context.Context, src queryable, q relation.Query, pol RetryPol
 // source pool in priority order. A nil scheduler degrades to plain
 // fetchOne. A cancelled wait resolves like any other cancellation: the
 // rewrite is accounted failed, never silently dropped.
-func fetchOneSched(ctx context.Context, src queryable, q relation.Query, pol RetryPolicy, sched *planner.Scheduler, pri float64) fetchResult {
+func fetchOneSched(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, pol RetryPolicy, sched *planner.Scheduler, pri float64) fetchResult {
 	if sched != nil {
 		if err := sched.Acquire(ctx, pri); err != nil {
 			return fetchResult{err: fmt.Errorf("core: canceled awaiting scheduler slot: %w", err)}
 		}
 		defer sched.Release()
 	}
-	return fetchOne(ctx, src, q, pol)
+	return fetchOne(ctx, src, q, keep, pol)
 }
 
 // jitterSeed hashes (seed, query key) into a backoff-jitter rng seed.
@@ -194,34 +197,35 @@ type breakered interface {
 // collide.
 const hedgeAttemptOffset = 1 << 16
 
-// attemptQuery is one attempt of fetchOne: a plain QueryCtx unless hedging
-// is armed, the source carries a breaker, and that breaker has observed
+// attemptQuery is one attempt of fetchOne: a plain Fetch unless hedging is
+// armed, the source carries a breaker, and that breaker has observed
 // enough outcomes to publish a p95 — in which case the attempt is raced
 // against a delayed hedge.
-func attemptQuery(ctx context.Context, src queryable, q relation.Query, pol RetryPolicy) ([]relation.Tuple, error) {
+func attemptQuery(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, pol RetryPolicy) ([]relation.Tuple, int, error) {
 	if !pol.Hedge.Enabled {
-		return src.QueryCtx(ctx, q)
+		return src.Fetch(ctx, q, keep)
 	}
 	bs, ok := src.(breakered)
 	if !ok {
-		return src.QueryCtx(ctx, q)
+		return src.Fetch(ctx, q, keep)
 	}
 	br := bs.Breaker()
 	if br == nil {
-		return src.QueryCtx(ctx, q)
+		return src.Fetch(ctx, q, keep)
 	}
 	delay := br.HedgeDelay(pol.Hedge.MinDelay, pol.Hedge.MaxDelay)
 	if delay <= 0 {
-		return src.QueryCtx(ctx, q)
+		return src.Fetch(ctx, q, keep)
 	}
-	return hedgedQuery(ctx, src, q, br, delay)
+	return hedgedQuery(ctx, src, q, keep, br, delay)
 }
 
 // hedgeLeg is one raced attempt's outcome.
 type hedgeLeg struct {
-	rows  []relation.Tuple
-	err   error
-	hedge bool // true for the second (hedge) leg
+	rows        []relation.Tuple
+	transferred int
+	err         error
+	hedge       bool // true for the second (hedge) leg
 }
 
 // hedgedQuery races the primary attempt against a hedge attempt launched
@@ -232,15 +236,15 @@ type hedgeLeg struct {
 // drained before returning, so accounting is settled — and no goroutine
 // outlives the call — by the time the caller sees the result. When both
 // legs fail, the primary's error is returned (it reflects the undisturbed
-// retry classification).
-func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *breaker.Breaker, delay time.Duration) ([]relation.Tuple, error) {
+// retry classification). Both legs fetch with the same keep.
+func hedgedQuery(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, br *breaker.Breaker, delay time.Duration) ([]relation.Tuple, int, error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	legs := make(chan hedgeLeg, 2) // buffered: a cancelled loser never blocks
 	launch := func(lctx context.Context, hedge bool) {
 		go func() {
-			rows, err := src.QueryCtx(lctx, q)
-			legs <- hedgeLeg{rows: rows, err: err, hedge: hedge}
+			rows, n, err := src.Fetch(lctx, q, keep)
+			legs <- hedgeLeg{rows: rows, transferred: n, err: err, hedge: hedge}
 		}()
 	}
 	launch(hctx, false)
@@ -261,11 +265,11 @@ func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *break
 						<-legs // drain the loser: accounting settles before return
 					}
 				}
-				return leg.rows, nil
+				return leg.rows, leg.transferred, nil
 			case !hedged:
 				// The primary failed before the hedge fired: a plain failed
 				// attempt, classified by the retry loop as usual.
-				return leg.rows, leg.err
+				return leg.rows, leg.transferred, leg.err
 			case firstFail == nil:
 				// One of two racing legs failed; the other may still win.
 				l := leg
@@ -274,9 +278,9 @@ func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *break
 				// Both legs failed: the hedge bought nothing.
 				br.RecordHedge(false)
 				if firstFail.hedge {
-					return leg.rows, leg.err
+					return leg.rows, leg.transferred, leg.err
 				}
-				return firstFail.rows, firstFail.err
+				return firstFail.rows, firstFail.transferred, firstFail.err
 			}
 		case <-timer.C:
 			if !hedged {
@@ -317,6 +321,9 @@ func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *break
 // enough evidence — hammering an open circuit with the rest of the top-K
 // would only inflate BreakerRejected without retrieving anything.
 //
+// Each query is fetched with its positional post-filter in keeps (see
+// source.Source.Fetch); a nil keeps, or a nil entry, keeps every row.
+//
 // Each fetch holds a cross-query scheduler slot (sched, admitted by its
 // positional priority in pris against concurrent plans; nil pris means
 // priority zero) for its duration; a nil sched disables that. The scheduler
@@ -338,7 +345,7 @@ type fetcher struct {
 }
 
 // startFetch launches one worker per query and returns at once.
-func startFetch(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) *fetcher {
+func startFetch(ctx context.Context, src queryable, queries []relation.Query, keeps []func(relation.Tuple) bool, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) *fetcher {
 	ctx, cancel := context.WithCancel(ctx)
 	f := &fetcher{
 		results: make([]fetchResult, len(queries)),
@@ -357,6 +364,10 @@ func startFetch(ctx context.Context, src queryable, queries []relation.Query, pa
 		pri := 0.0
 		if i < len(pris) {
 			pri = pris[i]
+		}
+		var keep func(relation.Tuple) bool
+		if i < len(keeps) {
+			keep = keeps[i]
 		}
 		f.wg.Add(1)
 		go func() {
@@ -378,7 +389,7 @@ func startFetch(ctx context.Context, src queryable, queries []relation.Query, pa
 			case budgetOut.Load():
 				f.results[i] = fetchResult{err: errSkippedBudget}
 			default:
-				f.results[i] = fetchOneSched(source.WithAdmitSignal(ctx, open), src, q, pol, sched, pri)
+				f.results[i] = fetchOneSched(source.WithAdmitSignal(ctx, open), src, q, keep, pol, sched, pri)
 				if errors.Is(f.results[i].err, source.ErrQueryBudget) {
 					budgetOut.Store(true)
 				}
@@ -415,8 +426,8 @@ func (f *fetcher) wait() {
 
 // fetchAll issues the queries through the engine and waits on every
 // result.
-func fetchAll(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) []fetchResult {
-	f := startFetch(ctx, src, queries, parallel, pol, sched, pris)
+func fetchAll(ctx context.Context, src queryable, queries []relation.Query, keeps []func(relation.Tuple) bool, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) []fetchResult {
+	f := startFetch(ctx, src, queries, keeps, parallel, pol, sched, pris)
 	f.wait()
 	return f.results
 }

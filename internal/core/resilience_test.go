@@ -427,7 +427,7 @@ func TestFetchOneDeadline(t *testing.T) {
 		QueryDeadline: 50 * time.Millisecond,
 	}
 	start := time.Now()
-	res := fetchOne(context.Background(), src, convtQuery(), pol)
+	res := fetchOne(context.Background(), src, convtQuery(), nil, pol)
 	elapsed := time.Since(start)
 	if res.err == nil {
 		t.Fatal("expected failure under permanent faults")
@@ -448,7 +448,7 @@ func TestFetchOneAttemptTimeout(t *testing.T) {
 	pol := fastRetry(3)
 	pol.AttemptTimeout = 20 * time.Millisecond
 	start := time.Now()
-	res := fetchOne(context.Background(), src, convtQuery(), pol)
+	res := fetchOne(context.Background(), src, convtQuery(), nil, pol)
 	elapsed := time.Since(start)
 	if !errors.Is(res.err, faults.ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", res.err)
@@ -464,7 +464,7 @@ func TestFetchOneAttemptTimeout(t *testing.T) {
 	}
 }
 
-// recordingSource wraps a source and records the order QueryCtx calls
+// recordingSource wraps a source and records the order Fetch calls
 // arrive in (by the id each query selects) and the peak number in flight.
 // The wrapped source signals admission as usual; each call then holds for
 // a short sleep, so calls the engine lets overlap do overlap.
@@ -477,18 +477,18 @@ type recordingSource struct {
 	order    []int64
 }
 
-func (r *recordingSource) QueryCtx(ctx context.Context, q relation.Query) ([]relation.Tuple, error) {
+func (r *recordingSource) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
 	r.mu.Lock()
 	r.inFlight++
 	r.peak = max(r.peak, r.inFlight)
 	r.order = append(r.order, q.Preds[0].Value.IntVal())
 	r.mu.Unlock()
-	rows, err := r.src.QueryCtx(ctx, q)
+	rows, n, err := r.src.Fetch(ctx, q, keep)
 	time.Sleep(r.hold)
 	r.mu.Lock()
 	r.inFlight--
 	r.mu.Unlock()
-	return rows, err
+	return rows, n, err
 }
 
 // TestFetchEngineBound pins the engine's concurrency bound: at Parallel 0
@@ -505,7 +505,7 @@ func TestFetchEngineBound(t *testing.T) {
 		{0, 1, 1}, {1, 1, 1}, {3, 2, 3},
 	} {
 		rec := &recordingSource{src: source.New("cars", gd, source.Capabilities{}), hold: 5 * time.Millisecond}
-		results := fetchAll(context.Background(), rec, queries, tc.parallel, fastRetry(1), nil, nil)
+		results := fetchAll(context.Background(), rec, queries, nil, tc.parallel, fastRetry(1), nil, nil)
 		for i, res := range results {
 			if res.err != nil || len(res.rows) != 1 || res.rows[0][idCol].IntVal() != int64(i) {
 				t.Fatalf("parallel=%d: result %d = %d rows, err %v; want the row with id %d",

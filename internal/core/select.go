@@ -121,10 +121,11 @@ func answerKey(srcName string, q relation.Query, cfg Config) string {
 //
 // Aliasing audit: sharing tuples here is safe because no tuple in a
 // ResultSet ever aliases a relation's backing store. Every tuple enters the
-// pipeline through Source.QueryCtx, which clones at the wire boundary (its
-// scan is piped through Cloned before collection), so the cache holds — and
-// hands out — tuples owned by the mediator alone. Relation.Select's
-// aliasing contract stops at the source wall.
+// pipeline through Source.Fetch, which copies the rows its caller keeps at
+// the wire boundary, all of one call's rows into one allocation with each
+// tuple capped at its length, so the cache holds — and hands out — tuples
+// owned by the mediator alone. Relation.Select's aliasing contract stops at
+// the source wall.
 func (rs *ResultSet) clone() *ResultSet {
 	cp := *rs
 	cp.Certain = append([]Answer(nil), rs.Certain...)
@@ -162,7 +163,7 @@ func (m *Mediator) fetchBase(ctx context.Context, cfg Config, srcName string, q 
 	if a := q.Agg; a != nil && a.Attr != "" && !src.Schema().Has(a.Attr) {
 		return nil, nil, nil, fmt.Errorf("core: aggregate attribute %q not in source %q", a.Attr, srcName)
 	}
-	bres := fetchOne(ctx, src, q, cfg.Retry)
+	bres := fetchOne(ctx, src, q, nil, cfg.Retry)
 	if bres.err != nil {
 		return nil, nil, nil, fmt.Errorf("core: base query: %w", bres.err)
 	}
@@ -188,7 +189,7 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 
 	// Certain answers go out before any rewriting (NBC inference, scoring)
 	// happens: time-to-first-answer is one source round-trip.
-	rs := &ResultSet{Query: q, Source: src.Name()}
+	rs := &ResultSet{Query: q, Source: src.Name(), Certain: make([]Answer, 0, len(base))}
 	for _, t := range base {
 		rs.Certain = append(rs.Certain, Answer{
 			Tuple:      t,
@@ -207,7 +208,8 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 	// Step 2(d)+(e): retrieve the extended result set and post-filter.
 	constrained := q.ConstrainedAttrs()
 	seen := seedAnswerKeys(src.Schema(), base, constrained)
-	fetch := startFetch(ctx, src, issueQueries(src, chosen), cfg.Parallel, cfg.Retry,
+	queries, keeps := issueQueries(src, chosen)
+	fetch := startFetch(ctx, src, queries, keeps, cfg.Parallel, cfg.Retry,
 		cfg.Planner.Sched(), rewritePriorities(chosen))
 	sum := &StreamSummary{Result: rs}
 	for i := range chosen {
@@ -219,7 +221,7 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 			// would make the answer set depend on cancellation timing.
 			rq := chosen[i]
 			rq.Attempts = res.attempts
-			rq.Transferred = len(res.rows)
+			rq.Transferred = res.transferred
 			rq.Err = ErrEarlyStop
 			if res.attempts == 0 {
 				sum.SkippedRewrites++
@@ -265,31 +267,47 @@ func rewritePriorities(chosen []RewrittenQuery) []float64 {
 	return pris
 }
 
-// issueQueries materializes the wire form of the chosen rewrites. Step 2(e)
-// is conditional: when the source refuses null bindings (the web-form norm),
-// rewrites are issued as-is and the mediator filters client-side; when null
-// bindings ARE allowed, the rewrite binds TargetAttr IS NULL so only
+// issueQueries materializes the wire form of the chosen rewrites and their
+// Step 2(e) post-filters. Step 2(e) is conditional: when the source refuses
+// null bindings (the web-form norm), rewrites are issued as-is and the
+// post-filter drops the transferred tuples the mediator cannot use; when
+// null bindings ARE allowed, the rewrite binds TargetAttr IS NULL so only
 // candidate incomplete tuples are transferred — this is what lets QPIAD beat
 // AllRanked on transfer cost even on sources where AllRanked is feasible
 // (Figure 8).
-func issueQueries(src *source.Source, chosen []RewrittenQuery) []relation.Query {
+func issueQueries(src *source.Source, chosen []RewrittenQuery) ([]relation.Query, []func(relation.Tuple) bool) {
 	bindNulls := src.Capabilities().AllowNullBinding
 	issueQs := make([]relation.Query, len(chosen))
+	keeps := make([]func(relation.Tuple) bool, len(chosen))
 	for i, rq := range chosen {
 		issueQs[i] = rq.Query
 		if bindNulls {
 			issueQs[i] = issueQs[i].With(relation.IsNull(rq.TargetAttr))
 		}
+		keeps[i] = postFilter(src.Schema(), rq)
 	}
-	return issueQs
+	return issueQs, keeps
+}
+
+// postFilter is Step 2(e) for rewrite rq: keep only the tuples null on its
+// target attribute, since the others are certain answers or certain
+// non-answers. It keeps nothing when schema lacks the target. The fetch
+// hands it to the source, which copies out only the tuples it keeps; it is
+// the one place that decides which rewrite rows survive.
+func postFilter(schema *relation.Schema, rq RewrittenQuery) func(relation.Tuple) bool {
+	col, ok := schema.Index(rq.TargetAttr)
+	if !ok {
+		return func(relation.Tuple) bool { return false }
+	}
+	return func(t relation.Tuple) bool { return t[col].IsNull() }
 }
 
 // foldRewriteResult folds one issued rewrite's fetch outcome into the result
 // set — the shared assembly step of the batch and streaming executors. On
-// success the transferred rows are post-filtered (keep only target-null
-// tuples, Step 2e), deduplicated against everything already answered, and
-// appended to Possible or Unranked; the answers appended are returned so the
-// streaming executor can emit exactly them. A failed or budget-skipped
+// success the rows the source kept (the target-null tuples, Step 2e) are
+// deduplicated against everything already answered and appended to
+// Possible or Unranked; the answers appended are returned so the streaming
+// executor can emit exactly them. A failed or budget-skipped
 // rewrite degrades the result instead of failing it, and is still accounted
 // in Issued so cost analysis sees it.
 func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []string, seen *answerKeys, rq RewrittenQuery, res fetchResult) (possible, unranked []Answer) {
@@ -306,18 +324,9 @@ func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []str
 		rs.Issued = append(rs.Issued, rq)
 		return nil, nil
 	}
-	rows := res.rows
-	rq.Transferred = len(rows)
-	tcol, ok := schema.Index(rq.TargetAttr)
-	if !ok {
-		rs.Issued = append(rs.Issued, rq)
-		return nil, nil
-	}
-	for _, t := range rows {
-		// Post-filtering: keep only tuples whose target attribute is
-		// null — others are either already certain answers or certain
-		// non-answers (Step 2e).
-		if !t[tcol].IsNull() || !seen.add(t) {
+	rq.Transferred = res.transferred
+	for _, t := range res.rows {
+		if !seen.add(t) {
 			continue
 		}
 		rq.Kept++

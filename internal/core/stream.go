@@ -35,11 +35,12 @@ import (
 // context, and the summary records what was saved.
 //
 // The executor sits on the lazy relational pipeline end to end: each
-// rewrite's rows come from Source.QueryCtx, which streams Relation.Scan
-// through its result cap and clones at the yield, so early termination here
-// composes with early termination there — a cancelled or skipped rewrite
-// stops pulling, and nothing upstream materializes (see the ownership rules
-// in internal/relation/seq.go and DESIGN.md).
+// rewrite's rows come from Source.Fetch, which streams Relation.Scan
+// through its result cap and the rewrite's Step 2(e) post-filter and copies
+// out only the tuples the filter keeps, so early termination here composes
+// with early termination there — a cancelled or skipped rewrite stops
+// pulling, and nothing upstream materializes (see the ownership rules in
+// internal/relation/seq.go and DESIGN.md).
 
 // StreamEventKind enumerates the streaming executor's event types.
 type StreamEventKind uint8

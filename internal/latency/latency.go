@@ -24,6 +24,7 @@
 package latency
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -106,10 +107,7 @@ func (h *Hist) Percentile(p float64) time.Duration {
 	if p > 1 {
 		p = 1
 	}
-	target := int64(p * float64(count))
-	if target < 1 {
-		target = 1
-	}
+	target := Rank(p, count)
 	var cum int64
 	for i := 0; i < buckets; i++ {
 		cum += h.b[i].Load()
@@ -121,6 +119,15 @@ func (h *Hist) Percentile(p float64) time.Duration {
 		}
 	}
 	return time.Duration(h.sum.Load())
+}
+
+// Rank is the nearest rank of the p-th quantile among n observations:
+// ⌈p·n⌉, at least 1. A p·n within float64 rounding of an integer counts as
+// that integer, so 0.07 × 100, which is 7.000000000000001 in float64, is
+// rank 7.
+func Rank(p float64, n int64) int64 {
+	x := p * float64(n)
+	return max(int64(math.Ceil(x-x*1e-12)), 1)
 }
 
 // Summary is a serializable point-in-time digest of a histogram: the

@@ -68,6 +68,53 @@ func TestPercentileOrdering(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank pins the nearest rank ⌈p·N⌉: the observation
+// at rank p·N rounded up is reported, so a slow tail is not skipped, and an
+// integral p·N stays exact despite float64 rounding.
+func TestPercentileNearestRank(t *testing.T) {
+	type group struct {
+		n int
+		d time.Duration
+	}
+	slow := BucketBound(16) // 50ms lands in (32.768ms, 65.536ms]
+	cases := []struct {
+		name string
+		obs  []group
+		p    float64
+		want time.Duration
+	}{
+		{"one slow in ten, p95", []group{{9, 100 * time.Microsecond}, {1, 50 * time.Millisecond}}, 0.95, slow},
+		{"one slow in ten, p99", []group{{9, 100 * time.Microsecond}, {1, 50 * time.Millisecond}}, 0.99, slow},
+		{"one slow in ten, p90", []group{{9, 100 * time.Microsecond}, {1, 50 * time.Millisecond}}, 0.90, BucketBound(7)},
+		{"1µs, 1ms, 1s, p50", []group{{1, time.Microsecond}, {1, time.Millisecond}, {1, time.Second}}, 0.50, BucketBound(10)},
+		{"0.07 × 100 is rank 7", []group{{7, time.Microsecond}, {93, time.Millisecond}}, 0.07, time.Microsecond},
+		{"0.08 × 100 is rank 8", []group{{7, time.Microsecond}, {93, time.Millisecond}}, 0.08, BucketBound(10)},
+	}
+	for _, c := range cases {
+		var h Hist
+		for _, g := range c.obs {
+			for i := 0; i < g.n; i++ {
+				h.Record(g.d)
+			}
+		}
+		if got := h.Percentile(c.p); got != c.want {
+			t.Errorf("%s: Percentile(%v) = %v, want %v", c.name, c.p, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		p    float64
+		n    int64
+		want int64
+	}{
+		{0, 5, 1}, {1, 5, 5}, {0.5, 3, 2}, {0.95, 10, 10}, {0.07, 100, 7},
+		{0.29, 100, 29}, {0.57, 100, 57}, {0.99, 1000, 990}, {0.999, 1000, 999},
+	} {
+		if got := Rank(c.p, c.n); got != c.want {
+			t.Errorf("Rank(%v, %d) = %d, want %d", c.p, c.n, got, c.want)
+		}
+	}
+}
+
 func TestNegativeDurationClampsToZero(t *testing.T) {
 	var h Hist
 	h.Record(-time.Second)

@@ -263,7 +263,7 @@ func (r *Relation) Count(q Query) int {
 // over its attribute's column (see compileTest).
 //
 // Yielded tuples alias the relation's store: hold one past the yield only
-// via Tuple.Clone (or pipe through Cloned).
+// via Tuple.Clone.
 func (r *Relation) Scan(q Query) TupleSeq {
 	return func(yield func(Tuple) bool) {
 		driven := false

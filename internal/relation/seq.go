@@ -14,8 +14,7 @@ package relation
 //
 //   - A tuple yielded by a TupleSeq may alias the relation's backing store.
 //     It is valid only for the duration of the yield; a consumer that wants
-//     to hold it afterwards must take Tuple.Clone (or use Cloned, the
-//     pipeline form of that barrier).
+//     to hold it afterwards must take a copy (Tuple.Clone).
 //   - Operators that construct fresh tuples (projection, distinct-on,
 //     join concatenation) yield tuples the consumer owns outright.
 //   - Close semantics: returning false from yield (breaking out of a
@@ -90,15 +89,9 @@ func (s TupleSeq) Take(n int) TupleSeq {
 	}
 }
 
-// Cloned is the ownership barrier: every yielded tuple is a deep copy the
-// consumer owns, never aliasing the relation store.
-func (s TupleSeq) Cloned() TupleSeq {
-	return s.Map(func(t Tuple) Tuple { return t.Clone() })
-}
-
 // Collect materializes the stream. Ownership follows the stream: a
-// collected Scan aliases the store (like Select), a collected Cloned or
-// projection does not. Nil when the stream is empty, matching Select.
+// collected Scan aliases the store (like Select), a collected projection
+// does not. Nil when the stream is empty, matching Select.
 func (s TupleSeq) Collect() []Tuple {
 	var out []Tuple
 	for t := range s {

@@ -97,7 +97,9 @@ func Probe(src *source.Source, cfg Config) (*Result, error) {
 			return
 		}
 		seen[k] = true
-		out.MustInsert(t)
+		// A probe's rows share one allocation, and the sample keeps only
+		// some of them: a copy per kept tuple lets the rest be collected.
+		out.MustInsert(t.Clone())
 		if !t.IsComplete() {
 			incomplete++
 		}

@@ -217,6 +217,41 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 }
 
+// TestLatencyPercentileNearestRank pins the nearest rank ⌈p·N⌉ on the
+// histogram /metrics reads: one slow attempt in fifty is the p99, and an
+// integral p·N stays exact despite float64 rounding.
+func TestLatencyPercentileNearestRank(t *testing.T) {
+	type group struct {
+		n int
+		d time.Duration
+	}
+	slow := BucketBound(16) // 50ms lands in (32.768ms, 65.536ms]
+	cases := []struct {
+		name string
+		obs  []group
+		p    float64
+		want time.Duration
+	}{
+		{"one slow in ten, p95", []group{{9, 100 * time.Microsecond}, {1, 50 * time.Millisecond}}, 0.95, slow},
+		{"one slow in ten, p99", []group{{9, 100 * time.Microsecond}, {1, 50 * time.Millisecond}}, 0.99, slow},
+		{"one slow in fifty, p99", []group{{49, 100 * time.Microsecond}, {1, 50 * time.Millisecond}}, 0.99, slow},
+		{"one slow in fifty, p98", []group{{49, 100 * time.Microsecond}, {1, 50 * time.Millisecond}}, 0.98, BucketBound(7)},
+		{"1µs, 1ms, 1s, p50", []group{{1, time.Microsecond}, {1, time.Millisecond}, {1, time.Second}}, 0.50, BucketBound(10)},
+		{"0.07 × 100 is rank 7", []group{{7, time.Microsecond}, {93, time.Millisecond}}, 0.07, time.Microsecond},
+	}
+	for _, c := range cases {
+		var l LatencyStats
+		for _, g := range c.obs {
+			for i := 0; i < g.n; i++ {
+				l.observe(g.d)
+			}
+		}
+		if got := l.Percentile(c.p); got != c.want {
+			t.Errorf("%s: Percentile(%v) = %v, want %v", c.name, c.p, got, c.want)
+		}
+	}
+}
+
 // TestBucketBound pins the exponential bucket layout.
 func TestBucketBound(t *testing.T) {
 	if BucketBound(0) != time.Microsecond {

@@ -1,7 +1,8 @@
 // Package source simulates autonomous web databases as QPIAD sees them: a
 // relation hidden behind a form-style query interface with restricted
 // access patterns. The mediator can only interact with a Source through
-// Query, which enforces the capability profile the paper assumes:
+// Fetch (or its wrappers Query and QueryCtx), which enforces the capability
+// profile the paper assumes:
 //
 //   - only attributes exposed by the local schema (and declared bindable)
 //     can be constrained;
@@ -16,8 +17,9 @@
 //
 // Sources can additionally misbehave: attach a faults.Injector (SetFaults)
 // and accepted queries suffer deterministic, seeded transient errors,
-// timeouts, latency jitter and page truncation. QueryCtx honors context
-// deadlines and cancellation, so the mediator can bound how long it waits.
+// timeouts, latency jitter and page truncation. Fetch and QueryCtx honor
+// context deadlines and cancellation, so the mediator can bound how long it
+// waits.
 //
 // Every query, transferred tuple, failed attempt and retry is accounted,
 // which is what the efficiency evaluation (Figure 8) and the /metrics
@@ -33,6 +35,7 @@ import (
 
 	"qpiad/internal/breaker"
 	"qpiad/internal/faults"
+	"qpiad/internal/latency"
 	"qpiad/internal/relation"
 )
 
@@ -153,10 +156,7 @@ func (l LatencyStats) Percentile(p float64) time.Duration {
 	if p > 1 {
 		p = 1
 	}
-	target := int(p * float64(l.Count))
-	if target < 1 {
-		target = 1
-	}
+	target := int(latency.Rank(p, int64(l.Count)))
 	cum := 0
 	for i := 0; i < latencyBuckets; i++ {
 		cum += l.Buckets[i]
@@ -232,7 +232,7 @@ func (s *Source) Faults() *faults.Injector {
 }
 
 // SetBreaker attaches (or, with nil, detaches) a circuit breaker. Every
-// QueryCtx then passes through its admission check: open-circuit
+// Fetch then passes through its admission check: open-circuit
 // rejections return an error wrapping breaker.ErrOpen without consuming
 // budget or touching the backing relation, and every admitted attempt's
 // outcome feeds the breaker's failure window and health score. The breaker
@@ -322,7 +322,13 @@ func (s *Source) Query(q relation.Query) ([]relation.Tuple, error) {
 	return s.QueryCtx(context.Background(), q)
 }
 
-// QueryCtx runs q under the capability profile, honoring the context's
+// QueryCtx is Fetch keeping every transferred tuple.
+func (s *Source) QueryCtx(ctx context.Context, q relation.Query) ([]relation.Tuple, error) {
+	rows, _, err := s.Fetch(ctx, q, nil)
+	return rows, err
+}
+
+// Fetch runs q under the capability profile, honoring the context's
 // deadline/cancellation, the attached fault injector, and the attached
 // circuit breaker. Aggregate parts of q are ignored: autonomous web
 // sources return tuples, and the mediator aggregates. Rejected queries —
@@ -332,12 +338,18 @@ func (s *Source) Query(q relation.Query) ([]relation.Tuple, error) {
 // subsequently fail, and their outcome is reported to the breaker:
 // transient/timeout failures feed its failure window, successes feed its
 // health score, and cancellations are neutral.
-func (s *Source) QueryCtx(ctx context.Context, q relation.Query) (_ []relation.Tuple, err error) {
+//
+// keep is the caller's post-filter: it sees every transferred tuple during
+// the scan and may read it, not hold it. Only the tuples it accepts are
+// copied out, in scan order; a nil keep accepts all. The result cap and
+// the accounting count transferred tuples, kept or not, and transferred
+// reports that count.
+func (s *Source) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) (_ []relation.Tuple, transferred int, err error) {
 	if err := s.validate(q); err != nil {
 		s.mu.Lock()
 		s.stats.Rejected++
 		s.mu.Unlock()
-		return nil, err
+		return nil, 0, err
 	}
 	attempt := faults.Attempt(ctx)
 	s.mu.Lock()
@@ -350,7 +362,7 @@ func (s *Source) QueryCtx(ctx context.Context, q relation.Query) (_ []relation.T
 			s.mu.Lock()
 			s.stats.BreakerRejected++
 			s.mu.Unlock()
-			return nil, fmt.Errorf("source %s: %w", s.name, aerr)
+			return nil, 0, fmt.Errorf("source %s: %w", s.name, aerr)
 		}
 		call = c
 	}
@@ -361,7 +373,7 @@ func (s *Source) QueryCtx(ctx context.Context, q relation.Query) (_ []relation.T
 		// A budget refusal says nothing about source health: release the
 		// admitted call without feeding the failure window.
 		call.Observe(0, breaker.ClassNeutral)
-		return nil, fmt.Errorf("%w: source %s (budget %d)", ErrQueryBudget, s.name, s.caps.MaxQueries)
+		return nil, 0, fmt.Errorf("%w: source %s (budget %d)", ErrQueryBudget, s.name, s.caps.MaxQueries)
 	}
 	s.stats.Queries++
 	if faults.IsHedge(ctx) {
@@ -387,7 +399,7 @@ func (s *Source) QueryCtx(ctx context.Context, q relation.Query) (_ []relation.T
 			<-ctx.Done()
 		}
 		s.recordFailure(start)
-		return nil, fault.Err
+		return nil, 0, fault.Err
 	}
 
 	if delay := s.caps.Latency + fault.Latency; delay > 0 {
@@ -397,24 +409,26 @@ func (s *Source) QueryCtx(ctx context.Context, q relation.Query) (_ []relation.T
 		case <-ctx.Done():
 			t.Stop()
 			s.recordFailure(start)
-			return nil, fmt.Errorf("source %s: %w", s.name, ctx.Err())
+			return nil, 0, fmt.Errorf("source %s: %w", s.name, ctx.Err())
 		}
 	}
 	if fault.Err != nil {
 		s.recordFailure(start)
-		return nil, fault.Err
+		return nil, 0, fault.Err
 	}
 	if err := ctx.Err(); err != nil {
 		s.recordFailure(start)
-		return nil, fmt.Errorf("source %s: %w", s.name, err)
+		return nil, 0, fmt.Errorf("source %s: %w", s.name, err)
 	}
 
 	// Stream the scan instead of materializing Select's full result: the
 	// result cap (capability MaxResults and/or an injected page truncation)
 	// is pushed into the pipeline, so a truncated page over a huge relation
-	// stops scanning — and stops paying Clone — at the cap. Cloning at the
-	// yield is the wire boundary: returned tuples never alias the backing
-	// relation's store.
+	// stops scanning at the cap. keep runs inside the scan, and the tuples
+	// it accepts are collected as they are, still aliasing the store. Reads
+	// never race a mutation (see relation.Relation), so they stay valid
+	// until the copy below, which is the wire boundary: every returned
+	// tuple is a copy the caller owns, never aliasing the backing store.
 	limit := 0 // 0 = unlimited
 	if s.caps.MaxResults > 0 {
 		limit = s.caps.MaxResults
@@ -426,13 +440,25 @@ func (s *Source) QueryCtx(ctx context.Context, q relation.Query) (_ []relation.T
 	if limit > 0 {
 		scan = scan.Take(limit)
 	}
-	out := scan.Cloned().Collect()
+	out := scan.Filter(func(t relation.Tuple) bool {
+		transferred++
+		return keep == nil || keep(t)
+	}).Collect()
+	// One allocation holds every kept tuple. Each is capped at its length,
+	// so an append to one reallocates instead of writing into the next.
+	a := s.rel.Schema.Len()
+	slab := make([]relation.Value, len(out)*a)
+	for i, t := range out {
+		row := slab[i*a : (i+1)*a : (i+1)*a]
+		copy(row, t)
+		out[i] = row
+	}
 	elapsed := time.Since(start)
 	s.mu.Lock()
-	s.stats.TuplesReturned += len(out)
+	s.stats.TuplesReturned += transferred
 	s.latency.observe(elapsed)
 	s.mu.Unlock()
-	return out, nil
+	return out, transferred, nil
 }
 
 // classify maps an attempt outcome to what it teaches the breaker:

@@ -1,10 +1,13 @@
 package source
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
+	"qpiad/internal/faults"
 	"qpiad/internal/relation"
 )
 
@@ -54,6 +57,96 @@ func TestQueryReturnsCopies(t *testing.T) {
 	rows[0][0] = relation.String("Hacked")
 	if rel.Tuple(0)[0].Str() != "Audi" {
 		t.Error("Query must return copies, not aliases")
+	}
+
+	// The rows of one call share one allocation, each capped at its
+	// length: an append to one reallocates instead of writing into the
+	// next row.
+	pristine := rel.Clone()
+	rows, err = src.Query(relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))))
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("BMW rows = %d, err %v; want 2", len(rows), err)
+	}
+	for i, r := range rows {
+		if cap(r) != len(r) {
+			t.Errorf("row %d: cap %d, len %d; want cap == len", i, cap(r), len(r))
+		}
+	}
+	second := rows[1].Clone()
+	_ = append(rows[0], relation.String("appended"))
+	if !reflect.DeepEqual(rows[1], second) {
+		t.Errorf("appending to row 0 changed row 1: %v, want %v", rows[1], second)
+	}
+	for i := 0; i < rel.Len(); i++ {
+		if !reflect.DeepEqual(rel.Tuple(i), pristine.Tuple(i)) {
+			t.Errorf("appending to a returned row changed store tuple %d", i)
+		}
+	}
+}
+
+// nullStyle keeps the cars whose body style is missing.
+func nullStyle(t relation.Tuple) bool { return t[3].IsNull() }
+
+// TestFetchKeepNothing pins that a keep rejecting every tuple copies
+// nothing, while the source still transfers and accounts every match.
+func TestFetchKeepNothing(t *testing.T) {
+	src := New("cars", carRel(), Capabilities{})
+	q := relation.NewQuery("cars", relation.Eq("make", relation.String("BMW")))
+	rows, n, err := src.Fetch(context.Background(), q, func(relation.Tuple) bool { return false })
+	if err != nil || len(rows) != 0 || n != 2 {
+		t.Fatalf("Fetch = %d rows, %d transferred, err %v; want 0 rows of 2 transferred", len(rows), n, err)
+	}
+	if st := src.Stats(); st.Queries != 1 || st.TuplesReturned != 2 {
+		t.Errorf("stats = %+v, want 1 query and 2 tuples returned", st)
+	}
+}
+
+// TestFetchKeepsScanOrder pins that the rows are exactly the transferred
+// tuples keep accepts, as copies, in Scan order.
+func TestFetchKeepsScanOrder(t *testing.T) {
+	rel := carRel()
+	src := New("cars", rel, Capabilities{})
+	q := relation.NewQuery("cars")
+	rows, n, err := src.Fetch(context.Background(), q, nullStyle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []relation.Tuple
+	for tu := range rel.Scan(q) {
+		if nullStyle(tu) {
+			want = append(want, tu.Clone())
+		}
+	}
+	if n != rel.Len() || len(want) != 2 || !reflect.DeepEqual(rows, want) {
+		t.Errorf("Fetch = %v, %d transferred; want %v, %d transferred", rows, n, want, rel.Len())
+	}
+	if st := src.Stats(); st.TuplesReturned != rel.Len() {
+		t.Errorf("TuplesReturned = %d, want %d", st.TuplesReturned, rel.Len())
+	}
+}
+
+// TestFetchCapCountsTransferred pins that the result cap, from MaxResults
+// or an injected page truncation, counts the tuples the source transfers,
+// not the ones keep accepts. The first BMW is a Convt: a cap of one stops
+// the scan there, where a cap on kept tuples would go on to the second
+// BMW, whose body style is missing.
+func TestFetchCapCountsTransferred(t *testing.T) {
+	q := relation.NewQuery("cars", relation.Eq("make", relation.String("BMW")))
+	capped := New("cars", carRel(), Capabilities{MaxResults: 1})
+	truncated := New("cars", carRel(), Capabilities{})
+	truncated.SetFaults(faults.New(faults.Profile{Seed: 1, TruncateRate: 1, TruncateTo: 1}))
+	for _, c := range []struct {
+		name string
+		src  *Source
+	}{{"MaxResults", capped}, {"TruncateTo", truncated}} {
+		rows, n, err := c.src.Fetch(context.Background(), q, nullStyle)
+		if err != nil || len(rows) != 0 || n != 1 {
+			t.Errorf("%s: Fetch = %d rows, %d transferred, err %v; want 0 rows of 1 transferred",
+				c.name, len(rows), n, err)
+		}
+		if st := c.src.Stats(); st.TuplesReturned != 1 {
+			t.Errorf("%s: TuplesReturned = %d, want 1", c.name, st.TuplesReturned)
+		}
 	}
 }
 
