@@ -81,9 +81,14 @@ bench:
 # baseline (name -> ns/op, B/op, allocs/op, plus custom */op metrics such as
 # queries/op and ttfa-ns/op) for diffing across PRs. BENCH_FLAGS lets CI run
 # a one-iteration smoke (-benchtime=1x) without changing the target.
-BENCH_JSON ?= BENCH_PR6.json
+#
+# Every bench-* target writes under the gitignored .bench_build/ by default,
+# so a plain run never overwrites a committed BENCH_PR*.json baseline.
+# Refresh one by naming it: `make bench-json BENCH_JSON=BENCH_PR6.json`.
+BENCH_JSON ?= .bench_build/bench.json
 BENCH_FLAGS ?=
 bench-json:
+	mkdir -p $(dir $(BENCH_JSON))
 	$(GO) test -run '^$$' \
 		-bench 'BenchmarkMineKnowledge|BenchmarkWarmQuery|BenchmarkRewriteGeneration|BenchmarkQuerySelectEndToEnd|BenchmarkTANEMining|BenchmarkNBCPrediction|BenchmarkStreamVsBatch|BenchmarkBreakerFlap|BenchmarkLazyVsMaterializedAggregate' \
 		-benchmem $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_JSON)
@@ -92,8 +97,10 @@ bench-json:
 # chain, planner-on must strictly reduce source queries/op and tuples/op vs
 # caller order (the benchmark itself b.Fatals otherwise, and first proves
 # planner-on/off answer-set equivalence). Writes the JSON baseline.
-BENCH_PLANNER_JSON ?= BENCH_PR7.json
+# Committed baseline: BENCH_PR7.json.
+BENCH_PLANNER_JSON ?= .bench_build/bench-planner.json
 bench-planner:
+	mkdir -p $(dir $(BENCH_PLANNER_JSON))
 	$(GO) test -run '^$$' -bench 'BenchmarkPlannerVsCallerOrder' \
 		-benchmem $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_PLANNER_JSON)
 
@@ -103,8 +110,10 @@ bench-planner:
 # admission-on holds p99 strictly below admission-off with goodput within
 # 10%. Each cell is one fixed-duration run, so -benchtime=1x is baked in;
 # QPIAD_LOADBENCH_WORKERS / QPIAD_LOADBENCH_STEP_MS shrink it for CI smoke.
-BENCH_LOAD_JSON ?= BENCH_PR8.json
+# Committed baseline: BENCH_PR8.json.
+BENCH_LOAD_JSON ?= .bench_build/bench-load.json
 bench-load:
+	mkdir -p $(dir $(BENCH_LOAD_JSON))
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadSLO' \
 		-benchtime=1x $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_LOAD_JSON)
 
@@ -116,8 +125,10 @@ bench-load:
 # must be zero — and availability stays at or above the floor (default 99%).
 # One run is one measurement, so -benchtime=1x is baked in; QPIAD_CHAOS_MS /
 # QPIAD_CHAOS_MIN_AVAIL shrink the window and floor for CI smoke.
-BENCH_CHAOS_JSON ?= BENCH_PR10.json
+# Committed baseline: BENCH_PR10.json.
+BENCH_CHAOS_JSON ?= .bench_build/bench-chaos.json
 bench-chaos:
+	mkdir -p $(dir $(BENCH_CHAOS_JSON))
 	$(GO) test -run '^$$' -bench 'BenchmarkChaosAvailability' \
 		-benchtime=1x $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_CHAOS_JSON)
 

@@ -83,7 +83,6 @@ func main() {
 		attemptTO   = flag.Duration("attempt-timeout", 0, "per-attempt deadline (0 = none)")
 
 		useBreaker = flag.Bool("breaker", false, "attach per-source circuit breakers (open circuits skip planned rewrites)")
-		hedge      = flag.Bool("hedge", false, "hedge slow source queries once the attempt outlives the observed p95 (needs -breaker)")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "answer-cache freshness bound (0 = never expires)")
 		staleTTL   = flag.Duration("stale-ttl", 0, "serve cached answers up to this old, flagged stale, when the circuit is open (0 = off)")
 
@@ -108,9 +107,6 @@ func main() {
 	}
 	if *useBreaker {
 		ccfg.Breaker = &breaker.Config{}
-	}
-	if *hedge {
-		ccfg.Retry.Hedge = core.HedgePolicy{Enabled: true}
 	}
 	if *noCache {
 		ccfg.NoCache = true

@@ -68,7 +68,6 @@ func main() {
 		attemptTO   = flag.Duration("attempt-timeout", 0, "per-attempt deadline (0 = none)")
 
 		useBreaker = flag.Bool("breaker", false, "attach per-source circuit breakers (open circuits skip planned rewrites)")
-		hedge      = flag.Bool("hedge", false, "hedge slow source queries once the attempt outlives the observed p95 (needs -breaker)")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "answer-cache freshness bound (0 = never expires)")
 		staleTTL   = flag.Duration("stale-ttl", 0, "serve cached answers up to this old, flagged stale, when the circuit is open (0 = off)")
 	)
@@ -93,9 +92,6 @@ func main() {
 	}
 	if *useBreaker {
 		res.breaker = &qpiad.BreakerConfig{}
-	}
-	if *hedge {
-		res.retry.Hedge = qpiad.HedgePolicy{Enabled: true}
 	}
 
 	if *stream {
@@ -431,15 +427,13 @@ func printMetrics(sys *qpiad.System, name string) {
 		return
 	}
 	fmt.Printf("\nsource metrics (%s):\n", name)
-	fmt.Printf("  queries=%d retries=%d hedged=%d errors=%d rejected=%d breaker-rejected=%d tuples=%d\n",
-		mt.Queries, mt.Retries, mt.Hedged, mt.Errors, mt.Rejected, mt.BreakerRejected, mt.TuplesReturned)
+	fmt.Printf("  queries=%d retries=%d errors=%d rejected=%d breaker-rejected=%d tuples=%d\n",
+		mt.Queries, mt.Retries, mt.Errors, mt.Rejected, mt.BreakerRejected, mt.TuplesReturned)
 	fmt.Printf("  latency: n=%d p50<=%v p90<=%v p99<=%v\n",
 		mt.Latency.Count, mt.Latency.Percentile(0.50), mt.Latency.Percentile(0.90), mt.Latency.Percentile(0.99))
 	if bs, ok := sys.BreakerSnapshot(name); ok {
 		fmt.Printf("  breaker: state=%s health=%.3f window-fail=%.2f trips=%d rejections=%d probes=%d\n",
 			bs.State, bs.Health, bs.WindowFailRate, bs.Trips, bs.Rejections, bs.Probes)
-		fmt.Printf("  hedging: launched=%d wins=%d losses=%d (p95<=%v)\n",
-			bs.HedgesLaunched, bs.HedgeWins, bs.HedgeLosses, bs.P95)
 	}
 	if fs, ok := sys.FaultStats(name); ok {
 		fmt.Printf("  faults dealt: %d transient (%d flap), %d timeout, %d truncation (%d decisions)\n",

@@ -4,8 +4,8 @@
 // Every context.WithCancel/WithTimeout/WithDeadline (and their *Cause
 // variants) allocates a timer or a registration in the parent context that
 // is only released when the returned cancel function runs. A cancel func
-// that is skipped on one branch — an early return in a retry loop, an
-// error path in a hedged request, the non-stream arm of a handler — pins
+// that is skipped on one branch — an early return in a retry loop, the
+// error path of a per-attempt deadline, the non-stream arm of a handler — pins
 // that memory until the parent context itself ends, which for a server is
 // "never". This is exactly the leak class the resilience stack
 // (internal/core/resilience.go, internal/core/stream.go) is most exposed

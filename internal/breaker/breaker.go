@@ -12,12 +12,7 @@
 //     queries test the source; success closes the circuit, failure reopens
 //     it);
 //   - an EWMA health score over latency and error observations, fed by
-//     every accepted attempt's outcome — the signal behind GET /healthz;
-//   - hedged-request support: the observed p95 service time (an
-//     exponential-bucket histogram over successful and failed attempts)
-//     tells the mediator when an in-flight call is slow enough to be worth
-//     racing against a second attempt, and the breaker accounts hedge
-//     wins/losses so source-load numbers stay honest.
+//     every accepted attempt's outcome — the signal behind GET /healthz.
 //
 // Determinism contract: the breaker never reads the wall clock itself —
 // every time-dependent decision (Open → HalfOpen aging) goes through the
@@ -82,9 +77,8 @@ const (
 	// health.
 	ClassFailure
 	// ClassNeutral is an outcome that says nothing about the source:
-	// caller cancellation (including a hedge loser) or a budget refusal
-	// discovered after admission. It releases a probe slot but feeds
-	// neither the window nor the EWMAs.
+	// caller cancellation or a budget refusal discovered after admission.
+	// It releases a probe slot but feeds neither the window nor the EWMAs.
 	ClassNeutral
 )
 
@@ -152,68 +146,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// latencyBuckets mirrors the source histogram's resolution: bucket i holds
-// observations <= 1µs << i, the last bucket is the overflow.
-const latencyBuckets = 24
-
-// histogram is a fixed-bucket exponential latency histogram. It is
-// breaker-local (the breaker cannot import internal/source, which imports
-// it back) and intentionally tiny: count + buckets, enough for p95.
-type histogram struct {
-	count   int
-	sum     time.Duration
-	buckets [latencyBuckets]int
-}
-
-// bucketBound is the inclusive upper bound of bucket i.
-func bucketBound(i int) time.Duration {
-	if i >= latencyBuckets-1 {
-		return time.Duration(1<<63 - 1)
-	}
-	return time.Microsecond << i
-}
-
-func (h *histogram) observe(d time.Duration) {
-	h.count++
-	h.sum += d
-	for i := 0; i < latencyBuckets; i++ {
-		if d <= bucketBound(i) {
-			h.buckets[i]++
-			return
-		}
-	}
-}
-
-// percentile returns the upper bound of the bucket holding the p-th
-// quantile, 0 when nothing was observed (over-estimate by at most one
-// bucket width).
-func (h *histogram) percentile(p float64) time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := int(p * float64(h.count))
-	if target < 1 {
-		target = 1
-	}
-	cum := 0
-	for i := 0; i < latencyBuckets; i++ {
-		cum += h.buckets[i]
-		if cum >= target {
-			if i == latencyBuckets-1 {
-				return h.sum
-			}
-			return bucketBound(i)
-		}
-	}
-	return h.sum
-}
-
 // Breaker is one source's admission controller. Safe for concurrent use.
 type Breaker struct {
 	name string
@@ -243,19 +175,15 @@ type Breaker struct {
 	ewmaFail float64
 	fastLat  float64 // nanoseconds
 	slowLat  float64 // nanoseconds
-	hist     histogram
 
 	// Counters (snapshot via Snapshot).
-	trips          uint64
-	rejections     uint64
-	probes         uint64
-	probeFailures  uint64
-	successes      uint64
-	failures       uint64
-	neutrals       uint64
-	hedgesLaunched uint64
-	hedgeWins      uint64
-	hedgeLosses    uint64
+	trips         uint64
+	rejections    uint64
+	probes        uint64
+	probeFailures uint64
+	successes     uint64
+	failures      uint64
+	neutrals      uint64
 }
 
 // New builds a breaker for the named source.
@@ -412,9 +340,8 @@ func (b *Breaker) resetWindowLocked() {
 	b.wnext, b.wlen, b.wfails, b.consec = 0, 0, 0, 0
 }
 
-// observeHealthLocked feeds the EWMAs and the latency histogram.
+// observeHealthLocked feeds the EWMAs.
 func (b *Breaker) observeHealthLocked(latency time.Duration, fail bool) {
-	b.hist.observe(latency)
 	v := 0.0
 	if fail {
 		v = 1.0
@@ -466,43 +393,6 @@ func (b *Breaker) Health() float64 {
 	return b.healthLocked()
 }
 
-// HedgeDelay returns the delay after which an in-flight call is slow
-// enough to hedge: the observed p95 service time, clamped to [min, max]
-// (bounds <= 0 are ignored). It returns 0 — "do not hedge" — until
-// MinSamples outcomes have been observed, so cold sources are never hedged
-// on noise.
-func (b *Breaker) HedgeDelay(min, max time.Duration) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.hist.count < b.cfg.MinSamples {
-		return 0
-	}
-	d := b.hist.percentile(0.95)
-	if d <= 0 {
-		return 0
-	}
-	if min > 0 && d < min {
-		d = min
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
-}
-
-// RecordHedge accounts one launched hedge attempt: win reports whether the
-// hedge (second) attempt supplied the winning result.
-func (b *Breaker) RecordHedge(win bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.hedgesLaunched++
-	if win {
-		b.hedgeWins++
-	} else {
-		b.hedgeLosses++
-	}
-}
-
 // Snapshot is a point-in-time copy of the breaker's state and accounting —
 // what /healthz, /metrics and -stats read.
 type Snapshot struct {
@@ -528,15 +418,8 @@ type Snapshot struct {
 	Successes uint64
 	Failures  uint64
 	Neutrals  uint64
-	// HedgesLaunched / HedgeWins / HedgeLosses account hedged requests:
-	// wins are hedges whose second attempt supplied the result.
-	HedgesLaunched uint64
-	HedgeWins      uint64
-	HedgeLosses    uint64
 	// EWMALatency is the recent (fast-horizon) EWMA service time.
 	EWMALatency time.Duration
-	// P95 is the observed p95 service time (0 until MinSamples outcomes).
-	P95 time.Duration
 }
 
 // Snapshot returns the current state and accounting.
@@ -554,16 +437,10 @@ func (b *Breaker) Snapshot() Snapshot {
 		Successes:           b.successes,
 		Failures:            b.failures,
 		Neutrals:            b.neutrals,
-		HedgesLaunched:      b.hedgesLaunched,
-		HedgeWins:           b.hedgeWins,
-		HedgeLosses:         b.hedgeLosses,
 		EWMALatency:         time.Duration(b.fastLat),
 	}
 	if b.wlen > 0 {
 		s.WindowFailRate = float64(b.wfails) / float64(b.wlen)
-	}
-	if b.hist.count >= b.cfg.MinSamples {
-		s.P95 = b.hist.percentile(0.95)
 	}
 	return s
 }

@@ -267,41 +267,6 @@ func TestHealthPenalizesLatencyRegression(t *testing.T) {
 	}
 }
 
-func TestHedgeDelay(t *testing.T) {
-	clk := newManualClock()
-	b := New("s", testConfig(clk)) // MinSamples = 4
-	if d := b.HedgeDelay(0, 0); d != 0 {
-		t.Fatalf("cold HedgeDelay = %v, want 0", d)
-	}
-	for i := 0; i < 10; i++ {
-		settle(t, b, 3*time.Millisecond, ClassSuccess)
-	}
-	d := b.HedgeDelay(0, 0)
-	// p95 of uniform ~3ms observations lands in the bucket bounded above
-	// 3ms; the histogram over-estimates by at most one bucket width.
-	if d < 3*time.Millisecond || d > 8*time.Millisecond {
-		t.Fatalf("HedgeDelay = %v, want within (3ms, 8ms]", d)
-	}
-	if got := b.HedgeDelay(10*time.Millisecond, 0); got != 10*time.Millisecond {
-		t.Fatalf("HedgeDelay with min clamp = %v, want 10ms", got)
-	}
-	if got := b.HedgeDelay(0, time.Millisecond); got != time.Millisecond {
-		t.Fatalf("HedgeDelay with max clamp = %v, want 1ms", got)
-	}
-}
-
-func TestRecordHedge(t *testing.T) {
-	clk := newManualClock()
-	b := New("s", testConfig(clk))
-	b.RecordHedge(true)
-	b.RecordHedge(false)
-	b.RecordHedge(false)
-	snap := b.Snapshot()
-	if snap.HedgesLaunched != 3 || snap.HedgeWins != 1 || snap.HedgeLosses != 2 {
-		t.Fatalf("snapshot = %+v, want 3 launched / 1 win / 2 losses", snap)
-	}
-}
-
 func TestStateString(t *testing.T) {
 	cases := map[State]string{
 		StateClosed:   "closed",
@@ -347,7 +312,6 @@ func TestConcurrentUse(t *testing.T) {
 				c.Observe(time.Duration(i%5)*time.Millisecond, class)
 				_ = b.Health()
 				_ = b.Snapshot()
-				b.RecordHedge(i%2 == 0)
 			}
 		}(g)
 	}

@@ -9,8 +9,8 @@
 //  1. Degradation soundness: every answer served under chaos either exists
 //     in a fault-free oracle run or arrives flagged Degraded/Stale.
 //  2. Metric conservation: admitted = Σ endpoint completions, the shed
-//     breakdown sums, gauges return to zero, hedge and loadgen identities
-//     balance.
+//     breakdown sums, gauges return to zero, the loadgen identity
+//     balances.
 //  3. No goroutine leaks: a leakcheck snapshot/diff brackets the run.
 //  4. Recovery: once the scenario ends, probe success rate and tail
 //     latency return to the pre-fault baseline within the recovery window.
@@ -444,14 +444,6 @@ func sleepUntil(ctx context.Context, t time.Time) bool {
 // metricsSnapshot is the slice of GET /metrics the conservation oracle
 // reads (field names mirror httpapi's wire format).
 type metricsSnapshot struct {
-	Sources []struct {
-		Source  string `json:"source"`
-		Breaker *struct {
-			HedgesLaunched uint64 `json:"hedges_launched"`
-			HedgeWins      uint64 `json:"hedge_wins"`
-			HedgeLosses    uint64 `json:"hedge_losses"`
-		} `json:"breaker"`
-	} `json:"sources"`
 	HTTP struct {
 		Admission *struct {
 			InFlight      int64 `json:"inflight"`
@@ -541,12 +533,6 @@ func checkConservation(ctx context.Context, client *http.Client, baseURL string,
 		}
 		if sum := adm.ShedQueueFull + adm.ShedTimeout + adm.ShedDeadline; adm.Shed != sum {
 			out = append(out, fmt.Sprintf("shed %d != reason sum %d", adm.Shed, sum))
-		}
-	}
-	for _, src := range m.Sources {
-		if b := src.Breaker; b != nil && b.HedgesLaunched != b.HedgeWins+b.HedgeLosses {
-			out = append(out, fmt.Sprintf("source %s: hedges launched %d != wins %d + losses %d",
-				src.Source, b.HedgesLaunched, b.HedgeWins, b.HedgeLosses))
 		}
 	}
 	switch {

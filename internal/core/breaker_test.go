@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,192 +272,6 @@ func TestStreamStaleFallback(t *testing.T) {
 	if !reflect.DeepEqual(answers, want) {
 		t.Errorf("stale replay answers differ from cached entry: %d vs %d", len(answers), len(want))
 	}
-}
-
-// hedgeFake is a breaker-carrying queryable whose primary leg blocks until
-// cancelled and whose hedge leg returns immediately — the slow-primary
-// scenario hedging exists for.
-type hedgeFake struct {
-	br               *breaker.Breaker
-	rows             []relation.Tuple
-	primaryStarted   atomic.Int32
-	primaryCancelled atomic.Int32
-	hedgeServed      atomic.Int32
-}
-
-func (h *hedgeFake) Breaker() *breaker.Breaker { return h.br }
-
-func (h *hedgeFake) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
-	if faults.IsHedge(ctx) {
-		h.hedgeServed.Add(1)
-		return keptRows(h.rows, keep), len(h.rows), nil
-	}
-	h.primaryStarted.Add(1)
-	<-ctx.Done()
-	h.primaryCancelled.Add(1)
-	return nil, 0, ctx.Err()
-}
-
-// keptRows is what a fake source returns for rows under keep: the rows
-// keep accepts, all of them when keep is nil.
-func keptRows(rows []relation.Tuple, keep func(relation.Tuple) bool) []relation.Tuple {
-	if keep == nil {
-		return rows
-	}
-	var out []relation.Tuple
-	for _, t := range rows {
-		if keep(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// hedgeBreaker returns a breaker warmed past MinSamples so HedgeDelay
-// publishes a small p95.
-func hedgeBreaker(t *testing.T) *breaker.Breaker {
-	t.Helper()
-	br := breaker.New("fake", breaker.Config{MinSamples: 2})
-	for i := 0; i < 2; i++ {
-		c, err := br.Allow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Observe(time.Millisecond, breaker.ClassSuccess)
-	}
-	if br.HedgeDelay(0, 0) <= 0 {
-		t.Fatal("warmed breaker must publish a hedge delay")
-	}
-	return br
-}
-
-// TestHedgeWinsAgainstSlowPrimary verifies the hedge race: the hedge leg
-// wins, the primary is cancelled promptly and drained before fetchOne
-// returns, and the breaker accounts exactly one launched hedge and one win.
-func TestHedgeWinsAgainstSlowPrimary(t *testing.T) {
-	fake := &hedgeFake{br: hedgeBreaker(t), rows: []relation.Tuple{{relation.String("x")}}}
-	pol := fastRetry(1)
-	pol.Hedge = HedgePolicy{Enabled: true, MaxDelay: 5 * time.Millisecond}
-
-	res := fetchOne(context.Background(), fake, convtQuery(), nil, pol)
-	if res.err != nil {
-		t.Fatalf("hedged fetch failed: %v", res.err)
-	}
-	if len(res.rows) != 1 {
-		t.Fatalf("rows = %d, want the hedge leg's result", len(res.rows))
-	}
-	// The loser was drained before return: its cancellation is already
-	// observable, with no sleep or polling.
-	if fake.primaryStarted.Load() != 1 || fake.primaryCancelled.Load() != 1 {
-		t.Errorf("primary started/cancelled = %d/%d, want 1/1 (loser cancelled and drained)",
-			fake.primaryStarted.Load(), fake.primaryCancelled.Load())
-	}
-	if fake.hedgeServed.Load() != 1 {
-		t.Errorf("hedge legs served = %d, want 1", fake.hedgeServed.Load())
-	}
-	snap := fake.br.Snapshot()
-	if snap.HedgesLaunched != 1 || snap.HedgeWins != 1 || snap.HedgeLosses != 0 {
-		t.Errorf("hedge accounting = launched %d wins %d losses %d, want 1/1/0",
-			snap.HedgesLaunched, snap.HedgeWins, snap.HedgeLosses)
-	}
-}
-
-// slowHedgeFake's primary answers after a short delay; its hedge leg fails
-// immediately — the primary must win and the hedge count as a loss.
-type slowHedgeFake struct {
-	br   *breaker.Breaker
-	rows []relation.Tuple
-}
-
-func (h *slowHedgeFake) Breaker() *breaker.Breaker { return h.br }
-
-func (h *slowHedgeFake) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
-	if faults.IsHedge(ctx) {
-		return nil, 0, faults.ErrTransient
-	}
-	t := time.NewTimer(20 * time.Millisecond)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return keptRows(h.rows, keep), len(h.rows), nil
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
-	}
-}
-
-// TestHedgeLossAccounting verifies a failed hedge leg does not fail the
-// query: the primary's result wins and the hedge is recorded as a loss.
-func TestHedgeLossAccounting(t *testing.T) {
-	fake := &slowHedgeFake{br: hedgeBreaker(t), rows: []relation.Tuple{{relation.String("x")}}}
-	pol := fastRetry(1)
-	pol.Hedge = HedgePolicy{Enabled: true, MaxDelay: 2 * time.Millisecond}
-
-	res := fetchOne(context.Background(), fake, convtQuery(), nil, pol)
-	if res.err != nil || len(res.rows) != 1 {
-		t.Fatalf("primary should win: rows=%d err=%v", len(res.rows), res.err)
-	}
-	snap := fake.br.Snapshot()
-	if snap.HedgesLaunched != 1 || snap.HedgeWins != 0 || snap.HedgeLosses != 1 {
-		t.Errorf("hedge accounting = launched %d wins %d losses %d, want 1/0/1",
-			snap.HedgesLaunched, snap.HedgeWins, snap.HedgeLosses)
-	}
-}
-
-// TestHedgeLegsShareKeep verifies the hedge leg fetches under the
-// attempt's post-filter: the winner's kept rows come back with its count
-// of transferred tuples.
-func TestHedgeLegsShareKeep(t *testing.T) {
-	fake := &hedgeFake{br: hedgeBreaker(t), rows: []relation.Tuple{{relation.String("x")}, {relation.Null()}}}
-	pol := fastRetry(1)
-	pol.Hedge = HedgePolicy{Enabled: true, MaxDelay: 5 * time.Millisecond}
-	keep := func(tu relation.Tuple) bool { return tu[0].IsNull() }
-
-	res := fetchOne(context.Background(), fake, convtQuery(), keep, pol)
-	if res.err != nil || len(res.rows) != 1 || !res.rows[0][0].IsNull() || res.transferred != 2 {
-		t.Fatalf("hedged fetch = %v rows, %d transferred, err %v; want the null row of 2 transferred",
-			res.rows, res.transferred, res.err)
-	}
-	if fake.hedgeServed.Load() != 1 {
-		t.Errorf("hedge legs served = %d, want 1", fake.hedgeServed.Load())
-	}
-}
-
-// TestHedgeDisabledOrCold verifies hedging is inert without a breaker, with
-// a cold breaker, or when disabled — exactly one source call either way.
-func TestHedgeDisabledOrCold(t *testing.T) {
-	var calls atomic.Int32
-	plain := queryableFunc(func(ctx context.Context, q relation.Query) ([]relation.Tuple, error) {
-		calls.Add(1)
-		return nil, nil
-	})
-	pol := fastRetry(1)
-	pol.Hedge = HedgePolicy{Enabled: true}
-	// No Breaker() method at all: never hedged.
-	if res := fetchOne(context.Background(), plain, convtQuery(), nil, pol); res.err != nil {
-		t.Fatal(res.err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("calls = %d, want 1 (no breaker, no hedge)", calls.Load())
-	}
-	// Cold breaker (no p95 yet): never hedged.
-	cold := &hedgeFake{br: breaker.New("cold", breaker.Config{MinSamples: 100})}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	res := fetchOne(ctx, cold, convtQuery(), nil, pol)
-	if !errors.Is(res.err, context.DeadlineExceeded) {
-		t.Fatalf("cold-breaker primary should run unhedged to deadline: %v", res.err)
-	}
-	if cold.hedgeServed.Load() != 0 {
-		t.Error("cold breaker must not hedge")
-	}
-}
-
-// queryableFunc adapts a function to the queryable interface.
-type queryableFunc func(context.Context, relation.Query) ([]relation.Tuple, error)
-
-func (f queryableFunc) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
-	rows, err := f(ctx, q)
-	return keptRows(rows, keep), len(rows), err
 }
 
 // TestPermanentErrorsNeverRetried is the classification audit: capability

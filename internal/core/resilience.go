@@ -40,24 +40,6 @@ type RetryPolicy struct {
 	// JitterSeed seeds the backoff jitter, keyed per query, so sleep
 	// schedules are reproducible run to run.
 	JitterSeed int64
-	// Hedge arms hedged requests on sources guarded by a circuit breaker.
-	Hedge HedgePolicy
-}
-
-// HedgePolicy tunes hedged requests: when an attempt against a
-// breaker-guarded source is still in flight past the source's observed p95
-// service time, a second attempt is raced against it and the first success
-// wins; the loser is cancelled through its context. The hedge leg is
-// tagged (faults.WithHedge) so the source accounts it under Stats.Hedged,
-// and the breaker records wins/losses — source-load numbers stay honest.
-type HedgePolicy struct {
-	// Enabled arms hedging. Sources without a breaker (no p95 signal) are
-	// never hedged.
-	Enabled bool
-	// MinDelay / MaxDelay clamp the p95-derived hedge delay; <= 0 leaves
-	// the corresponding bound unset.
-	MinDelay time.Duration
-	MaxDelay time.Duration
 }
 
 // DefaultRetryPolicy is the resolved zero-value policy.
@@ -128,7 +110,7 @@ func fetchOne(ctx context.Context, src queryable, q relation.Query, keep func(re
 		if pol.AttemptTimeout > 0 {
 			actx, cancel = context.WithTimeout(actx, pol.AttemptTimeout)
 		}
-		res.rows, res.transferred, res.err = attemptQuery(actx, src, q, keep, pol)
+		res.rows, res.transferred, res.err = src.Fetch(actx, q, keep)
 		cancel()
 		if res.err == nil || !faults.Retryable(res.err) ||
 			attempt >= pol.MaxAttempts || ctx.Err() != nil {
@@ -181,116 +163,6 @@ func jitterSeed(seed int64, queryKey string) int64 {
 	h.Write(buf[:])
 	h.Write([]byte(queryKey))
 	return int64(h.Sum64())
-}
-
-// breakered is the optional slice of the source API the hedging path needs:
-// *source.Source implements it; bare test queryables do not and are simply
-// never hedged.
-type breakered interface {
-	Breaker() *breaker.Breaker
-}
-
-// hedgeAttemptOffset displaces the hedge leg's fault-decision coordinate so
-// the seeded injector deals it independent dice: a primary doomed by an
-// injected fault does not deterministically doom its hedge. The offset is
-// far above any real retry count, so the two coordinate spaces never
-// collide.
-const hedgeAttemptOffset = 1 << 16
-
-// attemptQuery is one attempt of fetchOne: a plain Fetch unless hedging is
-// armed, the source carries a breaker, and that breaker has observed
-// enough outcomes to publish a p95 — in which case the attempt is raced
-// against a delayed hedge.
-func attemptQuery(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, pol RetryPolicy) ([]relation.Tuple, int, error) {
-	if !pol.Hedge.Enabled {
-		return src.Fetch(ctx, q, keep)
-	}
-	bs, ok := src.(breakered)
-	if !ok {
-		return src.Fetch(ctx, q, keep)
-	}
-	br := bs.Breaker()
-	if br == nil {
-		return src.Fetch(ctx, q, keep)
-	}
-	delay := br.HedgeDelay(pol.Hedge.MinDelay, pol.Hedge.MaxDelay)
-	if delay <= 0 {
-		return src.Fetch(ctx, q, keep)
-	}
-	return hedgedQuery(ctx, src, q, keep, br, delay)
-}
-
-// hedgeLeg is one raced attempt's outcome.
-type hedgeLeg struct {
-	rows        []relation.Tuple
-	transferred int
-	err         error
-	hedge       bool // true for the second (hedge) leg
-}
-
-// hedgedQuery races the primary attempt against a hedge attempt launched
-// after delay (the source's observed p95): the first success wins and the
-// loser is cancelled through the shared context. The hedge leg is tagged
-// with faults.WithHedge (for honest source accounting) and a displaced
-// attempt coordinate (for independent fault dice). The loser is always
-// drained before returning, so accounting is settled — and no goroutine
-// outlives the call — by the time the caller sees the result. When both
-// legs fail, the primary's error is returned (it reflects the undisturbed
-// retry classification). Both legs fetch with the same keep.
-func hedgedQuery(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, br *breaker.Breaker, delay time.Duration) ([]relation.Tuple, int, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	legs := make(chan hedgeLeg, 2) // buffered: a cancelled loser never blocks
-	launch := func(lctx context.Context, hedge bool) {
-		go func() {
-			rows, n, err := src.Fetch(lctx, q, keep)
-			legs <- hedgeLeg{rows: rows, transferred: n, err: err, hedge: hedge}
-		}()
-	}
-	launch(hctx, false)
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	hedged := false
-	var firstFail *hedgeLeg
-	for {
-		select {
-		case leg := <-legs:
-			switch {
-			case leg.err == nil:
-				if hedged {
-					br.RecordHedge(leg.hedge)
-					cancel()
-					if firstFail == nil {
-						<-legs // drain the loser: accounting settles before return
-					}
-				}
-				return leg.rows, leg.transferred, nil
-			case !hedged:
-				// The primary failed before the hedge fired: a plain failed
-				// attempt, classified by the retry loop as usual.
-				return leg.rows, leg.transferred, leg.err
-			case firstFail == nil:
-				// One of two racing legs failed; the other may still win.
-				l := leg
-				firstFail = &l
-			default:
-				// Both legs failed: the hedge bought nothing.
-				br.RecordHedge(false)
-				if firstFail.hedge {
-					return leg.rows, leg.transferred, leg.err
-				}
-				return firstFail.rows, firstFail.transferred, firstFail.err
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				attempt := faults.Attempt(ctx)
-				lctx := faults.WithHedge(faults.WithAttempt(hctx, attempt+hedgeAttemptOffset))
-				launch(lctx, true)
-			}
-		}
-	}
 }
 
 // fetcher is the mediator's one rewrite-fetch engine. Every fan-out of

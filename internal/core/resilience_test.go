@@ -416,6 +416,50 @@ func TestQuerySelectWithConcurrent(t *testing.T) {
 	}
 }
 
+// keptRows is what a fake source returns for rows under keep: the rows
+// keep accepts, all of them when keep is nil.
+func keptRows(rows []relation.Tuple, keep func(relation.Tuple) bool) []relation.Tuple {
+	if keep == nil {
+		return rows
+	}
+	var out []relation.Tuple
+	for _, t := range rows {
+		if keep(t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// queryableFunc adapts a function to the queryable interface.
+type queryableFunc func(context.Context, relation.Query) ([]relation.Tuple, error)
+
+func (f queryableFunc) Fetch(ctx context.Context, q relation.Query, keep func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
+	rows, err := f(ctx, q)
+	return keptRows(rows, keep), len(rows), err
+}
+
+// TestFetchOneKeep pins the attempt contract: one successful attempt is one
+// source call, fetchOne hands its keep to the source, and it returns the
+// kept rows with the source's count of transferred tuples.
+func TestFetchOneKeep(t *testing.T) {
+	calls := 0
+	src := queryableFunc(func(context.Context, relation.Query) ([]relation.Tuple, error) {
+		calls++
+		return []relation.Tuple{{relation.String("x")}, {relation.Null()}}, nil
+	})
+	keep := func(tu relation.Tuple) bool { return tu[0].IsNull() }
+
+	res := fetchOne(context.Background(), src, convtQuery(), keep, fastRetry(3))
+	if res.err != nil || len(res.rows) != 1 || !res.rows[0][0].IsNull() || res.transferred != 2 {
+		t.Fatalf("fetch = %v rows, %d transferred, err %v; want the null row of 2 transferred",
+			res.rows, res.transferred, res.err)
+	}
+	if calls != 1 || res.attempts != 1 {
+		t.Errorf("source calls = %d, attempts = %d; want 1 and 1", calls, res.attempts)
+	}
+}
+
 // TestFetchOneDeadline verifies the per-query deadline stops retrying.
 func TestFetchOneDeadline(t *testing.T) {
 	src := source.New("cars", buildCarsGD(100, 5), source.Capabilities{})

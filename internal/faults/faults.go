@@ -234,19 +234,3 @@ func Attempt(ctx context.Context) int {
 	}
 	return 1
 }
-
-// hedgeKey marks an attempt as a hedge (the second leg of a raced pair).
-type hedgeKey struct{}
-
-// WithHedge tags ctx as a hedged attempt. The source accounts it under
-// Stats.Hedged rather than Retries, so source-load numbers distinguish
-// "asked again because it failed" from "asked twice to cut tail latency".
-func WithHedge(ctx context.Context) context.Context {
-	return context.WithValue(ctx, hedgeKey{}, true)
-}
-
-// IsHedge reports whether ctx marks a hedged attempt.
-func IsHedge(ctx context.Context) bool {
-	b, _ := ctx.Value(hedgeKey{}).(bool)
-	return b
-}

@@ -211,22 +211,6 @@ func TestFlapEnabled(t *testing.T) {
 	}
 }
 
-// TestHedgeContext round-trips the hedge tag.
-func TestHedgeContext(t *testing.T) {
-	ctx := context.Background()
-	if IsHedge(ctx) {
-		t.Fatal("plain context must not read as hedged")
-	}
-	if !IsHedge(WithHedge(ctx)) {
-		t.Fatal("WithHedge tag lost")
-	}
-	// The hedge tag must not disturb the attempt number.
-	ctx = WithHedge(WithAttempt(ctx, 2))
-	if Attempt(ctx) != 2 || !IsHedge(ctx) {
-		t.Fatal("hedge tag and attempt number must compose")
-	}
-}
-
 // TestFlapBoundaryOrdinals pins the exact ordinals the flap window flips
 // on: the first down ordinal is FlapUp itself, the last is period-1, and
 // the cycle wraps cleanly at every period multiple.

@@ -11,7 +11,7 @@
 //	GET  /sources            registered sources, schemas, accounting
 //	GET  /knowledge?source=S mined AFDs / AKeys / pruned AFDs for S
 //	GET  /metrics            per-source query/retry/error counters with
-//	                         latency percentiles, breaker/hedge counters,
+//	                         latency percentiles, breaker counters,
 //	                         per-source knowledge-memo counters, plus
 //	                         answer-cache and staleness counters
 //	POST /query              {"sql": "SELECT ..."} → certain + ranked
@@ -472,10 +472,6 @@ type breakerJSON struct {
 	Rejections     uint64  `json:"rejections"`
 	Probes         uint64  `json:"probes"`
 	ProbeFailures  uint64  `json:"probe_failures"`
-	HedgesLaunched uint64  `json:"hedges_launched"`
-	HedgeWins      uint64  `json:"hedge_wins"`
-	HedgeLosses    uint64  `json:"hedge_losses"`
-	P95Micros      int64   `json:"p95_micros"`
 }
 
 // sourceMetrics is one source's accounting in the /metrics payload.
@@ -487,7 +483,6 @@ type sourceMetrics struct {
 	BreakerRejected int          `json:"breaker_rejected,omitempty"`
 	Errors          int          `json:"errors"`
 	Retries         int          `json:"retries"`
-	Hedged          int          `json:"hedged,omitempty"`
 	Latency         latencyJSON  `json:"latency"`
 	Breaker         *breakerJSON `json:"breaker,omitempty"`
 }
@@ -588,7 +583,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			BreakerRejected: mt.BreakerRejected,
 			Errors:          mt.Errors,
 			Retries:         mt.Retries,
-			Hedged:          mt.Hedged,
 			Latency: latencyJSON{
 				Count:     mt.Latency.Count,
 				SumMicros: int64(mt.Latency.Sum / time.Microsecond),
@@ -606,10 +600,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				Rejections:     snap.Rejections,
 				Probes:         snap.Probes,
 				ProbeFailures:  snap.ProbeFailures,
-				HedgesLaunched: snap.HedgesLaunched,
-				HedgeWins:      snap.HedgeWins,
-				HedgeLosses:    snap.HedgeLosses,
-				P95Micros:      int64(snap.P95 / time.Microsecond),
 			}
 		}
 		out.Sources = append(out.Sources, sm)
@@ -708,6 +698,20 @@ type jsonFloat float64
 // MarshalJSON implements json.Marshaler.
 func (f jsonFloat) MarshalJSON() ([]byte, error) { return appendFloat(nil, float64(f)), nil }
 
+// callConfig is the mediator's configuration with a request's optional α
+// and K overrides applied. It is a copy: the shared configuration is never
+// mutated, so concurrent requests cannot bleed into each other.
+func (s *Server) callConfig(alpha *float64, k *int) core.Config {
+	cfg := s.med.Config()
+	if alpha != nil {
+		cfg.Alpha = *alpha
+	}
+	if k != nil {
+		cfg.K = *k
+	}
+	return cfg
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -733,15 +737,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Overrides apply to this call only: the shared mediator config is
-	// never mutated, so concurrent requests cannot bleed into each other.
-	cfg := s.med.Config()
-	if req.Alpha != nil {
-		cfg.Alpha = *req.Alpha
-	}
-	if req.K != nil {
-		cfg.K = *req.K
-	}
+	cfg := s.callConfig(req.Alpha, req.K)
 	if req.NoCache {
 		cfg.NoCache = true
 	}
@@ -955,8 +951,8 @@ type joinRequest struct {
 	On [2]string `json:"on"`
 	// Alpha and K optionally override the mediator defaults for pair
 	// ordering and the query-pair budget.
-	Alpha float64 `json:"alpha,omitempty"`
-	K     int     `json:"k,omitempty"`
+	Alpha *float64 `json:"alpha,omitempty"`
+	K     *int     `json:"k,omitempty"`
 }
 
 // parseJoinSide parses one side's SQL into a plain selection, rejecting
@@ -1013,6 +1009,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, `missing "on": [left_attr, right_attr]`)
 		return
 	}
+	cfg := s.callConfig(req.Alpha, req.K)
 	spec := core.JoinSpec{
 		LeftSource:    left.Query.Relation,
 		RightSource:   right.Query.Relation,
@@ -1020,8 +1017,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		RightQuery:    right.Query,
 		LeftJoinAttr:  req.On[0],
 		RightJoinAttr: req.On[1],
-		Alpha:         req.Alpha,
-		K:             req.K,
+		Alpha:         cfg.Alpha,
+		K:             cfg.K,
 	}
 	res, err := s.med.QueryJoinCtx(r.Context(), spec)
 	if err != nil {

@@ -701,24 +701,50 @@ func TestStreamLinesMatchReferenceOverHTTP(t *testing.T) {
 	}
 }
 
+// TestJoinBodyMatchesReferenceOverHTTP checks the /join body against the
+// reference encoding of the same join. A body without "k" or "alpha" takes
+// the mediator's K and α, so a K=2 mediator issues at most two query pairs.
 func TestJoinBodyMatchesReferenceOverHTTP(t *testing.T) {
-	med := testMediator(t, core.Config{Alpha: 0, K: 10})
-	srv := httptest.NewServer(New(med))
-	t.Cleanup(srv.Close)
 	left, right := "SELECT * FROM cars WHERE body_style = 'Convt'", "SELECT * FROM cars WHERE certified = 'yes'"
-	got := postJSON(t, srv.URL+"/join", map[string]any{"left_sql": left, "right_sql": right, "on": []string{"model", "model"}, "k": 4})
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		k    int // the body's "k"; 0 omits it
+		spec core.JoinSpec
+	}{
+		{"k override", core.Config{Alpha: 0, K: 10}, 4, core.JoinSpec{K: 4}},
+		{"mediator defaults", core.Config{Alpha: 0.5, K: 2}, 0, core.JoinSpec{Alpha: 0.5, K: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			med := testMediator(t, tc.cfg)
+			srv := httptest.NewServer(New(med))
+			t.Cleanup(srv.Close)
+			body := map[string]any{"left_sql": left, "right_sql": right, "on": []string{"model", "model"}}
+			if tc.k != 0 {
+				body["k"] = tc.k
+			}
+			got := postJSON(t, srv.URL+"/join", body)
 
-	lst, ls := parseFor(t, med, left)
-	rst, rsch := parseFor(t, med, right)
-	res, err := med.QueryJoinCtx(context.Background(), core.JoinSpec{
-		LeftSource: "cars", RightSource: "cars", LeftQuery: lst.Query, RightQuery: rst.Query,
-		LeftJoinAttr: "model", RightJoinAttr: "model", K: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+			var jr joinResponse
+			if err := json.Unmarshal(got, &jr); err != nil {
+				t.Fatal(err)
+			}
+			if jr.PairsIssued > tc.spec.K {
+				t.Fatalf("pairs_issued = %d, want <= K = %d", jr.PairsIssued, tc.spec.K)
+			}
+			lst, ls := parseFor(t, med, left)
+			rst, rsch := parseFor(t, med, right)
+			spec := tc.spec
+			spec.LeftSource, spec.RightSource, spec.LeftQuery, spec.RightQuery = "cars", "cars", lst.Query, rst.Query
+			spec.LeftJoinAttr, spec.RightJoinAttr = "model", "model"
+			res, err := med.QueryJoinCtx(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Answers) == 0 {
+				t.Fatal("join fixture has no answers")
+			}
+			sameWire(t, "join", got, refBody(t, refJoin(ls, rsch, "cars", "cars", res)))
+		})
 	}
-	if len(res.Answers) == 0 {
-		t.Fatal("join fixture has no answers")
-	}
-	sameWire(t, "join", got, refBody(t, refJoin(ls, rsch, "cars", "cars", res)))
 }

@@ -175,17 +175,3 @@ func TestBreakerHalfOpenProbeRecovery(t *testing.T) {
 		t.Fatalf("post-recovery query: %v", err)
 	}
 }
-
-// TestHedgeTagAccounting verifies hedge-tagged attempts count under Hedged,
-// not Retries.
-func TestHedgeTagAccounting(t *testing.T) {
-	src := New("cars", carRel(), Capabilities{})
-	ctx := faults.WithHedge(faults.WithAttempt(context.Background(), 2))
-	if _, err := src.QueryCtx(ctx, bmwQuery()); err != nil {
-		t.Fatalf("hedged query: %v", err)
-	}
-	st := src.Stats()
-	if st.Hedged != 1 || st.Retries != 0 {
-		t.Fatalf("stats = %+v, want Hedged=1 Retries=0", st)
-	}
-}

@@ -92,19 +92,13 @@ type Stats struct {
 	// injected transient errors, timeouts, context cancellation.
 	Errors int
 	// Retries is the number of accepted attempts beyond each query's first
-	// (attempt number > 1, as tagged by the mediator's retry loop). Hedged
-	// attempts are counted separately under Hedged.
+	// (attempt number > 1, as tagged by the mediator's retry loop).
 	Retries int
 	// BreakerRejected is the number of queries refused at admission by an
 	// attached circuit breaker (circuit open / probes busy). These never
 	// reach the source: no budget is consumed and no latency is paid, so
 	// they are accounted apart from capability Rejected.
 	BreakerRejected int
-	// Hedged is the number of accepted attempts that were the hedge leg of
-	// a raced pair (tagged by the mediator's hedging path). Kept apart from
-	// Retries so source-load numbers distinguish "asked again because it
-	// failed" from "asked twice to cut tail latency".
-	Hedged int
 }
 
 // latencyBuckets is the histogram resolution: bucket i holds observations
@@ -334,7 +328,7 @@ func (s *Source) QueryCtx(ctx context.Context, q relation.Query) ([]relation.Tup
 // sources return tuples, and the mediator aggregates. Rejected queries —
 // capability refusals and open-circuit admission refusals alike — do not
 // consume budget and pay no latency; accepted attempts are accounted
-// (Queries, plus Retries or Hedged per the context's tags) even when they
+// (Queries, plus Retries per the context's attempt tag) even when they
 // subsequently fail, and their outcome is reported to the breaker:
 // transient/timeout failures feed its failure window, successes feed its
 // health score, and cancellations are neutral.
@@ -376,9 +370,7 @@ func (s *Source) Fetch(ctx context.Context, q relation.Query, keep func(relation
 		return nil, 0, fmt.Errorf("%w: source %s (budget %d)", ErrQueryBudget, s.name, s.caps.MaxQueries)
 	}
 	s.stats.Queries++
-	if faults.IsHedge(ctx) {
-		s.stats.Hedged++
-	} else if attempt > 1 {
+	if attempt > 1 {
 		s.stats.Retries++
 	}
 	inj := s.faults

@@ -163,10 +163,6 @@ type (
 	// RetryPolicy bounds the mediator's per-query retries, backoff and
 	// deadlines.
 	RetryPolicy = core.RetryPolicy
-	// HedgePolicy arms hedged requests inside a RetryPolicy: when a source
-	// attempt outlives the source's observed p95 latency, a second attempt
-	// races it and the first success wins.
-	HedgePolicy = core.HedgePolicy
 	// BreakerConfig tunes the per-source circuit breakers (zero fields take
 	// defaults; see internal/breaker).
 	BreakerConfig = breaker.Config
