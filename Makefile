@@ -134,15 +134,19 @@ bench-chaos:
 
 # perfbench-check runs the end-to-end benchmark's own checks. perfbench/ is
 # a nested module, so `./...` at the root skips it: vet and test it in
-# place, then run two short smokes. The answer oracle parses every reply
-# body, so each smoke fails unless its result line (the last line of
-# standard output) reports "correct": true. The hot-cache smoke covers the
-# answer cache and the wire encoders; the web-sources smoke sends selects,
-# aggregates, top-N streams and joins through the fetch engine at Parallel
-# 4 under seeded faults and checks each reply against a fault-free
-# Parallel=1 reference mediator.
+# place, then run three short smokes, one per workload. The answer oracle
+# parses every reply body, so each smoke fails unless its result line (the
+# last line of standard output) reports "correct": true. The interactive
+# smoke runs every request through the rewrite pipeline with the answer
+# cache bypassed (rewrite generation, NBC, the fold and the encoders); the
+# hot-cache smoke covers the answer cache and the wire encoders; the
+# web-sources smoke sends selects, aggregates, top-N streams and joins
+# through the fetch engine at Parallel 4 under seeded faults and checks
+# each reply against a fault-free Parallel=1 reference mediator.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload interactive --seed 1 --seconds 1 --trace 0 \
+		| tail -n 1 | tee /dev/stderr | grep -Eq '"correct": ?true'
 	bash perfbench/run.sh --workload hot-cache --seed 1 --seconds 1 --trace 0 \
 		| tail -n 1 | tee /dev/stderr | grep -Eq '"correct": ?true'
 	bash perfbench/run.sh --workload web-sources --seed 1 --seconds 1 --trace 0 \

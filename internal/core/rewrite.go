@@ -48,6 +48,11 @@ type RewrittenQuery struct {
 	// skipped. nil for successful rewrites. A non-nil Err marks the
 	// enclosing result set Degraded.
 	Err error
+
+	// key is Query.Key(), built once by generateRewrites for the
+	// selectivity memo and the ranking tie-break; empty on candidates
+	// built elsewhere.
+	key string
 }
 
 // fMeasure computes the weighted harmonic mean (1+α)PR/(αP+R).
@@ -64,13 +69,6 @@ func fMeasure(p, r, alpha float64) float64 {
 // range predicates the mass over the range. Baselines reuse it to rank
 // tuples retrieved by null binding.
 func PredicateMass(d nbc.Distribution, pred relation.Predicate) float64 {
-	return predProb(d, pred)
-}
-
-// predProb returns the probability mass the distribution assigns to values
-// satisfying pred — for equality predicates this is P(Am = vm); for range
-// predicates the mass over the range.
-func predProb(d nbc.Distribution, pred relation.Predicate) float64 {
 	total := 0.0
 	for i := 0; i < d.Len(); i++ {
 		if pred.Holds(d.Value(i)) {
@@ -95,17 +93,17 @@ func GenerateRewrites(k *Knowledge, q relation.Query, base []relation.Tuple, bas
 // emit a rewrite that drops the predicate on the target attribute and adds
 // equality predicates on the unconstrained determining attributes.
 //
+// Combinations that differ only on attributes q constrains give the same
+// rewrite, so each target's rewrites (its family) come from one pass that
+// keeps the first base row of each distinct unconstrained combination. A
+// family's rewrites have no predicate on their target, while q and every
+// other family's rewrites keep q's predicates on it, so no rewrite repeats
+// q or another family's (DESIGN.md "One pass per rewrite family").
+//
 // k supplies the AFDs, predictors and selectivity estimates; baseSchema is
 // the schema the base tuples are in (usually the source's local schema).
 func (m *Mediator) generateRewrites(k *Knowledge, q relation.Query, base []relation.Tuple, baseSchema *relation.Schema) []RewrittenQuery {
-	// One rewrite per distinct determining-set combination, and combos come
-	// from the base set — len(base)+1 bounds the map.
-	seen := make(map[string]bool, len(base)+1)
-	seen[q.Key()] = true
 	var out []RewrittenQuery
-	// pkbuf is reused across combos to build prediction-cache keys.
-	var pkbuf []byte
-
 	for _, target := range q.ConstrainedAttrs() {
 		pred, ok := q.PredOn(target)
 		if !ok {
@@ -117,61 +115,130 @@ func (m *Mediator) generateRewrites(k *Knowledge, q relation.Query, base []relat
 			// whole schema and rewrites would be over-specific. Skip.
 			continue
 		}
-		dtr := p.AFD.Determining
-		combos := relation.DistinctOn(baseSchema, base, dtr)
-		// Everything that does not depend on the combo is hoisted out of the
-		// combo loop: the explanation string (identical per target), the
-		// rewrite skeleton (original query minus the target predicate), and
-		// which determining attributes the original query constrains.
-		explain := p.Explain()
-		baseRq := q.WithoutAttr(target)
-		baseRq.Agg = nil
-		constrainedDtr := make([]bool, len(dtr))
-		for i, ax := range dtr {
-			_, constrainedDtr[i] = q.PredOn(ax)
-		}
-		for _, combo := range combos {
-			// Build the rewrite's predicates with a single pre-sized
-			// copy+append instead of one full Query clone per With call.
-			preds := make([]relation.Predicate, len(baseRq.Preds), len(baseRq.Preds)+len(dtr))
-			copy(preds, baseRq.Preds)
-			evidence := make(map[string]relation.Value, len(dtr))
-			pkbuf = append(pkbuf[:0], target...)
-			for i, ax := range dtr {
-				evidence[ax] = combo[i]
-				pkbuf = combo[i].AppendKey(append(pkbuf, '\x1f'))
-				if constrainedDtr[i] {
-					// Keep the original constraint on Ax (Section 4.2,
-					// multi-attribute case).
-					continue
-				}
-				preds = append(preds, relation.Eq(ax, combo[i]))
-			}
-			if len(preds) == 0 {
-				continue
-			}
-			rq := baseRq
-			rq.Preds = preds
-			key := rq.Key()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			dist := k.predictEvidence(p, string(pkbuf), evidence)
-			mode, _, modeOK := dist.Top()
-			out = append(out, RewrittenQuery{
-				Query:             rq,
-				TargetAttr:        target,
-				TargetPred:        pred,
-				Evidence:          evidence,
-				Precision:         predProb(dist, pred),
-				ModeSatisfiesPred: modeOK && pred.Holds(mode),
-				EstSel:            k.Sel.EstSel(rq),
-				Explanation:       explain,
-			})
-		}
+		out = appendFamily(out, k, p, q, pred, base, baseSchema)
 	}
 	return out
+}
+
+// appendFamily appends the rewrites for target pred.Attr to out: one per
+// distinct combination of the unconstrained determining values among the
+// base rows non-null on every determining attribute, in order of first
+// appearance, each from the first row that shows it. Values are the same
+// when their canonical keys are.
+func appendFamily(out []RewrittenQuery, k *Knowledge, p *nbc.Predictor, q relation.Query, pred relation.Predicate, base []relation.Tuple, s *relation.Schema) []RewrittenQuery {
+	target, dtr := pred.Attr, p.AFD.Determining
+	cols := make([]int, len(dtr))
+	var free []int // positions in dtr of the attributes q leaves unconstrained
+	for i, ax := range dtr {
+		c, ok := s.Index(ax)
+		if !ok {
+			// A narrower base schema (a correlated source's) without a
+			// determining attribute offers no combinations.
+			return out
+		}
+		cols[i] = c
+		if _, constrained := q.PredOn(ax); !constrained {
+			free = append(free, i)
+		}
+	}
+	// Everything that does not depend on the combination is built once per
+	// family: the explanation, the rewrite skeleton (q minus the target
+	// predicate) and which classes satisfy pred.
+	baseRq := q.WithoutAttr(target)
+	baseRq.Agg = nil
+	if len(baseRq.Preds)+len(free) == 0 {
+		return out // the rewrite would have no predicate at all
+	}
+	explain := p.Explain()
+	classes := p.Classes()
+	mask := make([]bool, len(classes))
+	for i, c := range classes {
+		mask[i] = pred.Holds(c)
+	}
+
+	// kept holds the base row of each combination kept so far; head maps a
+	// combination's hash to the last kept one with that hash, and next
+	// chains back to the earlier ones.
+	var kept []relation.Tuple
+	var next []int
+	head := make(map[uint64]int)
+	var pkbuf []byte
+rows:
+	for _, t := range base {
+		for _, c := range cols {
+			if t[c].IsNull() {
+				continue rows
+			}
+		}
+		h := uint64(0)
+		for _, i := range free {
+			h = t[cols[i]].KeyHash(h)
+		}
+		prev, ok := head[h]
+		if !ok {
+			prev = -1
+		}
+	chain:
+		for j := prev; j >= 0; j = next[j] {
+			for _, i := range free {
+				if !kept[j][cols[i]].KeyEqual(t[cols[i]]) {
+					continue chain
+				}
+			}
+			continue rows
+		}
+		head[h] = len(kept)
+		kept = append(kept, t)
+		next = append(next, prev)
+
+		preds := make([]relation.Predicate, len(baseRq.Preds), len(baseRq.Preds)+len(free))
+		copy(preds, baseRq.Preds)
+		evidence := make(map[string]relation.Value, len(dtr))
+		pkbuf = append(pkbuf[:0], target...)
+		for i, ax := range dtr {
+			v := t[cols[i]]
+			evidence[ax] = v
+			pkbuf = v.AppendKey(append(pkbuf, '\x1f'))
+		}
+		for _, i := range free {
+			preds = append(preds, relation.Eq(dtr[i], t[cols[i]]))
+		}
+		rq := baseRq
+		rq.Preds = preds
+		key := rq.Key()
+		precision, modeHolds := maskedMass(k.predictEvidence(p, string(pkbuf), evidence), mask)
+		out = append(out, RewrittenQuery{
+			Query:             rq,
+			TargetAttr:        target,
+			TargetPred:        pred,
+			Evidence:          evidence,
+			Precision:         precision,
+			ModeSatisfiesPred: modeHolds,
+			EstSel:            k.Sel.EstSelKeyed(rq, key),
+			Explanation:       explain,
+			key:               key,
+		})
+	}
+	return out
+}
+
+// maskedMass returns the probability d assigns to the classes mask marks,
+// added in class order as PredicateMass adds them, and whether d's most
+// likely class (Top's: the first with the highest probability) is marked.
+// d lines up position for position with the class list mask was built
+// over (see nbc.Distribution).
+func maskedMass(d nbc.Distribution, mask []bool) (mass float64, modeMarked bool) {
+	best := -1
+	for i := 0; i < d.Len(); i++ {
+		pi := d.ProbAt(i)
+		if mask[i] {
+			mass += pi
+		}
+		if best < 0 || pi > d.ProbAt(best) {
+			best = i
+		}
+	}
+	return mass, best >= 0 && mask[best]
 }
 
 // scoreAndSelect implements Steps 2(b) and 2(c): compute normalized recall
@@ -206,12 +273,15 @@ func ScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) 
 	}
 	// Every ordering ends in the query-key tie-break, so equal-F (and
 	// equal-precision) rewrites sort identically across runs and under the
-	// parallel mining/caching paths. Keys are canonicalized once up front —
-	// Query.Key re-sorts the predicate encoding on every call, which is far
-	// too expensive to leave inside an O(n log n) comparator.
+	// parallel mining/caching paths. generateRewrites keys each candidate
+	// once; a candidate built elsewhere is keyed here, outside the
+	// O(n log n) comparator.
 	keys := make([]string, len(cands))
 	for i := range cands {
-		keys[i] = cands[i].Query.Key()
+		keys[i] = cands[i].key
+		if keys[i] == "" {
+			keys[i] = cands[i].Query.Key()
+		}
 	}
 	sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
 		switch ord {

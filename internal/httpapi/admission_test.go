@@ -277,10 +277,15 @@ func TestJoinEndpoint(t *testing.T) {
 		{"bad sql", `{"left_sql": "SELEC *", "right_sql": "SELECT * FROM cars", "on": ["model", "model"]}`},
 		{"aggregate side", `{"left_sql": "SELECT COUNT(*) FROM cars", "right_sql": "SELECT * FROM cars", "on": ["model", "model"]}`},
 		{"missing on", `{"left_sql": "SELECT * FROM cars WHERE body_style = 'Convt'", "right_sql": "SELECT * FROM cars", "on": ["", ""]}`},
+		{"unknown left on", `{"left_sql": "SELECT * FROM cars WHERE body_style = 'Convt'", "right_sql": "SELECT * FROM cars", "on": ["nosuch", "model"]}`},
+		{"unknown right on", `{"left_sql": "SELECT * FROM cars WHERE body_style = 'Convt'", "right_sql": "SELECT * FROM cars", "on": ["model", "nosuch"]}`},
 	} {
 		if resp, _ := post(bad.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", bad.name, resp.StatusCode)
 		}
+	}
+	if _, body := post(`{"left_sql": "SELECT * FROM cars", "right_sql": "SELECT * FROM cars", "on": ["model", "nosuch"]}`); !bytes.Contains(body, []byte(`unknown right attribute \"nosuch\"`)) {
+		t.Errorf("unknown join attribute: body %s does not name it", body)
 	}
 	if resp, _ := post(`{"left_sql": "SELECT * FROM nosuch WHERE x = 1", "right_sql": "SELECT * FROM cars", "on": ["model", "model"]}`); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown source: status = %d, want 404", resp.StatusCode)

@@ -956,9 +956,9 @@ type joinRequest struct {
 }
 
 // parseJoinSide parses one side's SQL into a plain selection, rejecting
-// clauses a join side cannot carry, and compiles the encoder for the side's
-// tuples.
-func (s *Server) parseJoinSide(w http.ResponseWriter, side, sql string) (*sqlish.Statement, *rowEncoder, bool) {
+// clauses a join side cannot carry and a join attribute the side's source
+// lacks, and compiles the encoder for the side's tuples.
+func (s *Server) parseJoinSide(w http.ResponseWriter, side, sql, on string) (*sqlish.Statement, *rowEncoder, bool) {
 	if sql == "" {
 		s.writeErr(w, http.StatusBadRequest, "missing %s_sql", side)
 		return nil, nil, false
@@ -981,6 +981,10 @@ func (s *Server) parseJoinSide(w http.ResponseWriter, side, sql string) (*sqlish
 		s.writeErr(w, http.StatusBadRequest, "%s_sql: %v", side, err)
 		return nil, nil, false
 	}
+	if _, ok := src.Schema().Index(on); !ok {
+		s.writeErr(w, http.StatusBadRequest, "on: unknown %s attribute %q (schema %s)", side, on, src.Schema())
+		return nil, nil, false
+	}
 	enc, err := newRowEncoder(src.Schema(), nil)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%s_sql: %v", side, err)
@@ -997,16 +1001,16 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	left, leftEnc, ok := s.parseJoinSide(w, "left", req.LeftSQL)
-	if !ok {
-		return
-	}
-	right, rightEnc, ok := s.parseJoinSide(w, "right", req.RightSQL)
-	if !ok {
-		return
-	}
 	if req.On[0] == "" || req.On[1] == "" {
 		s.writeErr(w, http.StatusBadRequest, `missing "on": [left_attr, right_attr]`)
+		return
+	}
+	left, leftEnc, ok := s.parseJoinSide(w, "left", req.LeftSQL, req.On[0])
+	if !ok {
+		return
+	}
+	right, rightEnc, ok := s.parseJoinSide(w, "right", req.RightSQL, req.On[1])
+	if !ok {
 		return
 	}
 	cfg := s.callConfig(req.Alpha, req.K)

@@ -19,9 +19,18 @@ import (
 
 // Distribution is a probability distribution over candidate values of one
 // attribute. Probabilities sum to 1 (up to floating point error).
+//
+// Every distribution a Classifier or Predictor returns lines up position
+// for position with its class list (Classes): Value(i) is the i-th class
+// for every prediction, ensembles included. Such distributions share the
+// classifier's training-time value index instead of building one per
+// prediction, so callers can evaluate a test once per class and read any
+// prediction by position.
 type Distribution struct {
 	vals  []relation.Value
 	probs []float64
+	// index maps a value's canonical key to its position, for Prob. It is
+	// shared and never written after construction.
 	index map[string]int
 }
 
@@ -29,32 +38,42 @@ type Distribution struct {
 // into a Distribution. Zero total weight yields the uniform distribution.
 // Other prediction packages (association rules, Bayes nets) reuse this so
 // that every predictor in the system speaks the same distribution type.
+// When vals repeats a value's key, Prob reads the last occurrence.
 func NewDistribution(vals []relation.Value, weights []float64) Distribution {
 	return newDistribution(vals, weights)
 }
 
-// newDistribution normalizes the weights into a distribution.
+// newDistribution normalizes a copy of the weights into a distribution
+// with its own value index.
 func newDistribution(vals []relation.Value, weights []float64) Distribution {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
 	probs := make([]float64, len(weights))
-	if total > 0 {
-		for i, w := range weights {
-			probs[i] = w / total
-		}
-	} else if len(weights) > 0 {
-		u := 1.0 / float64(len(weights))
-		for i := range probs {
-			probs[i] = u
-		}
-	}
+	copy(probs, weights)
+	normalize(probs)
 	idx := make(map[string]int, len(vals))
 	for i, v := range vals {
 		idx[v.Key()] = i
 	}
 	return Distribution{vals: vals, probs: probs, index: idx}
+}
+
+// normalize scales non-negative weights in place to sum to 1: the weights
+// are summed in order and each is divided by the total. Zero total weight
+// gives the uniform distribution.
+func normalize(w []float64) {
+	total := 0.0
+	for _, x := range w {
+		total += x
+	}
+	if total > 0 {
+		for i, x := range w {
+			w[i] = x / total
+		}
+	} else if len(w) > 0 {
+		u := 1.0 / float64(len(w))
+		for i := range w {
+			w[i] = u
+		}
+	}
 }
 
 // Len returns the number of candidate values.
@@ -69,7 +88,8 @@ func (d Distribution) ProbAt(i int) float64 { return d.probs[i] }
 // Prob returns the probability assigned to value v (0 if v is not a
 // candidate).
 func (d Distribution) Prob(v relation.Value) float64 {
-	if i, ok := d.index[v.Key()]; ok {
+	var buf [64]byte
+	if i, ok := d.index[string(v.AppendKey(buf[:0]))]; ok {
 		return d.probs[i]
 	}
 	return 0
@@ -119,7 +139,7 @@ type Classifier struct {
 	jointOff   bool
 	jointM0    float64
 	classes    []relation.Value
-	classIdx   map[string]int
+	classIdx   map[string]int // class key → position; predictions share it, read-only after Train
 	classCount []int
 	trainRows  int
 	// counts[f][valueKey][classIdx] = co-occurrence count
@@ -266,7 +286,8 @@ func Train(sample *relation.Relation, target string, features []string, cfg Conf
 	return cl, nil
 }
 
-// Classes returns the candidate target values observed during training.
+// Classes returns the candidate target values observed during training, in
+// the order every prediction's distribution lists them.
 func (c *Classifier) Classes() []relation.Value {
 	return append([]relation.Value(nil), c.classes...)
 }
@@ -326,39 +347,46 @@ func (c *Classifier) PredictEvidence(evidence map[string]relation.Value) Distrib
 			logw[ci] += math.Log(c.cond(fi, row, ci))
 		}
 	}
-	// Normalize in log space for stability.
+	// Normalize in log space for stability. logw becomes the posterior in
+	// place: the prediction allocates one probability slice.
 	maxw := math.Inf(-1)
 	for _, w := range logw {
 		if w > maxw {
 			maxw = w
 		}
 	}
-	weights := make([]float64, len(logw))
 	for i, w := range logw {
-		weights[i] = math.Exp(w - maxw)
+		logw[i] = math.Exp(w - maxw)
 	}
-	nbcDist := newDistribution(c.classes, weights)
+	probs := logw
+	normalize(probs)
 	if c.jointOff || !allPresent {
-		return nbcDist
+		return c.distribution(probs)
 	}
 	row := c.joint[string(jbuf)]
 	if row == nil {
-		return nbcDist
+		return c.distribution(probs)
 	}
 	n := 0
 	for _, cnt := range row {
 		n += cnt
 	}
 	if n == 0 {
-		return nbcDist
+		return c.distribution(probs)
 	}
 	lambda := float64(n) / (float64(n) + c.jointM0)
-	blended := make([]float64, len(c.classes))
-	for ci := range c.classes {
+	for ci := range probs {
 		jointP := float64(row[ci]) / float64(n)
-		blended[ci] = lambda*jointP + (1-lambda)*nbcDist.ProbAt(ci)
+		probs[ci] = lambda*jointP + (1-lambda)*probs[ci]
 	}
-	return newDistribution(c.classes, blended)
+	normalize(probs)
+	return c.distribution(probs)
+}
+
+// distribution wraps normalized probabilities over the classifier's
+// classes, sharing its class list and training-time index.
+func (c *Classifier) distribution(probs []float64) Distribution {
+	return Distribution{vals: c.classes, probs: probs, index: c.classIdx}
 }
 
 // Predict computes P(target | t) for a tuple under the given schema,

@@ -184,44 +184,32 @@ func (p *Predictor) Features() []string {
 	return out
 }
 
+// Classes returns the candidate target values, in the order every
+// distribution the predictor returns lists them.
+func (p *Predictor) Classes() []relation.Value {
+	return p.classifiers[0].Classes()
+}
+
 // PredictEvidence returns the distribution over target values given the
 // evidence map, combining classifier outputs per the predictor's mode.
 func (p *Predictor) PredictEvidence(evidence map[string]relation.Value) Distribution {
 	if len(p.classifiers) == 1 {
 		return p.classifiers[0].PredictEvidence(evidence)
 	}
-	// Weighted average over a shared class list. All classifiers were
-	// trained on the same sample/target, so class lists coincide; merge
-	// defensively anyway.
-	type acc struct {
-		val relation.Value
-		w   float64
-	}
-	merged := make(map[string]*acc)
-	var order []string
-	totalW := 0.0
+	// Confidence-weighted average, class by class. Every classifier was
+	// trained on the same sample and target, and Train lists classes in
+	// their order of first appearance there, so all class lists coincide.
+	first := p.classifiers[0]
+	weights := make([]float64, len(first.classes))
 	for i, cl := range p.classifiers {
 		d := cl.PredictEvidence(evidence)
 		w := p.weights[i]
-		totalW += w
-		for j := 0; j < d.Len(); j++ {
-			k := d.Value(j).Key()
-			a := merged[k]
-			if a == nil {
-				a = &acc{val: d.Value(j)}
-				merged[k] = a
-				order = append(order, k)
-			}
-			a.w += w * d.ProbAt(j)
+		for j := range weights {
+			weights[j] += w * d.ProbAt(j)
 		}
 	}
-	vals := make([]relation.Value, 0, len(order))
-	weights := make([]float64, 0, len(order))
-	for _, k := range order {
-		vals = append(vals, merged[k].val)
-		weights = append(weights, merged[k].w)
-	}
-	return newDistribution(vals, weights)
+	normalize(weights)
+	return first.distribution(weights)
 }
 
 // Predict returns the distribution for tuple t under schema s, using t's

@@ -98,6 +98,37 @@ func TestValueKeyMatchesReference(t *testing.T) {
 	}
 }
 
+// KeyEqual must agree with comparing keys, and values with equal keys must
+// fold into KeyHash identically, whatever the running hash.
+func TestKeyEqualAndHashMatchKey(t *testing.T) {
+	vals := append(keyEdgeValues(),
+		Float(math.Float64frombits(0x7ff8000000000001)), // NaNs with other payloads
+		Float(math.Float64frombits(0xfff0000000000001)),
+		Int(1<<56), Float(math.Float64frombits(1<<56)), // same payload word, other kinds
+	)
+	checkKeyEqualAndHash(t, vals)
+}
+
+func checkKeyEqualAndHash(t *testing.T, vals []Value) {
+	t.Helper()
+	for _, a := range vals {
+		for _, b := range vals {
+			want := a.Key() == b.Key()
+			if got := a.KeyEqual(b); got != want {
+				t.Fatalf("%#v.KeyEqual(%#v) = %v, keys %q and %q", a, b, got, a.Key(), b.Key())
+			}
+			if !want {
+				continue
+			}
+			for _, h := range []uint64{0, 1, 0x9e3779b97f4a7c15} {
+				if a.KeyHash(h) != b.KeyHash(h) {
+					t.Fatalf("%#v and %#v share key %q but KeyHash(%#x) differs", a, b, a.Key(), h)
+				}
+			}
+		}
+	}
+}
+
 func TestTupleKeyMatchesReference(t *testing.T) {
 	vals := keyEdgeValues()
 	tuples := []Tuple{
@@ -190,6 +221,7 @@ func FuzzKeyEncoding(f *testing.F) {
 	f.Add("ü", "\xff", int64(0), 1e21, true, uint8(0x80), uint16(0x8000))
 	f.Fuzz(func(t *testing.T, s1, s2 string, i int64, fl float64, b bool, pick uint8, ops uint16) {
 		vals := []Value{Null(), String(s1), String(s2), Int(i), Float(fl), Bool(b)}
+		checkKeyEqualAndHash(t, vals)
 		for _, v := range vals {
 			if got, want := v.Key(), refValueKey(v); got != want {
 				t.Fatalf("%#v: Key = %q, want %q", v, got, want)

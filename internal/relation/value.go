@@ -9,6 +9,7 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -258,6 +259,46 @@ func (v Value) AppendKey(dst []byte) []byte {
 		return append(dst, 'b', 'f')
 	}
 	return dst
+}
+
+// KeyEqual reports whether v and o have the same canonical key,
+// v.Key() == o.Key(), without building either key: the same kind and
+// payload, every NaN equal to every NaN, and -0 apart from +0.
+func (v Value) KeyEqual(o Value) bool {
+	if v.kind != o.kind {
+		return false
+	}
+	switch v.kind {
+	case KindNull:
+		return true
+	case KindString:
+		return v.s == o.s
+	case KindFloat:
+		return v.n == o.n || (math.IsNaN(math.Float64frombits(v.n)) && math.IsNaN(math.Float64frombits(o.n)))
+	}
+	return v.n == o.n
+}
+
+// keyHashSeed seeds the string payloads of KeyHash for the life of the
+// process. Hashes are for in-memory lookups only and never leave it.
+var keyHashSeed = maphash.MakeSeed()
+
+// KeyHash folds v's canonical key into the running hash h and returns the
+// result. Values that are KeyEqual fold identically, so a combination of
+// values hashes in one pass with no key bytes built; distinct keys may
+// collide, so a lookup settles a hash match with KeyEqual.
+func (v Value) KeyHash(h uint64) uint64 {
+	x := v.n
+	switch v.kind {
+	case KindString:
+		x = maphash.String(keyHashSeed, v.s)
+	case KindFloat:
+		if math.IsNaN(math.Float64frombits(x)) {
+			x = math.Float64bits(math.NaN())
+		}
+	}
+	h = (h ^ uint64(v.kind)<<56 ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>31
 }
 
 // String renders the value for display. Null renders as "null".

@@ -120,14 +120,20 @@ func (e *Estimator) MemoStats() qcache.Stats {
 // SampleSelectivity returns SmplSel(Q): the cardinality of Q on the sample,
 // memoized per query fingerprint.
 func (e *Estimator) SampleSelectivity(q relation.Query) int {
-	n, _, _ := e.sampleCount(q)
+	n, _, _ := e.sampleCount(q, q.Key())
 	return n
 }
 
 // EstSel returns the estimated number of relevant incomplete tuples the
 // query would retrieve from the full database.
 func (e *Estimator) EstSel(q relation.Query) float64 {
-	n, ratio, perInc := e.sampleCount(q)
+	return e.EstSelKeyed(q, q.Key())
+}
+
+// EstSelKeyed is EstSel for a caller that already holds key = q.Key(), so
+// the memo lookup does not build the key again.
+func (e *Estimator) EstSelKeyed(q relation.Query, key string) float64 {
+	n, ratio, perInc := e.sampleCount(q, key)
 	return float64(n) * ratio * perInc
 }
 
@@ -135,19 +141,19 @@ func (e *Estimator) EstSel(q relation.Query) float64 {
 // without the incompleteness discount (used where the expected total result
 // size matters, e.g. join-pair cost estimates for complete queries).
 func (e *Estimator) EstSelComplete(q relation.Query) float64 {
-	n, ratio, _ := e.sampleCount(q)
+	n, ratio, _ := e.sampleCount(q, q.Key())
 	return float64(n) * ratio
 }
 
-// sampleCount returns the memoized count together with the ratio and PerInc
-// of the sample it was counted on, captured under one lock so a concurrent
-// ReplaceSample can never mix statistics from two samples in one estimate.
-func (e *Estimator) sampleCount(q relation.Query) (n int, ratio, perInc float64) {
+// sampleCount returns q's memoized count, filed under key = q.Key(),
+// together with the ratio and PerInc of the sample it was counted on,
+// captured under one lock so a concurrent ReplaceSample can never mix
+// statistics from two samples in one estimate.
+func (e *Estimator) sampleCount(q relation.Query, key string) (n int, ratio, perInc float64) {
 	e.mu.RLock()
 	smpl, memo := e.sample, e.memo
 	ratio, perInc = e.ratio, e.perInc
 	e.mu.RUnlock()
-	key := q.Key()
 	if v, ok := memo.Get(key); ok {
 		return v.(int), ratio, perInc
 	}
