@@ -25,7 +25,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -232,10 +231,7 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 			if err != nil {
 				return err
 			}
-			for _, sec := range [][]qpiad.Answer{rs.Certain, rs.Possible, rs.Unranked} {
-				sec := sec
-				sort.SliceStable(sec, func(i, j int) bool { return cmp(sec[i].Tuple, sec[j].Tuple) < 0 })
-			}
+			rs.SortBy(cmp)
 		}
 		if stmt.Limit > 0 {
 			trim := func(a []qpiad.Answer) []qpiad.Answer {
@@ -513,10 +509,7 @@ func execSQL(sys *qpiad.System, db *qpiad.Relation, sql string, out io.Writer, l
 		if err != nil {
 			return err
 		}
-		for _, sec := range [][]qpiad.Answer{rs.Certain, rs.Possible} {
-			sec := sec
-			sort.SliceStable(sec, func(i, j int) bool { return cmp(sec[i].Tuple, sec[j].Tuple) < 0 })
-		}
+		rs.SortBy(cmp)
 	}
 	max := limit
 	if st.Limit > 0 && st.Limit < max {

@@ -295,6 +295,11 @@ type Answer struct {
 }
 
 // ResultSet is the full outcome of a selection query.
+//
+// A ResultSet served from the answer cache shares its answer sections and
+// Issued with the cached entry (see QuerySelectWith): reslice, append or
+// Project it, and reorder it only through SortBy; never write to an
+// element in place.
 type ResultSet struct {
 	// Query is the original user query.
 	Query relation.Query

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"qpiad/internal/breaker"
 	"qpiad/internal/nbc"
@@ -361,16 +362,16 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 	}
 	// Certain first, then descending confidence; ties broken by tuple keys
 	// so the ranking is identical whichever order the planner joined in.
-	sort.Stable(&keyedSorter[JoinAnswer]{res.Answers, tieKeys, func(i, j int) bool {
+	sortByPosition(res.Answers, func(i, j int32) int {
 		ai, aj := &res.Answers[i], &res.Answers[j]
 		if ai.Certain != aj.Certain {
-			return ai.Certain
+			return ahead(ai.Certain)
 		}
 		if ai.Confidence != aj.Confidence {
-			return ai.Confidence > aj.Confidence
+			return ahead(ai.Confidence > aj.Confidence)
 		}
-		return tieKeys[i] < tieKeys[j]
-	}})
+		return strings.Compare(tieKeys[i], tieKeys[j])
+	})
 	res.Explain = &planner.Explain{
 		PlannerOn: plannerOn,
 		Order:     []int{0},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"qpiad/internal/breaker"
 	"qpiad/internal/planner"
@@ -560,16 +561,16 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 	// Certain first, then descending confidence; ties broken by the chain
 	// keys so the ranking is identical whichever order the planner joined
 	// in.
-	sort.Stable(&keyedSorter[ChainAnswer]{res.Answers, chainKeys, func(i, j int) bool {
+	sortByPosition(res.Answers, func(i, j int32) int {
 		ai, aj := &res.Answers[i], &res.Answers[j]
 		if ai.Certain != aj.Certain {
-			return ai.Certain
+			return ahead(ai.Certain)
 		}
 		if ai.Confidence != aj.Confidence {
-			return ai.Confidence > aj.Confidence
+			return ahead(ai.Confidence > aj.Confidence)
 		}
-		return chainKeys[i] < chainKeys[j]
-	}})
+		return strings.Compare(chainKeys[i], chainKeys[j])
+	})
 	res.Explain = &planner.Explain{PlannerOn: plannerOn, Order: order, Steps: steps}
 	return res, nil
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"qpiad/internal/nbc"
 	"qpiad/internal/relation"
@@ -283,54 +284,95 @@ func ScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) 
 			keys[i] = cands[i].Query.Key()
 		}
 	}
-	sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
+	// Both sorts order positions into cands, which stays put until the
+	// final permutation moves each candidate once.
+	order := positions(len(cands))
+	slices.SortStableFunc(order, func(i, j int32) int {
+		ci, cj := &cands[i], &cands[j]
 		switch ord {
 		case OrderSelectivity:
-			if cands[i].EstSel != cands[j].EstSel {
-				return cands[i].EstSel > cands[j].EstSel
+			if ci.EstSel != cj.EstSel {
+				return ahead(ci.EstSel > cj.EstSel)
 			}
 		case OrderArbitrary:
-			return keys[i] < keys[j]
+			return strings.Compare(keys[i], keys[j])
 		default:
-			if cands[i].F != cands[j].F {
-				return cands[i].F > cands[j].F
+			if ci.F != cj.F {
+				return ahead(ci.F > cj.F)
 			}
 		}
-		if cands[i].Precision != cands[j].Precision {
-			return cands[i].Precision > cands[j].Precision
+		if ci.Precision != cj.Precision {
+			return ahead(ci.Precision > cj.Precision)
 		}
-		return keys[i] < keys[j]
-	}})
-	if k > 0 && len(cands) > k {
-		cands, keys = cands[:k], keys[:k]
+		return strings.Compare(keys[i], keys[j])
+	})
+	n := len(cands)
+	if k > 0 && n > k {
+		n = k
 	}
 	// Step 2(c): reorder the chosen top-K by precision. Under the
 	// arbitrary-ordering ablation the issue order is left as selected, so
 	// the ablation measures what ordering is worth.
 	if ord != OrderArbitrary {
-		sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
+		slices.SortStableFunc(order[:n], func(i, j int32) int {
 			if cands[i].Precision != cands[j].Precision {
-				return cands[i].Precision > cands[j].Precision
+				return ahead(cands[i].Precision > cands[j].Precision)
 			}
-			return keys[i] < keys[j]
-		}})
+			return strings.Compare(keys[i], keys[j])
+		})
 	}
-	return cands
+	permute(cands, order)
+	return cands[:n]
 }
 
-// keyedSorter sorts items and their precomputed tie-break keys in
-// lockstep, keeping the key slice aligned across sort passes. Rankings end
-// in a canonical-key tie-break, and building keys inside an O(n log n)
-// comparator would rebuild each one log n times.
-type keyedSorter[T any] struct {
-	items []T
-	keys  []string
-	less  func(i, j int) bool
+// ahead is a sort comparison's result when exactly one of its operands
+// goes first: -1 when it is the first operand, 1 when it is the second.
+func ahead(first bool) int {
+	if first {
+		return -1
+	}
+	return 1
 }
 
-func (s *keyedSorter[T]) Len() int           { return len(s.items) }
-func (s *keyedSorter[T]) Less(i, j int) bool { return s.less(i, j) }
-func (s *keyedSorter[T]) Swap(i, j int) {
-	s.items[i], s.items[j] = s.items[j], s.items[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+// positions returns 0, 1, ..., n-1: the identity permutation a sort of
+// positions starts from.
+func positions(n int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return order
+}
+
+// permute moves items[order[i]] to position i for every i, each item once,
+// by following the permutation's cycles. It overwrites order.
+func permute[T any](items []T, order []int32) {
+	for i := range order {
+		if int(order[i]) == i {
+			continue
+		}
+		first := items[i]
+		j := i
+		for {
+			from := int(order[j])
+			order[j] = int32(j)
+			if from == i {
+				items[j] = first
+				break
+			}
+			items[j] = items[from]
+			j = from
+		}
+	}
+}
+
+// sortByPosition stably sorts items by cmp, which compares two items by
+// their positions in the unsorted slice, so side data such as precomputed
+// tie-break keys stays indexed by those positions. It sorts a permutation
+// of positions and then moves each item once, rather than swapping whole
+// items inside the sort.
+func sortByPosition[T any](items []T, cmp func(i, j int32) int) {
+	order := positions(len(items))
+	slices.SortStableFunc(order, cmp)
+	permute(items, order)
 }

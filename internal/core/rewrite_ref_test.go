@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -424,6 +426,182 @@ func TestPredictionMemoAlignsWithClasses(t *testing.T) {
 		}
 		if st := w.k.PredictionMemoStats(); st.Hits == 0 {
 			t.Fatalf("seed %d: the memo served no prediction", seed)
+		}
+	}
+}
+
+// referenceScoreAndSelect is ScoreAndSelect as it was before it sorted
+// positions: the same two stable sorts, run over the candidates themselves
+// through keyedSorter, which swaps whole RewrittenQuery values and their
+// keys in lockstep.
+func referenceScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) []RewrittenQuery {
+	totalThroughput := 0.0
+	for _, c := range cands {
+		totalThroughput += c.Precision * c.EstSel
+	}
+	for i := range cands {
+		if totalThroughput > 0 {
+			cands[i].Recall = cands[i].Precision * cands[i].EstSel / totalThroughput
+		}
+		cands[i].F = fMeasure(cands[i].Precision, cands[i].Recall, alpha)
+	}
+	keys := make([]string, len(cands))
+	for i := range cands {
+		keys[i] = cands[i].key
+		if keys[i] == "" {
+			keys[i] = cands[i].Query.Key()
+		}
+	}
+	sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
+		switch ord {
+		case OrderSelectivity:
+			if cands[i].EstSel != cands[j].EstSel {
+				return cands[i].EstSel > cands[j].EstSel
+			}
+		case OrderArbitrary:
+			return keys[i] < keys[j]
+		default:
+			if cands[i].F != cands[j].F {
+				return cands[i].F > cands[j].F
+			}
+		}
+		if cands[i].Precision != cands[j].Precision {
+			return cands[i].Precision > cands[j].Precision
+		}
+		return keys[i] < keys[j]
+	}})
+	if k > 0 && len(cands) > k {
+		cands, keys = cands[:k], keys[:k]
+	}
+	if ord != OrderArbitrary {
+		sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
+			if cands[i].Precision != cands[j].Precision {
+				return cands[i].Precision > cands[j].Precision
+			}
+			return keys[i] < keys[j]
+		}})
+	}
+	return cands
+}
+
+// keyedSorter sorts items and their precomputed tie-break keys in
+// lockstep, keeping the key slice aligned across sort passes.
+type keyedSorter[T any] struct {
+	items []T
+	keys  []string
+	less  func(i, j int) bool
+}
+
+func (s *keyedSorter[T]) Len() int           { return len(s.items) }
+func (s *keyedSorter[T]) Less(i, j int) bool { return s.less(i, j) }
+func (s *keyedSorter[T]) Swap(i, j int) {
+	s.items[i], s.items[j] = s.items[j], s.items[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
+// sameRanking reports where two candidate lists first differ by query key,
+// explanation or the bits of F or Recall, or -1.
+func sameRanking(got, want []RewrittenQuery) int {
+	for i := range got {
+		if got[i].Query.Key() != want[i].Query.Key() || got[i].Explanation != want[i].Explanation ||
+			math.Float64bits(got[i].F) != math.Float64bits(want[i].F) ||
+			math.Float64bits(got[i].Recall) != math.Float64bits(want[i].Recall) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestScoreAndSelectMatchesReference ranks the candidates of the seeded
+// worlds both ways, under every ordering and K ∈ {0, 1, 10}, and once more
+// with every candidate doubled, the copies told apart by their
+// explanation, so that equal keys leave the order to the sorts' stability.
+// The selection and the whole reordered input must match the reference,
+// F and Recall to the bit.
+func TestScoreAndSelectMatchesReference(t *testing.T) {
+	ranked := 0
+	for seed := int64(1); seed <= 24; seed++ {
+		w, err := genRewriteWorld(seed, "Ford")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range w.queries {
+			for _, b := range w.bases(q, int(seed)%w.schema.Len()) {
+				cands := GenerateRewrites(w.k, q, b.rows, b.schema)
+				doubled := append(slices.Clone(cands), cands...)
+				for i := len(cands); i < len(doubled); i++ {
+					doubled[i].Explanation += " (copy)"
+				}
+				for _, in := range [][]RewrittenQuery{cands, doubled} {
+					for _, ord := range []Ordering{OrderFMeasure, OrderSelectivity, OrderArbitrary} {
+						for _, k := range []int{0, 1, 10} {
+							alpha := float64(k%3) / 2
+							got, want := slices.Clone(in), slices.Clone(in)
+							gs := ScoreAndSelect(got, alpha, k, ord)
+							ws := referenceScoreAndSelect(want, alpha, k, ord)
+							if len(gs) != len(ws) {
+								t.Fatalf("seed %d %v over %s, ordering %v, K %d: %d selected, reference %d", seed, q, b.name, ord, k, len(gs), len(ws))
+							}
+							if i := sameRanking(gs, ws); i >= 0 {
+								t.Fatalf("seed %d %v over %s, ordering %v, K %d: selection %d is %v (F %v, recall %v), reference %v (F %v, recall %v)",
+									seed, q, b.name, ord, k, i, gs[i].Query, gs[i].F, gs[i].Recall, ws[i].Query, ws[i].F, ws[i].Recall)
+							}
+							if i := sameRanking(got, want); i >= 0 {
+								t.Fatalf("seed %d %v over %s, ordering %v, K %d: input left with %v at %d, reference %v", seed, q, b.name, ord, k, got[i].Query, i, want[i].Query)
+							}
+							ranked += len(in)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d candidates ranked", ranked)
+	if ranked < 10000 {
+		t.Fatalf("only %d candidates ranked; the worlds no longer exercise the ranking", ranked)
+	}
+}
+
+// TestSortByPositionMatchesKeyedSorter ranks join answers with many ties
+// (certainty, confidence and tie-break key drawn from small pools, NaN
+// among the confidences) both ways, with the joins' comparator.
+func TestSortByPositionMatchesKeyedSorter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	confs := []float64{1, 0.5, 0.5, 0.25, math.NaN(), 0}
+	for _, n := range []int{0, 1, 2, 19, 20, 21, 41, 300} {
+		for rep := 0; rep < 20; rep++ {
+			answers := make([]JoinAnswer, n)
+			keys := make([]string, n)
+			for i := range answers {
+				answers[i] = JoinAnswer{JoinValue: relation.Int(int64(i)), Certain: rng.Intn(3) == 0, Confidence: confs[rng.Intn(len(confs))]}
+				keys[i] = string(rune('a' + rng.Intn(4)))
+			}
+			got, want, wantKeys := slices.Clone(answers), slices.Clone(answers), slices.Clone(keys)
+			sortByPosition(got, func(i, j int32) int {
+				ai, aj := &got[i], &got[j]
+				if ai.Certain != aj.Certain {
+					return ahead(ai.Certain)
+				}
+				if ai.Confidence != aj.Confidence {
+					return ahead(ai.Confidence > aj.Confidence)
+				}
+				return strings.Compare(keys[i], keys[j])
+			})
+			sort.Stable(&keyedSorter[JoinAnswer]{want, wantKeys, func(i, j int) bool {
+				ai, aj := &want[i], &want[j]
+				if ai.Certain != aj.Certain {
+					return ai.Certain
+				}
+				if ai.Confidence != aj.Confidence {
+					return ai.Confidence > aj.Confidence
+				}
+				return wantKeys[i] < wantKeys[j]
+			}})
+			for i := range got {
+				if got[i].JoinValue != want[i].JoinValue {
+					t.Fatalf("n %d rep %d: position %d holds answer %v, reference %v", n, rep, i, got[i].JoinValue, want[i].JoinValue)
+				}
+			}
 		}
 	}
 }

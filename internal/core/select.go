@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"qpiad/internal/breaker"
@@ -41,17 +42,22 @@ func (m *Mediator) QuerySelectCtx(ctx context.Context, srcName string, q relatio
 // Results are served from the mediator answer cache when possible:
 // identical (source, query, α/K/ordering) calls hit the cached ResultSet,
 // and concurrent identical misses are collapsed to a single pipeline run.
-// Every caller receives its own shallow clone, so downstream sorting,
-// trimming and projection cannot corrupt the cached copy. Degraded results
-// (a rewrite failed or was budget-skipped) are returned but evicted
-// immediately — a later retry gets a chance at the complete answer set.
-// cfg.NoCache bypasses the cache for this call only.
+// Every caller receives its own ResultSet header, but on a hit its answer
+// sections and Issued share their arrays with the cached entry, each capped
+// at its length: the caller may reslice them, append to them (which
+// copies, as long as a shortened section was cut with s[:n:n]) or Project
+// the result, and reorders them only through SortBy. It must not write to
+// an element in place. Degraded results (a rewrite failed or was
+// budget-skipped) are returned but evicted immediately — a later retry gets
+// a chance at the complete answer set. cfg.NoCache bypasses the cache for
+// this call only.
 func (m *Mediator) QuerySelectWith(cfg Config, srcName string, q relation.Query) (*ResultSet, error) {
 	//lint:allow ctxflow audited root: context-free convenience wrapper over QuerySelectWithCtx
 	return m.QuerySelectWithCtx(context.Background(), cfg, srcName, q)
 }
 
-// QuerySelectWithCtx is QuerySelectWith under a caller-supplied context.
+// QuerySelectWithCtx is QuerySelectWith under a caller-supplied context,
+// with the same sharing contract for cached answers.
 //
 // Cache caveat: when concurrent identical misses are collapsed, the whole
 // pipeline runs under the *leader's* context. A follower that cancels its
@@ -84,8 +90,8 @@ func (m *Mediator) QuerySelectWithCtx(ctx context.Context, cfg Config, srcName s
 // (errors.Is(err, breaker.ErrOpen)) and cfg.StaleTTL arms the fallback.
 // The returned clone shares the cached entry's answer sections untouched —
 // byte-identical to what a fresh hit would have served — and is flagged
-// Stale with its age. The cached master is never mutated and the stale
-// serve is never re-cached.
+// Stale with its age on its own header. The cached master is never mutated
+// and the stale serve is never re-cached.
 func (m *Mediator) staleFallback(key string, cfg Config, err error) (*ResultSet, bool) {
 	if cfg.StaleTTL <= 0 || !errors.Is(err, breaker.ErrOpen) {
 		return nil, false
@@ -115,9 +121,13 @@ func answerKey(srcName string, q relation.Query, cfg Config) string {
 	return string(b)
 }
 
-// clone shallow-copies the result set so callers can sort, trim and project
-// their copy without mutating the cached master. Answers and tuples are
-// shared: the pipeline never mutates them after assembly.
+// clone gives a cache hit its own header over the cached master's arrays:
+// Certain, Possible, Unranked and Issued alias the master, each capped at
+// its length, so a caller's append copies instead of writing past the
+// master's length, and a trim only reslices. Nothing writes to a master
+// after it is cached: the fallback flags only the header, Project and the
+// global fan-out build fresh arrays, and SortBy sorts copies. So a hit
+// costs one header, whatever the size of the answer.
 //
 // Aliasing audit: sharing tuples here is safe because no tuple in a
 // ResultSet ever aliases a relation's backing store. Every tuple enters the
@@ -128,11 +138,24 @@ func answerKey(srcName string, q relation.Query, cfg Config) string {
 // the source wall.
 func (rs *ResultSet) clone() *ResultSet {
 	cp := *rs
-	cp.Certain = append([]Answer(nil), rs.Certain...)
-	cp.Possible = append([]Answer(nil), rs.Possible...)
-	cp.Unranked = append([]Answer(nil), rs.Unranked...)
-	cp.Issued = append([]RewrittenQuery(nil), rs.Issued...)
+	cp.Certain = slices.Clip(rs.Certain)
+	cp.Possible = slices.Clip(rs.Possible)
+	cp.Unranked = slices.Clip(rs.Unranked)
+	cp.Issued = slices.Clip(rs.Issued)
 	return &cp
+}
+
+// SortBy stably orders each answer section (Certain, Possible, Unranked) by
+// cmp over the answers' tuples, negative when a comes first, like ORDER BY.
+// Each section is copied before it is sorted: a result served from the
+// answer cache shares its sections with the cached entry, so this is the
+// way to reorder one.
+func (rs *ResultSet) SortBy(cmp func(a, b relation.Tuple) int) {
+	for _, sec := range []*[]Answer{&rs.Certain, &rs.Possible, &rs.Unranked} {
+		sorted := slices.Clone(*sec)
+		slices.SortStableFunc(sorted, func(a, b Answer) int { return cmp(a.Tuple, b.Tuple) })
+		*sec = sorted
+	}
 }
 
 // querySelectUncached runs the full selection pipeline against the source.

@@ -42,7 +42,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -323,6 +323,28 @@ func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.WriteHeader(code)
 	if _, err := w.Write(body); err != nil {
 		s.clientDisconnects.Add(1)
+	}
+}
+
+// replyBufs holds the buffers select and join bodies are appended into, so
+// a reply does not regrow its body from nothing.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReply bounds the buffers replyBufs keeps: one that grew past it
+// for a large body, such as an unpaged export, is dropped rather than
+// pinned in the pool.
+const maxPooledReply = 1 << 20
+
+// writeReply sends the 200 body appendBody appends into a pooled buffer.
+// The buffer goes back to the pool only after w.Write has returned: an
+// io.Writer must not keep the slice it is given.
+func (s *Server) writeReply(w http.ResponseWriter, appendBody func([]byte) []byte) {
+	buf := replyBufs.Get().(*[]byte)
+	body := appendBody((*buf)[:0])
+	s.writeBody(w, http.StatusOK, body)
+	if cap(body) <= maxPooledReply {
+		*buf = body[:0]
+		replyBufs.Put(buf)
 	}
 }
 
@@ -794,16 +816,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// ORDER BY applies within the certain and possible sections (possible
 	// answers keep their confidence ranking as the primary order when no
-	// ORDER BY is given); LIMIT caps each section.
+	// ORDER BY is given); LIMIT caps each section. A cache hit shares its
+	// sections with the cache: SortBy sorts copies, and the cap reslices.
 	if len(st.Order) > 0 {
 		cmp, err := st.Comparator(src.Schema())
 		if err != nil {
 			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		sortAnswers(rs.Certain, cmp)
-		sortAnswers(rs.Possible, cmp)
-		sortAnswers(rs.Unranked, cmp)
+		rs.SortBy(cmp)
 	}
 	if st.Limit > 0 {
 		rs.Certain = capAnswers(rs.Certain, st.Limit)
@@ -819,7 +840,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.writeBody(w, http.StatusOK, enc.appendSelect(nil, st.Query.String(), srcName, rs, explain))
+	var text [256]byte
+	query := st.Query.AppendString(text[:0])
+	s.writeReply(w, func(b []byte) []byte { return enc.appendSelect(b, query, srcName, rs, explain) })
 }
 
 // handleQueryStream serves POST /query?stream=1: the selection pipeline's
@@ -927,17 +950,12 @@ func nextEvent(events <-chan core.StreamEvent, idle func()) (core.StreamEvent, b
 	return ev, open
 }
 
-// sortAnswers stably orders answers by the tuple comparator.
-func sortAnswers(answers []core.Answer, cmp func(a, b relation.Tuple) int) {
-	sort.SliceStable(answers, func(i, j int) bool {
-		return cmp(answers[i].Tuple, answers[j].Tuple) < 0
-	})
-}
-
-// capAnswers truncates a section to the LIMIT.
+// capAnswers truncates a section to the LIMIT. The result's capacity ends
+// at the LIMIT too: a cached section goes on past it, and an append must
+// copy rather than write there.
 func capAnswers(answers []core.Answer, limit int) []core.Answer {
 	if len(answers) > limit {
-		return answers[:limit]
+		return answers[:limit:limit]
 	}
 	return answers
 }
@@ -1033,5 +1051,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.writeBody(w, http.StatusOK, appendJoin(nil, leftEnc, rightEnc, spec.LeftSource, spec.RightSource, res))
+	s.writeReply(w, func(b []byte) []byte {
+		return appendJoin(b, leftEnc, rightEnc, spec.LeftSource, spec.RightSource, res)
+	})
 }

@@ -243,6 +243,7 @@ func TestQueryErrors(t *testing.T) {
 		{`{"sql": "DROP TABLE cars"}`, http.StatusBadRequest, "sqlish"},
 		{`{"sql": "SELECT * FROM nope"}`, http.StatusNotFound, "unknown source"},
 		{`{"sql": "SELECT * FROM cars WHERE nope = 1"}`, http.StatusBadRequest, "unknown attribute"},
+		{`{"sql": "SELECT * FROM cars WHERE body_style = 'Convt' LIMIT 0"}`, http.StatusBadRequest, "LIMIT"},
 	}
 	for _, c := range cases {
 		resp, body := postQuery(t, srv, c.body)

@@ -172,6 +172,7 @@ func TestQueryStreamRejects(t *testing.T) {
 		{"aggregate", `{"sql": "SELECT COUNT(*) FROM cars WHERE body_style = 'Convt'"}`, "aggregate"},
 		{"order-by", `{"sql": "SELECT * FROM cars WHERE body_style = 'Convt' ORDER BY price"}`, "ORDER BY"},
 		{"limit", `{"sql": "SELECT * FROM cars WHERE body_style = 'Convt' LIMIT 3"}`, "ORDER BY"},
+		{"limit-0", `{"sql": "SELECT * FROM cars WHERE body_style = 'Convt' LIMIT 0"}`, "LIMIT"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+"/query?stream=1", "application/json",

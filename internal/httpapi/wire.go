@@ -102,13 +102,14 @@ func (e *rowEncoder) appendAnswers(b []byte, answers []core.Answer) []byte {
 	return append(b, ']')
 }
 
-// appendSelect appends the batch /query body of a selection. "degraded"
-// marks a result some of whose rewrites failed or were skipped (annotated
-// in rewrites_issued), so possible answers may be missing; "stale" marks
+// appendSelect appends the batch /query body of a selection; query is the
+// statement's text (relation.Query.AppendString). "degraded" marks a result
+// some of whose rewrites failed or were skipped (annotated in
+// rewrites_issued), so possible answers may be missing; "stale" marks
 // answers served from the answer cache past their freshness bound because
 // the source's circuit was open. explain is the marshalled planner section,
 // nil when the response carries none.
-func (e *rowEncoder) appendSelect(b []byte, query, source string, rs *core.ResultSet, explain []byte) []byte {
+func (e *rowEncoder) appendSelect(b, query []byte, source string, rs *core.ResultSet, explain []byte) []byte {
 	b = append(b, `{"query":`...)
 	b = appendString(b, query)
 	b = append(b, `,"source":`...)
@@ -153,7 +154,7 @@ func (e *rowEncoder) appendSelect(b []byte, query, source string, rs *core.Resul
 // precision, and for a failed rewrite its attempts and error.
 func appendIssued(b []byte, rq *core.RewrittenQuery) []byte {
 	b = append(b, '"')
-	b = appendEscaped(b, rq.Query.String())
+	b = appendQueryText(b, &rq.Query)
 	b = append(b, " (precision "...)
 	b = strconv.AppendFloat(b, rq.Precision, 'f', 3, 64)
 	if rq.Err != nil {
@@ -188,8 +189,9 @@ func appendRewriteLine(b []byte, rq *core.RewrittenQuery) []byte {
 	default:
 		status = "failed"
 	}
-	b = append(b, `{"event":"rewrite","rewrite":{"query":`...)
-	b = appendString(b, rq.Query.String())
+	b = append(b, `{"event":"rewrite","rewrite":{"query":"`...)
+	b = appendQueryText(b, &rq.Query)
+	b = append(b, '"')
 	b = append(b, `,"precision":`...)
 	b = appendFloat(b, rq.Precision)
 	b = appendInt(b, `,"attempts":`, rq.Attempts)
@@ -210,8 +212,9 @@ func appendRewriteLine(b []byte, rq *core.RewrittenQuery) []byte {
 // appendSummaryLine appends the NDJSON summary event that closes a stream.
 func appendSummaryLine(b []byte, sum *core.StreamSummary) []byte {
 	rs := sum.Result
-	b = append(b, `{"event":"summary","summary":{"query":`...)
-	b = appendString(b, rs.Query.String())
+	b = append(b, `{"event":"summary","summary":{"query":"`...)
+	b = appendQueryText(b, &rs.Query)
+	b = append(b, '"')
 	b = append(b, `,"source":`...)
 	b = appendString(b, rs.Source)
 	b = appendInt(b, `,"certain":`, len(rs.Certain))
@@ -325,8 +328,17 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
+// appendQueryText appends q's text, the bytes relation.Query.String
+// returns, as the body of a JSON string. The text is rendered into a
+// buffer on the stack and escaped from there, so a query costs no fmt call
+// and no string; only a text longer than the buffer allocates.
+func appendQueryText(b []byte, q *relation.Query) []byte {
+	var text [256]byte
+	return appendEscaped(b, q.AppendString(text[:0]))
+}
+
 // appendString appends s as a quoted JSON string (see appendEscaped).
-func appendString(b []byte, s string) []byte {
+func appendString[S ~string | ~[]byte](b []byte, s S) []byte {
 	b = append(b, '"')
 	b = appendEscaped(b, s)
 	return append(b, '"')
@@ -349,8 +361,9 @@ const hexDigits = "0123456789abcdef"
 // appendEscaped appends the body of s as a JSON string, without quotes, as
 // encoding/json escapes it: '"' and '\' backslashed; \b, \f, \n, \r and \t
 // short; other control bytes and <, > and & as \u00XX; U+2028 and U+2029 as
-// \u2028 and \u2029; each byte of invalid UTF-8 as \ufffd.
-func appendEscaped(b []byte, s string) []byte {
+// \u2028 and \u2029; each byte of invalid UTF-8 as \ufffd. s is a string or
+// bytes, such as query text rendered into a scratch buffer.
+func appendEscaped[S ~string | ~[]byte](b []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -379,7 +392,7 @@ func appendEscaped(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := decodeRune(s[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)
@@ -395,4 +408,11 @@ func appendEscaped(b []byte, s string) []byte {
 		start = i
 	}
 	return append(b, s[start:]...)
+}
+
+// decodeRune is utf8.DecodeRune over a string or bytes. It copies at most
+// utf8.UTFMax bytes to the stack, so a string converts without allocating.
+func decodeRune[S ~string | ~[]byte](s S) (rune, int) {
+	var buf [utf8.UTFMax]byte
+	return utf8.DecodeRune(buf[:copy(buf[:], s)])
 }

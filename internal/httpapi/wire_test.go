@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -404,7 +405,7 @@ func TestWireSelectMatchesReference(t *testing.T) {
 				}
 			}
 			const query = "σ[name = <x> & \"y\"](cars)"
-			got := enc.appendSelect(nil, query, "cars", &tc.rs, explain)
+			got := enc.appendSelect(nil, []byte(query), "cars", &tc.rs, explain)
 			want := refBody(t, refSelect(query, "cars", wireSchema, tc.projection, &tc.rs, tc.planner))
 			sameWire(t, "select body", got, want)
 		})
@@ -446,6 +447,85 @@ func TestWireStreamLinesMatchReference(t *testing.T) {
 			}
 			sameWire(t, "stream line", got, refLine(t, refEvent(wireSchema, projection, ev)))
 		}
+	}
+}
+
+// refQueryText is relation.Query.String as it was written with fmt; the
+// relation package pins String to the same reference.
+func refQueryText(q relation.Query) string {
+	parts := make([]string, len(q.Preds))
+	for i, p := range q.Preds {
+		switch p.Op {
+		case relation.OpIsNull, relation.OpNotNull:
+			parts[i] = p.Attr + " " + p.Op.String()
+		case relation.OpBetween:
+			parts[i] = fmt.Sprintf("%s between %s and %s", p.Attr, p.Value, p.High)
+		default:
+			parts[i] = fmt.Sprintf("%s%s%s", p.Attr, p.Op, p.Value)
+		}
+	}
+	sel := "σ[" + strings.Join(parts, " ∧ ") + "]"
+	if len(q.Preds) == 0 {
+		sel = "σ[true]"
+	}
+	if q.Relation != "" {
+		sel += "(" + q.Relation + ")"
+	}
+	if q.Agg != nil {
+		sel = q.Agg.String() + " " + sel
+	}
+	return sel
+}
+
+// TestWireQueryTextMatchesReference renders rewrites whose values need
+// every JSON escape (quote, backslash, <, &, control bytes, U+2028, invalid
+// UTF-8), and one whose text outgrows the render buffer, through the
+// rewrites_issued entry, the rewrite and summary lines and the select
+// body's "query". Each must be encoding/json of the fmt reference text.
+func TestWireQueryTextMatchesReference(t *testing.T) {
+	values := []relation.Value{relation.Null(), relation.Int(-7), relation.Bool(true),
+		relation.Float(math.Copysign(0, -1)), relation.Float(math.NaN()), relation.Float(math.Inf(-1)), relation.Float(1e21),
+		relation.String(strings.Repeat("<&\"\u2028", 80))}
+	for _, s := range wireStrings {
+		values = append(values, relation.String(s))
+	}
+	enc, err := newRowEncoder(wireSchema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range values {
+		q := relation.Query{Relation: wireStrings[i%len(wireStrings)], Preds: []relation.Predicate{
+			relation.Eq("name", v),
+			relation.Between("price", v, relation.String("z\"<")),
+			relation.IsNull("Note <&>"),
+		}}
+		text := refQueryText(q)
+		for _, rq := range []core.RewrittenQuery{
+			{Query: q, Precision: 0.8125, Attempts: 1, Transferred: 4, Kept: 2},
+			{Query: q, Precision: 1.0 / 3, Attempts: 2, Err: errors.New("fault \"<&>\"")},
+		} {
+			issued := fmt.Sprintf("%s (precision %.3f)", text, rq.Precision)
+			if rq.Err != nil {
+				issued = fmt.Sprintf("%s (precision %.3f, failed after %d attempts: %v)", text, rq.Precision, rq.Attempts, rq.Err)
+			}
+			want, err := json.Marshal(issued)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWire(t, "rewrites_issued entry", appendIssued(nil, &rq), want)
+
+			ref := refRewrite(rq)
+			ref.Query = text
+			sameWire(t, "rewrite line", appendRewriteLine(nil, &rq), refLine(t, streamEventJSON{Event: "rewrite", Rewrite: ref}))
+		}
+		sum := &core.StreamSummary{Result: &core.ResultSet{Query: q, Source: "cars"}}
+		refSum := refSummary(sum)
+		refSum.Query = text
+		sameWire(t, "summary line", appendSummaryLine(nil, sum), refLine(t, streamEventJSON{Event: "summary", Summary: refSum}))
+
+		rs := &core.ResultSet{Certain: wireAnswers(true)[:2]}
+		sameWire(t, "select body", enc.appendSelect(nil, q.AppendString(nil), "cars", rs, nil),
+			refBody(t, refSelect(text, "cars", wireSchema, nil, rs, nil)))
 	}
 }
 
@@ -562,7 +642,7 @@ func FuzzAnswerWire(f *testing.F) {
 			enc.appendAnswerLine(nil, &a, unranked, stale),
 			appendRewriteLine(nil, &rq),
 			appendSummaryLine(nil, sum),
-			enc.appendSelect(nil, s, s, &rs, nil),
+			enc.appendSelect(nil, []byte(s), s, &rs, nil),
 			appendJoin(nil, joinEnc, joinEnc, s, s, &join),
 		}
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -658,9 +738,7 @@ func TestSelectBodiesMatchReferenceOverHTTP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sortAnswers(rs.Certain, cmp)
-			sortAnswers(rs.Possible, cmp)
-			sortAnswers(rs.Unranked, cmp)
+			rs.SortBy(cmp)
 		}
 		if st.Limit > 0 {
 			rs.Certain = capAnswers(rs.Certain, st.Limit)

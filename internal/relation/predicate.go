@@ -2,9 +2,9 @@ package relation
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -57,7 +57,7 @@ func (o Op) String() string {
 	case OpNotNull:
 		return "is not null"
 	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
+		return "op(" + strconv.Itoa(int(o)) + ")"
 	}
 }
 
@@ -228,13 +228,27 @@ func (p Predicate) NullOn(s *Schema, t Tuple) bool {
 
 // String renders the predicate in the paper's sigma-subscript style.
 func (p Predicate) String() string {
+	var buf [64]byte
+	return string(p.AppendString(buf[:0]))
+}
+
+// AppendString appends the bytes String returns to b: "attr is null",
+// "attr between v and h", or the attribute, operator and value run together
+// ("price<9000"), each value as Value.String renders it.
+func (p Predicate) AppendString(b []byte) []byte {
+	b = append(b, p.Attr...)
 	switch p.Op {
 	case OpIsNull, OpNotNull:
-		return p.Attr + " " + p.Op.String()
+		b = append(b, ' ')
+		return append(b, p.Op.String()...)
 	case OpBetween:
-		return fmt.Sprintf("%s between %s and %s", p.Attr, p.Value, p.High)
+		b = append(b, " between "...)
+		b = p.Value.appendText(b)
+		b = append(b, " and "...)
+		return p.High.appendText(b)
 	default:
-		return fmt.Sprintf("%s%s%s", p.Attr, p.Op, p.Value)
+		b = append(b, p.Op.String()...)
+		return p.Value.appendText(b)
 	}
 }
 
@@ -374,19 +388,34 @@ type keySpan struct{ lo, hi int }
 
 // String renders the query in the paper's sigma notation.
 func (q Query) String() string {
-	parts := make([]string, len(q.Preds))
-	for i, p := range q.Preds {
-		parts[i] = p.String()
-	}
-	sel := "σ[" + strings.Join(parts, " ∧ ") + "]"
-	if len(q.Preds) == 0 {
-		sel = "σ[true]"
-	}
-	if q.Relation != "" {
-		sel += "(" + q.Relation + ")"
-	}
+	var buf [128]byte
+	return string(q.AppendString(buf[:0]))
+}
+
+// AppendString appends the bytes String returns to b: the aggregate and a
+// space if there is one, then "σ[" and the predicates joined by " ∧ "
+// ("true" when there are none), "]", and the relation name in parentheses
+// when it is not empty. It costs no fmt call and no string per predicate.
+func (q Query) AppendString(b []byte) []byte {
 	if q.Agg != nil {
-		sel = q.Agg.String() + " " + sel
+		b = append(b, q.Agg.String()...)
+		b = append(b, ' ')
 	}
-	return sel
+	b = append(b, "σ["...)
+	if len(q.Preds) == 0 {
+		b = append(b, "true"...)
+	}
+	for i := range q.Preds {
+		if i > 0 {
+			b = append(b, " ∧ "...)
+		}
+		b = q.Preds[i].AppendString(b)
+	}
+	b = append(b, ']')
+	if q.Relation != "" {
+		b = append(b, '(')
+		b = append(b, q.Relation...)
+		b = append(b, ')')
+	}
+	return b
 }

@@ -318,6 +318,21 @@ func (v Value) String() string {
 	return "?"
 }
 
+// appendText appends the bytes String returns to b.
+func (v Value) appendText(b []byte) []byte {
+	switch v.kind {
+	case KindString:
+		return append(b, v.s...)
+	case KindInt:
+		return strconv.AppendInt(b, int64(v.n), 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, math.Float64frombits(v.n), 'g', -1, 64)
+	case KindBool:
+		return strconv.AppendBool(b, v.n != 0)
+	}
+	return append(b, v.String()...)
+}
+
 // CSV field escape scheme. Null and the empty string both need non-empty
 // encodings: encoding/csv silently skips blank lines, so a row whose only
 // field were empty would vanish on read. A leading backslash marks the

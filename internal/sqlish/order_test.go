@@ -35,6 +35,8 @@ func TestParseOrderLimitErrors(t *testing.T) {
 		"SELECT * FROM cars LIMIT",
 		"SELECT * FROM cars LIMIT abc",
 		"SELECT * FROM cars LIMIT -3",
+		"SELECT * FROM cars LIMIT 0",
+		"SELECT * FROM cars WHERE body_style = 'Convt' LIMIT 00",
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {

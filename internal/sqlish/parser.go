@@ -26,7 +26,8 @@ type Statement struct {
 	// possible answers carry their own confidence ranking; ORDER BY applies
 	// within the certain and possible sections independently.
 	Order []OrderBy
-	// Limit caps the returned answers per section; 0 means no limit.
+	// Limit caps the returned answers per section; 0 means no LIMIT
+	// clause. A parsed LIMIT is at least 1.
 	Limit int
 }
 
@@ -206,9 +207,10 @@ func (p *parser) parseSelect() (*Statement, error) {
 			return nil, p.errf("LIMIT needs a number, got %q", t.text)
 		}
 		p.pos++
+		// A LIMIT is at least 1: 0 is how a statement without one reads.
 		n, err := strconv.Atoi(t.text)
-		if err != nil || n < 0 {
-			return nil, p.errf("bad LIMIT %q", t.text)
+		if err != nil || n < 1 {
+			return nil, p.errf("bad LIMIT %q (a LIMIT is at least 1)", t.text)
 		}
 		st.Limit = n
 	}

@@ -177,7 +177,10 @@ type (
 	// Answer is one returned tuple with its relevance assessment.
 	Answer = core.Answer
 	// ResultSet is the outcome of a selection query: certain answers, then
-	// ranked possible answers, then the unranked multi-null tail.
+	// ranked possible answers, then the unranked multi-null tail. One
+	// served from the answer cache shares its sections with the cache:
+	// reslice, append or Project it, reorder it only with SortBy, and never
+	// write to an answer in place.
 	ResultSet = core.ResultSet
 	// RewrittenQuery is one issued rewrite with its ranking statistics.
 	RewrittenQuery = core.RewrittenQuery
