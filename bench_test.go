@@ -31,7 +31,6 @@ import (
 	"qpiad/internal/httpapi"
 	"qpiad/internal/loadgen"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -563,7 +562,7 @@ func plannerBenchWorld(b *testing.B) (off, on *core.Mediator) {
 
 	cfg := core.Config{Alpha: 0.5, K: 8, NoCache: true, CacheSize: -1}
 	off = core.New(cfg)
-	cfg.Planner = &planner.Config{}
+	cfg.Planner = true
 	on = core.New(cfg)
 	for _, m := range []*core.Mediator{off, on} {
 		m.Register(fleetSrc, fleetK)

@@ -50,7 +50,6 @@ import (
 	"qpiad/internal/faults"
 	"qpiad/internal/httpapi"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -67,8 +66,7 @@ func main() {
 		k        = flag.Int("k", 10, "default rewritten-query budget")
 		parallel = flag.Int("parallel", 4, "concurrent rewrite issuing")
 		top      = flag.Int("top", 0, "default top-N early-stop bound for streamed queries (0 = off; per-request top_n overrides)")
-		usePlan  = flag.Bool("planner", false, "enable the statistics-driven planner with a cross-query rewrite scheduler sized from -parallel")
-		explain  = flag.Bool("explain", false, "attach a planner accounting snapshot to every /query response")
+		usePlan  = flag.Bool("planner", false, "enable the statistics-driven planner (join and chain ordering)")
 
 		mineWorkers = flag.Int("mine-workers", 0, "worker goroutines for knowledge mining (0 = GOMAXPROCS)")
 		noCache     = flag.Bool("no-cache", false, "disable the mediator answer cache")
@@ -103,7 +101,7 @@ func main() {
 	ccfg := core.Config{
 		Alpha: *alpha, K: *k, Parallel: *parallel, TopN: *top,
 		Retry:    core.RetryPolicy{MaxAttempts: *retries, AttemptTimeout: *attemptTO},
-		CacheTTL: *cacheTTL, StaleTTL: *staleTTL,
+		CacheTTL: *cacheTTL, StaleTTL: *staleTTL, Planner: *usePlan,
 	}
 	if *useBreaker {
 		ccfg.Breaker = &breaker.Config{}
@@ -111,16 +109,6 @@ func main() {
 	if *noCache {
 		ccfg.NoCache = true
 		ccfg.CacheSize = -1
-	}
-	if *usePlan {
-		// The scheduler bounds in-flight rewrite fetches across concurrent
-		// requests; two full per-query batches keeps one slow query from
-		// starving the rest while still capping total source pressure.
-		limit := 2 * *parallel
-		if limit < 2 {
-			limit = 2
-		}
-		ccfg.Planner = &planner.Config{Scheduler: planner.NewScheduler(limit)}
 	}
 	med, err := buildMediator(*csvPath, *n, *seed, *incmp, *smplFrac, *mineWorkers, ccfg)
 	if err != nil {
@@ -142,13 +130,7 @@ func main() {
 		log.Printf("fault injection on: %.0f%% transient, %.0f%% timeout, %v jitter (seed %d)",
 			100*profile.TransientRate, 100*profile.TimeoutRate, profile.LatencyJitter, profile.Seed)
 	}
-	var opts []httpapi.Option
-	if *explain {
-		opts = append(opts, httpapi.WithExplain())
-	}
-	opts = append(opts, admissionOptions(*maxInflight, *maxQueue, *queueTimeout, *retryAfter)...)
-
-	api := httpapi.New(med, opts...)
+	api := httpapi.New(med, admissionOptions(*maxInflight, *maxQueue, *queueTimeout, *retryAfter)...)
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           api,

@@ -50,7 +50,7 @@ func main() {
 		limit    = flag.Int("limit", 15, "answers to print per section")
 		explain  = flag.Bool("explain", true, "show AFD-based explanations")
 		stats    = flag.Bool("stats", false, "print full per-source metrics (queries, retries, errors, latency percentiles)")
-		usePlan  = flag.Bool("planner", false, "enable the statistics-driven planner (join ordering + cross-query rewrite scheduling)")
+		usePlan  = flag.Bool("planner", false, "enable the statistics-driven planner (join and chain ordering)")
 
 		mineWorkers = flag.Int("mine-workers", 0, "worker goroutines for knowledge mining (0 = GOMAXPROCS)")
 		noCache     = flag.Bool("no-cache", false, "disable the mediator answer cache")
@@ -153,9 +153,7 @@ func setup(csvPath string, n int, seed int64, incmp, smplFrac, alpha float64, k 
 		Alpha: alpha, K: k, Retry: res.retry,
 		MineWorkers: res.mineWorkers, NoCache: res.noCache, TopN: res.topN,
 		Breaker: res.breaker, CacheTTL: res.cacheTTL, StaleTTL: res.staleTTL,
-	}
-	if res.planner {
-		cfg.Planner = &qpiad.PlannerConfig{Scheduler: qpiad.NewPlannerScheduler(4)}
+		Planner: res.planner,
 	}
 	sys := qpiad.New(cfg)
 	if err := sys.AddSource("db", db, qpiad.Capabilities{}); err != nil {
@@ -191,9 +189,8 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 	}
 
 	var (
-		q          qpiad.Query
-		projection []string
-		stmt       *qpiad.Statement
+		q    qpiad.Query
+		stmt *qpiad.Statement
 	)
 	if sql != "" {
 		st, err := qpiad.ParseSQL(sql)
@@ -208,7 +205,6 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 		}
 		q = st.Query
 		q.Relation = "db"
-		projection = st.Projection
 		stmt = st
 	} else {
 		var err error
@@ -226,29 +222,9 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 		fmt.Printf("NOTE: circuit open — serving STALE cached answers (age %v)\n", rs.StaleAge.Round(time.Millisecond))
 	}
 	if stmt != nil {
-		if len(stmt.Order) > 0 {
-			cmp, err := stmt.Comparator(db.Schema)
-			if err != nil {
-				return err
-			}
-			rs.SortBy(cmp)
-		}
-		if stmt.Limit > 0 {
-			trim := func(a []qpiad.Answer) []qpiad.Answer {
-				if len(a) > stmt.Limit {
-					return a[:stmt.Limit]
-				}
-				return a
-			}
-			rs.Certain, rs.Possible, rs.Unranked = trim(rs.Certain), trim(rs.Possible), trim(rs.Unranked)
-		}
-	}
-	if len(projection) > 0 {
-		projected, _, err := rs.Project(db.Schema, projection)
-		if err != nil {
+		if rs, err = applyStatement(rs, stmt, db.Schema); err != nil {
 			return err
 		}
-		rs = projected
 	}
 
 	fmt.Printf("\n-- certain answers (%d) --\n", len(rs.Certain))
@@ -405,15 +381,11 @@ func runStream(csvPath string, n int, seed int64, incmp, smplFrac float64, attr,
 	return nil
 }
 
-// printPlanner dumps the planner and scheduler accounting behind -planner.
+// printPlanner dumps the planner accounting behind -planner.
 func printPlanner(sys *qpiad.System) {
 	ps := sys.PlannerStats()
 	fmt.Printf("planner: %d plans consulted, %d reordered, %d fetches skipped\n",
 		ps.Plans, ps.Reordered, ps.SkippedFetches)
-	if sc := ps.Scheduler; sc != nil {
-		fmt.Printf("scheduler: limit=%d admitted=%d waited=%d cancelled=%d\n",
-			sc.Limit, sc.Admitted, sc.Waited, sc.Cancelled)
-	}
 }
 
 // printMetrics dumps the full per-source accounting behind -stats.
@@ -504,29 +476,43 @@ func execSQL(sys *qpiad.System, db *qpiad.Relation, sql string, out io.Writer, l
 	if err != nil {
 		return err
 	}
+	if rs, err = applyStatement(rs, st, db.Schema); err != nil {
+		return err
+	}
+	emit(out, "-- certain (%d) --\n", len(rs.Certain))
+	fprintAnswers(out, rs.Certain, limit, false)
+	emit(out, "-- possible (%d, ranked) --\n", len(rs.Possible))
+	fprintAnswers(out, rs.Possible, limit, explain)
+	return nil
+}
+
+// applyStatement applies a selection statement's ORDER BY, LIMIT and
+// projection to its result, in that order, so -sql and the -repl shell
+// answer the same statement alike. ORDER BY sorts within each section and
+// LIMIT caps each section; a cached result's sections are shared, so
+// SortBy sorts copies and the cap reslices.
+func applyStatement(rs *qpiad.ResultSet, st *qpiad.Statement, s *qpiad.Schema) (*qpiad.ResultSet, error) {
 	if len(st.Order) > 0 {
-		cmp, err := st.Comparator(db.Schema)
+		cmp, err := st.Comparator(s)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rs.SortBy(cmp)
 	}
-	max := limit
-	if st.Limit > 0 && st.Limit < max {
-		max = st.Limit
-	}
-	if len(st.Projection) > 0 {
-		projected, _, err := rs.Project(db.Schema, st.Projection)
-		if err != nil {
-			return err
+	if n := st.Limit; n > 0 {
+		trim := func(a []qpiad.Answer) []qpiad.Answer {
+			if len(a) > n {
+				return a[:n:n]
+			}
+			return a
 		}
-		rs = projected
+		rs.Certain, rs.Possible, rs.Unranked = trim(rs.Certain), trim(rs.Possible), trim(rs.Unranked)
 	}
-	emit(out, "-- certain (%d) --\n", len(rs.Certain))
-	fprintAnswers(out, rs.Certain, max, false)
-	emit(out, "-- possible (%d, ranked) --\n", len(rs.Possible))
-	fprintAnswers(out, rs.Possible, max, explain)
-	return nil
+	if len(st.Projection) == 0 {
+		return rs, nil
+	}
+	projected, _, err := rs.Project(s, st.Projection)
+	return projected, err
 }
 
 func fprintAnswers(out io.Writer, answers []qpiad.Answer, limit int, explain bool) {

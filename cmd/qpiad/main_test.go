@@ -123,6 +123,7 @@ func TestREPL(t *testing.T) {
 		"",
 		"-- a comment",
 		"SELECT make, model FROM db WHERE body_style = 'Convt' LIMIT 2",
+		"SELECT * FROM db WHERE make = 'BMW' ORDER BY price, year DESC LIMIT 4",
 		"SELECT COUNT(*) FROM db WHERE body_style = 'Sedan'",
 		"BOGUS SYNTAX",
 		`\q`,
@@ -140,6 +141,15 @@ func TestREPL(t *testing.T) {
 	}
 	if strings.Contains(text, "never reached") {
 		t.Error("REPL did not stop at \\q")
+	}
+	// LIMIT trims the sections, as -sql does, not only what is printed.
+	for _, want := range []string{"-- certain (2) --", "-- certain (4) --"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("REPL output missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "... and") {
+		t.Errorf("LIMIT left answers beyond it:\n%s", text)
 	}
 }
 

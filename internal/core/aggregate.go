@@ -126,8 +126,7 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 			}
 		}
 		queries, keeps := issueQueries(src, included)
-		results := fetchAll(ctx, src, queries, keeps, cfg.Parallel, cfg.Retry,
-			cfg.Planner.Sched(), rewritePriorities(included))
+		results := fetchAll(ctx, src, queries, keeps, cfg.Parallel, cfg.Retry)
 		seen := seedAnswerKeys(src.Schema(), base, q.ConstrainedAttrs())
 		fail := func(rq RewrittenQuery, err error) {
 			rq.Err = err

@@ -11,7 +11,6 @@ import (
 	"qpiad/internal/breaker"
 	"qpiad/internal/faults"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -267,28 +266,6 @@ func TestAggregateOpenCircuitStopsPlan(t *testing.T) {
 	if want := len(ans.Failed) - trippy().ConsecutiveFailures - 1; rejected != 1 || want <= 0 || skipped != want {
 		t.Errorf("of %d failed rewrites %d rejected and %d skipped unissued, want 1 and %d",
 			len(ans.Failed), rejected, skipped, want)
-	}
-}
-
-// TestAggregateScheduled pins that an attached cross-query scheduler
-// admits every aggregate rewrite fetch.
-func TestAggregateScheduled(t *testing.T) {
-	sched := planner.NewScheduler(2)
-	f := newFixture(t, Config{Alpha: 1, K: 0, Planner: &planner.Config{Scheduler: sched}})
-	ans, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{IncludePossible: true, Rule: RuleArgmax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.Included) == 0 {
-		t.Fatal("scenario needs included rewrites")
-	}
-	st := sched.Stats()
-	if st.Admitted != int64(len(ans.Included)) {
-		t.Errorf("scheduler admitted %d fetches, want one per included rewrite (%d)",
-			st.Admitted, len(ans.Included))
-	}
-	if st.InFlight != 0 || st.Queued != 0 {
-		t.Errorf("scheduler leaked slots: %+v", st)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestFetchAllOpenSkip(t *testing.T) {
 		for i := range queries {
 			queries[i] = relation.NewQuery("cars", relation.Eq("model", relation.String("Z4")))
 		}
-		results := fetchAll(context.Background(), f.src, queries, nil, parallel, fastRetry(1), nil, nil)
+		results := fetchAll(context.Background(), f.src, queries, nil, parallel, fastRetry(1))
 		for i, res := range results {
 			if !errors.Is(res.err, breaker.ErrOpen) {
 				t.Fatalf("parallel=%d: result %d err = %v, want ErrOpen", parallel, i, res.err)

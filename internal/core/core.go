@@ -30,7 +30,6 @@ import (
 	"qpiad/internal/afd"
 	"qpiad/internal/breaker"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/qcache"
 	"qpiad/internal/relation"
 	"qpiad/internal/selectivity"
@@ -127,13 +126,12 @@ type Config struct {
 	// attached breakers (deterministic tests). nil means the wall clock.
 	Clock func() time.Time
 	// Planner arms the statistics-driven query planner: greedy join/chain
-	// ordering from mined cardinality statistics, and (when a Scheduler is
-	// attached) cross-query rewrite admission by marginal F-measure per
-	// estimated cost. nil — or Planner.Disabled — preserves today's
-	// caller-order execution exactly; the answer sets are identical either
-	// way (the planner only changes which fetches can be skipped and in
-	// what order sources are contacted).
-	Planner *planner.Config
+	// ordering from mined cardinality statistics, the hash-join build side
+	// and the empty-intermediate skip. false preserves caller-order
+	// execution exactly; the answer sets are identical either way (the
+	// planner only changes which fetches can be skipped and in what order
+	// sources are contacted).
+	Planner bool
 }
 
 // DefaultConfig matches the paper's experimental defaults (α = 0, K = 10).
@@ -456,9 +454,8 @@ func (m *Mediator) lookup(name string) (*source.Source, *Knowledge, bool) {
 func (m *Mediator) StaleServed() int64 { return m.staleServed.Load() }
 
 // PlannerStats is the mediator's planner accounting: how many join/chain
-// plans ran, how often the statistics changed the execution order, how many
-// component fetches the plan order let the executor skip, and — when a
-// cross-query scheduler is attached — its admission counters.
+// plans ran, how often the statistics changed the execution order, and how
+// many component fetches the plan order let the executor skip.
 type PlannerStats struct {
 	// Enabled reports statistics-driven ordering is active on the
 	// mediator's shared config.
@@ -471,24 +468,16 @@ type PlannerStats struct {
 	// SkippedFetches counts component fetches never issued because an
 	// earlier plan step proved the chain empty or the side unreachable.
 	SkippedFetches int64
-	// Scheduler carries the cross-query scheduler's counters, nil when no
-	// scheduler is attached.
-	Scheduler *planner.SchedulerStats
 }
 
 // PlannerStats snapshots the planner accounting.
 func (m *Mediator) PlannerStats() PlannerStats {
-	st := PlannerStats{
-		Enabled:        m.cfg.Planner.On(),
+	return PlannerStats{
+		Enabled:        m.cfg.Planner,
 		Plans:          m.plannerPlans.Load(),
 		Reordered:      m.plannerReordered.Load(),
 		SkippedFetches: m.plannerSkipped.Load(),
 	}
-	if sched := m.cfg.Planner.Sched(); sched != nil {
-		ss := sched.Stats()
-		st.Scheduler = &ss
-	}
-	return st
 }
 
 // BreakerSnapshot returns the named source's breaker accounting; ok is

@@ -140,8 +140,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 	for i, rq := range chosen {
 		issueQs[i] = rq.Query
 	}
-	results := fetchAll(ctx, sk, issueQs, nil, m.cfg.Parallel, m.cfg.Retry,
-		m.cfg.Planner.Sched(), rewritePriorities(chosen))
+	results := fetchAll(ctx, sk, issueQs, nil, m.cfg.Parallel, m.cfg.Retry)
 	var seen answerKeys
 	for i, rq := range chosen {
 		rq.Attempts = results[i].attempts

@@ -137,13 +137,11 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 	// Estimate both sides from mined statistics before touching the
 	// sources. The estimates drive fetch ordering when the planner is on
 	// and surface in the Explain either way.
-	plannerOn := m.cfg.Planner.On()
-	sched := m.cfg.Planner.Sched()
 	adj := planner.Adjacency{
 		Left:  sideEstimate(spec.LeftSource, lk, spec.LeftQuery, spec.LeftJoinAttr),
 		Right: sideEstimate(spec.RightSource, rk, spec.RightQuery, spec.RightJoinAttr),
 	}
-	if plannerOn {
+	if m.cfg.Planner {
 		m.plannerPlans.Add(1)
 	}
 
@@ -160,7 +158,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		*out = bres.rows
 		return nil
 	}
-	if plannerOn && adj.Right.Est < adj.Left.Est {
+	if m.cfg.Planner && adj.Right.Est < adj.Left.Est {
 		if err := fetchBase(rsrc, spec.RightQuery, "right", &rbase); err != nil {
 			return nil, err
 		}
@@ -218,8 +216,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 			res.Degraded = true
 			res.EstSavedTuples += u.rq.EstSel
 		default:
-			fres := fetchOneSched(ctx, src, u.query, postFilter(src.Schema(), u.rq), m.cfg.Retry,
-				sched, planner.Priority(u.prec, u.estSel))
+			fres := fetchOne(ctx, src, u.query, postFilter(src.Schema(), u.rq), m.cfg.Retry)
 			if fres.err != nil {
 				// A component that stays unfetchable after retries degrades
 				// the join rather than failing it.
@@ -299,7 +296,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		lu, ru := sp.left, sp.right
 		res.Pairs = append(res.Pairs, sp.pair)
 		var lres, rres *sideResult
-		if plannerOn {
+		if m.cfg.Planner {
 			// Fetch the estimated-smaller component first; if it comes back
 			// empty the pair cannot match, so the other component's fetch is
 			// skipped entirely when that would save a source query.
@@ -332,7 +329,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		// produces the same (left, right) match set, and emit computes
 		// confidence with fixed left×right orientation, so the answers are
 		// identical either way.
-		if plannerOn && planner.BuildLeft(len(lres.answers), len(rres.answers)) {
+		if m.cfg.Planner && planner.BuildLeft(len(lres.answers), len(rres.answers)) {
 			if lres.index == nil {
 				lres.index = buildJoinIndex(ls.Schema(), lres.answers, lcol, lpred)
 			}
@@ -373,7 +370,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		return strings.Compare(tieKeys[i], tieKeys[j])
 	})
 	res.Explain = &planner.Explain{
-		PlannerOn: plannerOn,
+		PlannerOn: m.cfg.Planner,
 		Order:     []int{0},
 		Steps: []planner.Step{{
 			LeftSource:  spec.LeftSource,
@@ -384,7 +381,7 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 			ActLeft:     actLeft,
 			ActRight:    actRight,
 			ActOut:      len(res.Answers),
-			BuildLeft:   plannerOn && planner.BuildLeft(actLeft, actRight),
+			BuildLeft:   m.cfg.Planner && planner.BuildLeft(actLeft, actRight),
 		}},
 	}
 	return res, nil

@@ -126,9 +126,6 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		}
 	}
 
-	plannerOn := m.cfg.Planner.On()
-	sched := m.cfg.Planner.Sched()
-
 	// Estimate every adjacency from mined statistics (sample-only reads —
 	// no source queries) and pick the execution order.
 	adjEst := make([]planner.Adjacency, n-1)
@@ -142,7 +139,7 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 	for i := range order {
 		order[i] = i
 	}
-	if plannerOn {
+	if m.cfg.Planner {
 		cp := planner.PlanChain(adjEst)
 		order = cp.Order
 		m.plannerPlans.Add(1)
@@ -237,14 +234,12 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		rqs := make([]RewrittenQuery, len(keys))
 		queries := make([]relation.Query, len(keys))
 		keeps := make([]func(relation.Tuple) bool, len(keys))
-		pris := make([]float64, len(keys))
 		for j, key := range keys {
 			rqs[j] = selected[i][key]
 			queries[j] = rqs[j].Query
 			keeps[j] = postFilter(sides[i].src.Schema(), rqs[j])
-			pris[j] = planner.Priority(rqs[j].Precision, rqs[j].EstSel)
 		}
-		results := fetchAll(ctx, sides[i].src, queries, keeps, m.cfg.Parallel, m.cfg.Retry, sched, pris)
+		results := fetchAll(ctx, sides[i].src, queries, keeps, m.cfg.Parallel, m.cfg.Retry)
 		for j, rq := range rqs {
 			if err := results[j].err; err != nil {
 				res.Degraded = true
@@ -483,33 +478,33 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		switch {
 		case step == 0:
 			first, second := a, a+1
-			if plannerOn && adjEst[a].Right.Est < adjEst[a].Left.Est {
+			if m.cfg.Planner && adjEst[a].Right.Est < adjEst[a].Left.Est {
 				first, second = a+1, a
 			}
 			fetchAnswers(first)
-			if plannerOn && len(answers[first]) == 0 {
+			if m.cfg.Planner && len(answers[first]) == 0 {
 				empty = true
 				skipSource(second)
 			} else {
 				fetchAnswers(second)
-				buildLeft := plannerOn && planner.BuildLeft(len(answers[a]), len(answers[a+1]))
+				buildLeft := m.cfg.Planner && planner.BuildLeft(len(answers[a]), len(answers[a+1]))
 				st.BuildLeft = buildLeft
 				partials = seed(a, buildLeft)
 			}
 			lo = a
 		case a < lo:
 			fetchAnswers(a)
-			buildNew := !plannerOn || planner.BuildLeft(len(answers[a]), len(partials))
+			buildNew := !m.cfg.Planner || planner.BuildLeft(len(answers[a]), len(partials))
 			st.BuildLeft = buildNew
 			partials = extendLeft(a, partials, buildNew)
 			lo = a
 		default:
 			fetchAnswers(a + 1)
-			buildPartials := plannerOn && planner.BuildLeft(len(partials), len(answers[a+1]))
+			buildPartials := m.cfg.Planner && planner.BuildLeft(len(partials), len(answers[a+1]))
 			st.BuildLeft = buildPartials
 			partials = extendRight(a, partials, !buildPartials)
 		}
-		if plannerOn && len(partials) == 0 {
+		if m.cfg.Planner && len(partials) == 0 {
 			empty = true
 		}
 		st.ActLeft, st.ActRight = act(a), act(a+1)
@@ -571,7 +566,7 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		}
 		return strings.Compare(chainKeys[i], chainKeys[j])
 	})
-	res.Explain = &planner.Explain{PlannerOn: plannerOn, Order: order, Steps: steps}
+	res.Explain = &planner.Explain{PlannerOn: m.cfg.Planner, Order: order, Steps: steps}
 	return res, nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"qpiad/internal/datagen"
 	"qpiad/internal/faults"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -22,7 +21,7 @@ import (
 // byte-identical data.
 func plannerTwin(m *Mediator) *Mediator {
 	cfg := m.cfg
-	cfg.Planner = &planner.Config{}
+	cfg.Planner = true
 	twin := New(cfg)
 	for name, src := range m.sources {
 		twin.Register(src, m.knowledge[name])
@@ -141,38 +140,6 @@ func TestJoinPlannerEquivalence(t *testing.T) {
 	}
 }
 
-// TestSelectPlannerSchedulerEquivalence pins that routing rewrite fetches
-// through the cross-query scheduler changes timing only: the ranked result
-// set matches an unscheduled run.
-func TestSelectPlannerSchedulerEquivalence(t *testing.T) {
-	f := newFixture(t, Config{Alpha: 1, K: 10, NoCache: true})
-	cfg := f.m.cfg
-	cfg.Planner = &planner.Config{Scheduler: planner.NewScheduler(2)}
-	sched := New(cfg)
-	for name, src := range f.m.sources {
-		sched.Register(src, f.m.knowledge[name])
-	}
-	q := convtQuery()
-	plain, err := f.m.QuerySelect("cars", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sched.QuerySelect("cars", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Certain, got.Certain) || !reflect.DeepEqual(plain.Possible, got.Possible) {
-		t.Fatal("scheduled select diverged from unscheduled select")
-	}
-	st := cfg.Planner.Scheduler.Stats()
-	if st.Admitted == 0 {
-		t.Error("scheduler admitted no fetches")
-	}
-	if st.InFlight != 0 || st.Queued != 0 {
-		t.Errorf("scheduler leaked slots: %+v", st)
-	}
-}
-
 // slowChainFixture builds a 3-source chain world where the middle source
 // answers with heavy latency — the knob the cancellation regression turns.
 func slowChainFixture(t *testing.T, midLatency time.Duration) (*Mediator, []*source.Source) {
@@ -249,7 +216,7 @@ func openChainFixture(t *testing.T, plannerOn bool) (*Mediator, *source.Source) 
 	cfg := m.cfg
 	cfg.Retry = fastRetry(1)
 	if plannerOn {
-		cfg.Planner = &planner.Config{}
+		cfg.Planner = true
 	}
 	m2 := New(cfg)
 	for name, src := range m.sources {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"qpiad/internal/relation"
 )
@@ -38,6 +39,19 @@ func TestResultSetProject(t *testing.T) {
 	// Originals untouched.
 	if len(rs.Possible[0].Tuple) != f.ed.Schema.Len() {
 		t.Fatal("Project mutated the original result set")
+	}
+	// The header survives: the flags, the savings estimate and the issued
+	// rewrites describe the result, not its columns.
+	rs.Degraded, rs.Stale, rs.StaleAge, rs.EstSavedTuples = true, true, 1500*time.Millisecond, 12.5
+	if proj, _, err = rs.Project(f.ed.Schema, []string{"make"}); err != nil {
+		t.Fatal(err)
+	}
+	if proj.Query.Key() != rs.Query.Key() || proj.Source != rs.Source || proj.Generated != rs.Generated ||
+		len(proj.Issued) != len(rs.Issued) || !proj.Degraded || !proj.Stale ||
+		proj.StaleAge != rs.StaleAge || proj.EstSavedTuples != rs.EstSavedTuples {
+		t.Errorf("projected header = {%v %q gen=%d issued=%d degraded=%v stale=%v age=%v saved=%v}, want {%v %q gen=%d issued=%d true true %v %v}",
+			proj.Query, proj.Source, proj.Generated, len(proj.Issued), proj.Degraded, proj.Stale, proj.StaleAge, proj.EstSavedTuples,
+			rs.Query, rs.Source, rs.Generated, len(rs.Issued), rs.StaleAge, rs.EstSavedTuples)
 	}
 	// Unknown attribute errors.
 	if _, _, err := rs.Project(f.ed.Schema, []string{"nope"}); err == nil {

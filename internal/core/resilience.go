@@ -12,7 +12,6 @@ import (
 
 	"qpiad/internal/breaker"
 	"qpiad/internal/faults"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -137,22 +136,6 @@ func fetchOne(ctx context.Context, src queryable, q relation.Query, keep func(re
 	}
 }
 
-// fetchOneSched is fetchOne behind the cross-query scheduler: the fetch
-// holds a scheduler slot for its whole duration (retries and backoffs
-// included), so concurrent plans' rewrites are admitted to the shared
-// source pool in priority order. A nil scheduler degrades to plain
-// fetchOne. A cancelled wait resolves like any other cancellation: the
-// rewrite is accounted failed, never silently dropped.
-func fetchOneSched(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, pol RetryPolicy, sched *planner.Scheduler, pri float64) fetchResult {
-	if sched != nil {
-		if err := sched.Acquire(ctx, pri); err != nil {
-			return fetchResult{err: fmt.Errorf("core: canceled awaiting scheduler slot: %w", err)}
-		}
-		defer sched.Release()
-	}
-	return fetchOne(ctx, src, q, keep, pol)
-}
-
 // jitterSeed hashes (seed, query key) into a backoff-jitter rng seed.
 func jitterSeed(seed int64, queryKey string) int64 {
 	h := fnv.New64a()
@@ -195,15 +178,8 @@ func jitterSeed(seed int64, queryKey string) int64 {
 //
 // Each query is fetched with its positional post-filter in keeps (see
 // source.Source.Fetch); a nil keeps, or a nil entry, keeps every row.
-//
-// Each fetch holds a cross-query scheduler slot (sched, admitted by its
-// positional priority in pris against concurrent plans; nil pris means
-// priority zero) for its duration; a nil sched disables that. The scheduler
-// composes with the gate chain: gates serialize budget consumption within
-// this plan, the scheduler arbitrates between plans. stopIssuing (the
-// streaming top-N bound) resolves every not-yet-admitted query to
-// ErrEarlyStop; a cancelled slot wait resolves like a cancelled fetch, and
-// skipped queries never touch the scheduler.
+// stopIssuing (the streaming top-N bound) resolves every not-yet-admitted
+// query to ErrEarlyStop.
 //
 // Note: when retries race with successors' admissions (faults + budget +
 // parallel combined), which attempt consumes the last budget slot is
@@ -217,7 +193,7 @@ type fetcher struct {
 }
 
 // startFetch launches one worker per query and returns at once.
-func startFetch(ctx context.Context, src queryable, queries []relation.Query, keeps []func(relation.Tuple) bool, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) *fetcher {
+func startFetch(ctx context.Context, src queryable, queries []relation.Query, keeps []func(relation.Tuple) bool, parallel int, pol RetryPolicy) *fetcher {
 	ctx, cancel := context.WithCancel(ctx)
 	f := &fetcher{
 		results: make([]fetchResult, len(queries)),
@@ -233,10 +209,6 @@ func startFetch(ctx context.Context, src queryable, queries []relation.Query, ke
 	var budgetOut, openOut atomic.Bool
 	for i, q := range queries {
 		f.ready[i] = make(chan struct{})
-		pri := 0.0
-		if i < len(pris) {
-			pri = pris[i]
-		}
 		var keep func(relation.Tuple) bool
 		if i < len(keeps) {
 			keep = keeps[i]
@@ -261,7 +233,7 @@ func startFetch(ctx context.Context, src queryable, queries []relation.Query, ke
 			case budgetOut.Load():
 				f.results[i] = fetchResult{err: errSkippedBudget}
 			default:
-				f.results[i] = fetchOneSched(source.WithAdmitSignal(ctx, open), src, q, keep, pol, sched, pri)
+				f.results[i] = fetchOne(source.WithAdmitSignal(ctx, open), src, q, keep, pol)
 				if errors.Is(f.results[i].err, source.ErrQueryBudget) {
 					budgetOut.Store(true)
 				}
@@ -298,8 +270,8 @@ func (f *fetcher) wait() {
 
 // fetchAll issues the queries through the engine and waits on every
 // result.
-func fetchAll(ctx context.Context, src queryable, queries []relation.Query, keeps []func(relation.Tuple) bool, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) []fetchResult {
-	f := startFetch(ctx, src, queries, keeps, parallel, pol, sched, pris)
+func fetchAll(ctx context.Context, src queryable, queries []relation.Query, keeps []func(relation.Tuple) bool, parallel int, pol RetryPolicy) []fetchResult {
+	f := startFetch(ctx, src, queries, keeps, parallel, pol)
 	f.wait()
 	return f.results
 }

@@ -549,7 +549,7 @@ func TestFetchEngineBound(t *testing.T) {
 		{0, 1, 1}, {1, 1, 1}, {3, 2, 3},
 	} {
 		rec := &recordingSource{src: source.New("cars", gd, source.Capabilities{}), hold: 5 * time.Millisecond}
-		results := fetchAll(context.Background(), rec, queries, nil, tc.parallel, fastRetry(1), nil, nil)
+		results := fetchAll(context.Background(), rec, queries, nil, tc.parallel, fastRetry(1))
 		for i, res := range results {
 			if res.err != nil || len(res.rows) != 1 || res.rows[0][idCol].IntVal() != int64(i) {
 				t.Fatalf("parallel=%d: result %d = %d rows, err %v; want the row with id %d",

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"qpiad/internal/breaker"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -232,8 +231,7 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 	constrained := q.ConstrainedAttrs()
 	seen := seedAnswerKeys(src.Schema(), base, constrained)
 	queries, keeps := issueQueries(src, chosen)
-	fetch := startFetch(ctx, src, queries, keeps, cfg.Parallel, cfg.Retry,
-		cfg.Planner.Sched(), rewritePriorities(chosen))
+	fetch := startFetch(ctx, src, queries, keeps, cfg.Parallel, cfg.Retry)
 	sum := &StreamSummary{Result: rs}
 	for i := range chosen {
 		res := fetch.result(i)
@@ -277,17 +275,6 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 	}
 	fetch.wait()
 	return sum
-}
-
-// rewritePriorities maps chosen rewrites to their cross-query scheduling
-// priorities: marginal F-measure per estimated source-query cost. Ignored
-// (all fetches admitted immediately) when no scheduler is attached.
-func rewritePriorities(chosen []RewrittenQuery) []float64 {
-	pris := make([]float64, len(chosen))
-	for i, rq := range chosen {
-		pris[i] = planner.Priority(rq.F, rq.EstSel)
-	}
-	return pris
 }
 
 // issueQueries materializes the wire form of the chosen rewrites and their
@@ -433,16 +420,11 @@ func (rs *ResultSet) AllAnswers() []Answer {
 // Project trims every answer in the result set to the named attributes
 // (Section 4's projection footnote: QPIAD projects the full attribute set
 // internally and returns the user's subset at the end). The answers'
-// metadata (confidence, explanation, retrieving query) is preserved; the
-// projected schema is returned for display.
+// metadata (confidence, explanation, retrieving query) and the rest of the
+// header (issued rewrites, degraded and stale flags, estimated savings) are
+// preserved; the projected schema is returned for display.
 func (rs *ResultSet) Project(s *relation.Schema, attrs []string) (*ResultSet, *relation.Schema, error) {
-	out := &ResultSet{
-		Query:     rs.Query,
-		Source:    rs.Source,
-		Issued:    rs.Issued,
-		Generated: rs.Generated,
-		Degraded:  rs.Degraded,
-	}
+	out := *rs
 	var ps *relation.Schema
 	project := func(answers []Answer) ([]Answer, error) {
 		tuples := make([]relation.Tuple, len(answers))
@@ -471,5 +453,5 @@ func (rs *ResultSet) Project(s *relation.Schema, attrs []string) (*ResultSet, *r
 	if out.Unranked, err = project(rs.Unranked); err != nil {
 		return nil, nil, err
 	}
-	return out, ps, nil
+	return &out, ps, nil
 }

@@ -49,7 +49,6 @@ import (
 	"qpiad/internal/breaker"
 	"qpiad/internal/core"
 	"qpiad/internal/latency"
-	"qpiad/internal/planner"
 	"qpiad/internal/qcache"
 	"qpiad/internal/relation"
 	"qpiad/internal/sqlish"
@@ -57,9 +56,8 @@ import (
 
 // Server wraps a mediator as an http.Handler.
 type Server struct {
-	med     *core.Mediator
-	mux     *http.ServeMux
-	explain bool
+	med *core.Mediator
+	mux *http.ServeMux
 
 	// adm is the admission gate; nil means every request is admitted and
 	// no per-endpoint latency is recorded (the zero-cost default).
@@ -93,11 +91,6 @@ type Server struct {
 
 // Option customises a Server at construction time.
 type Option func(*Server)
-
-// WithExplain attaches a planner/scheduler accounting snapshot to every
-// /query response (the same section /metrics exposes), so callers can see
-// per-request how much work the planner saved without a second round trip.
-func WithExplain() Option { return func(s *Server) { s.explain = true } }
 
 // WithAdmission installs the admission gate in front of POST /query and
 // POST /join and turns on per-endpoint latency histograms. Zero fields of
@@ -551,14 +544,13 @@ type streamMetrics struct {
 }
 
 // plannerMetrics is the planner section of the /metrics payload: plan and
-// reorder counts, fetches the plan order let the executor skip, and — when
-// a cross-query scheduler is attached — its admission counters.
+// reorder counts, and the fetches the plan order let the executor skip. It
+// is core.PlannerStats in wire form.
 type plannerMetrics struct {
-	Enabled        bool                    `json:"enabled"`
-	Plans          int64                   `json:"plans"`
-	Reordered      int64                   `json:"reordered"`
-	SkippedFetches int64                   `json:"skipped_fetches"`
-	Scheduler      *planner.SchedulerStats `json:"scheduler,omitempty"`
+	Enabled        bool  `json:"enabled"`
+	Plans          int64 `json:"plans"`
+	Reordered      int64 `json:"reordered"`
+	SkippedFetches int64 `json:"skipped_fetches"`
 }
 
 // httpMetrics is the HTTP-layer section of the /metrics payload: the
@@ -649,7 +641,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Events:     s.streamEvents.Load(),
 		EarlyStops: s.streamStops.Load(),
 	}
-	out.Planner = s.plannerSection()
+	out.Planner = plannerMetrics(s.med.PlannerStats())
 	out.HTTP = httpMetrics{
 		ClientDisconnects: s.clientDisconnects.Load(),
 		ServerErrors:      s.serverErrors.Load(),
@@ -667,18 +659,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		out.HTTP.Endpoints = eps
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-// plannerSection snapshots the mediator's planner accounting in wire form.
-func (s *Server) plannerSection() plannerMetrics {
-	ps := s.med.PlannerStats()
-	return plannerMetrics{
-		Enabled:        ps.Enabled,
-		Plans:          ps.Plans,
-		Reordered:      ps.Reordered,
-		SkippedFetches: ps.SkippedFetches,
-		Scheduler:      ps.Scheduler,
-	}
 }
 
 // queryRequest is the /query input.
@@ -831,18 +811,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rs.Possible = capAnswers(rs.Possible, st.Limit)
 		rs.Unranked = capAnswers(rs.Unranked, st.Limit)
 	}
-	// The planner section is the mediator's accounting snapshot, present
-	// only when the server was built with WithExplain.
-	var explain []byte
-	if s.explain {
-		if explain, err = json.Marshal(s.plannerSection()); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, "encode planner section: %v", err)
-			return
-		}
-	}
 	var text [256]byte
 	query := st.Query.AppendString(text[:0])
-	s.writeReply(w, func(b []byte) []byte { return enc.appendSelect(b, query, srcName, rs, explain) })
+	s.writeReply(w, func(b []byte) []byte { return enc.appendSelect(b, query, srcName, rs) })
 }
 
 // handleQueryStream serves POST /query?stream=1: the selection pipeline's

@@ -14,7 +14,6 @@ import (
 	"qpiad/internal/core"
 	"qpiad/internal/datagen"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
@@ -29,9 +28,16 @@ func testServer(t *testing.T) *httptest.Server {
 // testMediator builds the 4000-car test world under cfg.
 func testMediator(t *testing.T, cfg core.Config) *core.Mediator {
 	t.Helper()
+	return testMediatorCaps(t, cfg, source.Capabilities{})
+}
+
+// testMediatorCaps is testMediator over a source with the access profile
+// caps.
+func testMediatorCaps(t *testing.T, cfg core.Config, caps source.Capabilities) *core.Mediator {
+	t.Helper()
 	gd := datagen.Cars(4000, 1)
 	ed, _ := datagen.MakeIncomplete(gd, 0.10, 2)
-	src := source.New("cars", ed, source.Capabilities{})
+	src := source.New("cars", ed, caps)
 	smpl := ed.Sample(500, rand.New(rand.NewSource(3)))
 	k, err := core.MineKnowledge("cars", smpl,
 		float64(ed.Len())/float64(smpl.Len()), smpl.IncompleteFraction(),
@@ -253,39 +259,6 @@ func TestQueryErrors(t *testing.T) {
 		if !strings.Contains(string(body), c.want) {
 			t.Errorf("%q: body %q should contain %q", c.body, body, c.want)
 		}
-	}
-}
-
-// TestQueryExplainPlanner checks WithExplain attaches the planner section to
-// /query responses and that it reflects the mediator's planner config.
-func TestQueryExplainPlanner(t *testing.T) {
-	med := testMediator(t, core.Config{Alpha: 0, K: 10, Planner: &planner.Config{Scheduler: planner.NewScheduler(2)}})
-	srv := httptest.NewServer(New(med, WithExplain()))
-	t.Cleanup(srv.Close)
-
-	resp, body := postQuery(t, srv, `{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d (%s)", resp.StatusCode, body)
-	}
-	var qr queryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Planner == nil {
-		t.Fatal("explain server should attach a planner section")
-	}
-	if !qr.Planner.Enabled {
-		t.Error("planner section should report enabled")
-	}
-	if qr.Planner.Scheduler == nil || qr.Planner.Scheduler.Admitted == 0 {
-		t.Errorf("scheduler should have admitted rewrite fetches: %+v", qr.Planner.Scheduler)
-	}
-
-	// Without the option the section stays absent.
-	plain := testServer(t)
-	_, body = postQuery(t, plain, `{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'"}`)
-	if strings.Contains(string(body), `"planner"`) {
-		t.Error("plain server should not attach a planner section")
 	}
 }
 

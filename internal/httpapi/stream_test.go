@@ -3,7 +3,6 @@ package httpapi
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,7 @@ import (
 	"time"
 
 	"qpiad/internal/core"
-	"qpiad/internal/planner"
+	"qpiad/internal/source"
 )
 
 // postStream POSTs a streaming query and decodes the NDJSON lines.
@@ -252,12 +251,15 @@ func TestQueryStreamNaNValueIsNull(t *testing.T) {
 }
 
 // TestQueryStreamCertainAnswersBeforeRewrites pins time-to-first-answer
-// under coalesced flushing: with every rewrite fetch held at a gate (the
-// only slot of the cross-query scheduler, held by the test), the client
-// reads the headers and every certain answer before the gate opens.
+// under coalesced flushing. The source answers every query after latency,
+// so the base query resolves at about latency and no rewrite before about
+// twice that: the handler must flush the certain answers before it blocks
+// on the rewrite fetches. The client reads the headers and every certain
+// answer at least latency/2 before the first rewrite event, while a rewrite
+// fetch is already admitted at the source.
 func TestQueryStreamCertainAnswersBeforeRewrites(t *testing.T) {
-	sched := planner.NewScheduler(1)
-	med := testMediator(t, core.Config{Alpha: 0, K: 10, Planner: &planner.Config{Scheduler: sched}})
+	const latency = 500 * time.Millisecond
+	med := testMediatorCaps(t, core.Config{Alpha: 0, K: 10, Parallel: 10}, source.Capabilities{Latency: latency})
 	srv := httptest.NewServer(New(med))
 	t.Cleanup(srv.Close)
 	const sql = "SELECT * FROM cars WHERE body_style = 'Convt'"
@@ -267,18 +269,7 @@ func TestQueryStreamCertainAnswersBeforeRewrites(t *testing.T) {
 	if err != nil || len(base) == 0 {
 		t.Fatalf("base query: %d tuples, %v", len(base), err)
 	}
-
-	if err := sched.Acquire(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	gateOpen := false
-	openGate := func() {
-		if !gateOpen {
-			gateOpen = true
-			sched.Release()
-		}
-	}
-	defer openGate()
+	issued := src.Metrics().Queries
 
 	type result struct {
 		resp *http.Response
@@ -299,11 +290,19 @@ func TestQueryStreamCertainAnswersBeforeRewrites(t *testing.T) {
 		}
 		resp = r.resp
 	case <-time.After(wait):
-		t.Fatal("no response headers while the rewrite fetches wait")
+		t.Fatal("no response headers")
 	}
 	defer resp.Body.Close()
 
-	lines, done := make(chan []byte), make(chan struct{})
+	// The reader stamps each line as it arrives. The buffer holds the
+	// whole stream (482 certain answers, a few dozen possible ones, ten
+	// rewrites and the summary), so the reader never waits on the test
+	// and a stamp is the line's arrival time.
+	type stamped struct {
+		line []byte
+		at   time.Time
+	}
+	lines, done := make(chan stamped, 1<<12), make(chan struct{})
 	defer close(done)
 	go func() {
 		defer close(lines)
@@ -311,52 +310,59 @@ func TestQueryStreamCertainAnswersBeforeRewrites(t *testing.T) {
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 		for sc.Scan() {
 			select {
-			case lines <- append([]byte(nil), sc.Bytes()...):
+			case lines <- stamped{append([]byte(nil), sc.Bytes()...), time.Now()}:
 			case <-done:
 				return
 			}
 		}
 	}()
-	next := func() (streamEventJSON, bool) {
+	next := func() (streamEventJSON, time.Time, bool) {
 		t.Helper()
 		select {
-		case line, ok := <-lines:
+		case l, ok := <-lines:
 			var ev streamEventJSON
 			if ok {
-				if err := json.Unmarshal(line, &ev); err != nil {
-					t.Fatalf("bad line %q: %v", line, err)
+				if err := json.Unmarshal(l.line, &ev); err != nil {
+					t.Fatalf("bad line %q: %v", l.line, err)
 				}
 			}
-			return ev, ok
+			return ev, l.at, ok
 		case <-time.After(wait):
 			t.Fatal("stream stalled")
 		}
-		return streamEventJSON{}, false
+		return streamEventJSON{}, time.Time{}, false
 	}
+	var lastCertain time.Time
 	for i := range base {
-		ev, ok := next()
+		ev, at, ok := next()
 		if !ok || ev.Event != "answer" || !ev.Answer.Certain {
-			t.Fatalf("line %d before the gate opened = %+v (open %v), want a certain answer", i+1, ev, ok)
+			t.Fatalf("line %d = %+v (open %v), want a certain answer", i+1, ev, ok)
 		}
+		lastCertain = at
 	}
-	// The rewrite fetches are parked at the gate, not merely not started.
-	for deadline := time.Now().Add(wait); sched.Stats().Queued == 0; time.Sleep(time.Millisecond) {
+	// The rewrite fetches are issued, not merely not started: the source
+	// has admitted more than the request's base query.
+	for deadline := time.Now().Add(wait); src.Metrics().Queries <= issued+1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("no rewrite fetch reached the gate")
+			t.Fatal("no rewrite fetch reached the source")
 		}
 	}
 
-	openGate()
 	var rewrites int
 	var last streamEventJSON
-	for ev, ok := next(); ok; ev, ok = next() {
+	for ev, at, ok := next(); ok; ev, at, ok = next() {
 		if ev.Event == "rewrite" {
+			if rewrites == 0 {
+				if gap := at.Sub(lastCertain); gap < latency/2 {
+					t.Errorf("last certain answer read %v before the first rewrite event, want at least %v", gap, latency/2)
+				}
+			}
 			rewrites++
 		}
 		last = ev
 	}
 	if rewrites == 0 || last.Event != "summary" {
-		t.Errorf("after the gate: %d rewrite events, last event %q; want rewrites and a closing summary", rewrites, last.Event)
+		t.Errorf("%d rewrite events, last event %q; want rewrites and a closing summary", rewrites, last.Event)
 	}
 }
 

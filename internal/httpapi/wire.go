@@ -107,9 +107,8 @@ func (e *rowEncoder) appendAnswers(b []byte, answers []core.Answer) []byte {
 // some of whose rewrites failed or were skipped (annotated in
 // rewrites_issued), so possible answers may be missing; "stale" marks
 // answers served from the answer cache past their freshness bound because
-// the source's circuit was open. explain is the marshalled planner section,
-// nil when the response carries none.
-func (e *rowEncoder) appendSelect(b, query []byte, source string, rs *core.ResultSet, explain []byte) []byte {
+// the source's circuit was open.
+func (e *rowEncoder) appendSelect(b, query []byte, source string, rs *core.ResultSet) []byte {
 	b = append(b, `{"query":`...)
 	b = appendString(b, query)
 	b = append(b, `,"source":`...)
@@ -142,10 +141,6 @@ func (e *rowEncoder) appendSelect(b, query []byte, source string, rs *core.Resul
 	if age := int64(rs.StaleAge / time.Microsecond); age != 0 {
 		b = append(b, `,"stale_age_micros":`...)
 		b = strconv.AppendInt(b, age, 10)
-	}
-	if explain != nil {
-		b = append(b, `,"planner":`...)
-		b = append(b, explain...)
 	}
 	return append(b, "}\n"...)
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"qpiad/internal/core"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/sqlish"
 )
@@ -35,17 +34,16 @@ type answerJSON struct {
 
 // queryResponse is the /query output for selections.
 type queryResponse struct {
-	Query          string          `json:"query"`
-	Source         string          `json:"source"`
-	Certain        []answerJSON    `json:"certain"`
-	Possible       []answerJSON    `json:"possible"`
-	Unranked       []answerJSON    `json:"unranked,omitempty"`
-	Rewrites       []string        `json:"rewrites_issued"`
-	Generated      int             `json:"rewrites_generated"`
-	Degraded       bool            `json:"degraded,omitempty"`
-	Stale          bool            `json:"stale,omitempty"`
-	StaleAgeMicros int64           `json:"stale_age_micros,omitempty"`
-	Planner        *plannerMetrics `json:"planner,omitempty"`
+	Query          string       `json:"query"`
+	Source         string       `json:"source"`
+	Certain        []answerJSON `json:"certain"`
+	Possible       []answerJSON `json:"possible"`
+	Unranked       []answerJSON `json:"unranked,omitempty"`
+	Rewrites       []string     `json:"rewrites_issued"`
+	Generated      int          `json:"rewrites_generated"`
+	Degraded       bool         `json:"degraded,omitempty"`
+	Stale          bool         `json:"stale,omitempty"`
+	StaleAgeMicros int64        `json:"stale_age_micros,omitempty"`
 }
 
 // streamEventJSON is one NDJSON line of a streamed query. Event is "answer",
@@ -155,7 +153,7 @@ func refAnswers(s *relation.Schema, projection []string, answers []core.Answer) 
 	return out
 }
 
-func refSelect(query, source string, s *relation.Schema, projection []string, rs *core.ResultSet, pm *plannerMetrics) queryResponse {
+func refSelect(query, source string, s *relation.Schema, projection []string, rs *core.ResultSet) queryResponse {
 	resp := queryResponse{
 		Query:          query,
 		Source:         source,
@@ -166,7 +164,6 @@ func refSelect(query, source string, s *relation.Schema, projection []string, rs
 		Degraded:       rs.Degraded,
 		Stale:          rs.Stale,
 		StaleAgeMicros: int64(rs.StaleAge / time.Microsecond),
-		Planner:        pm,
 	}
 	for _, rq := range rs.Issued {
 		if rq.Err != nil {
@@ -373,12 +370,10 @@ func wireIssued() []core.RewrittenQuery {
 }
 
 func TestWireSelectMatchesReference(t *testing.T) {
-	pm := &plannerMetrics{Enabled: true, Plans: 3, Reordered: 1, Scheduler: &planner.SchedulerStats{Limit: 2, Admitted: 9}}
 	for _, tc := range []struct {
 		name       string
 		projection []string
 		rs         core.ResultSet
-		planner    *plannerMetrics
 	}{
 		{name: "empty sections, nil issued", rs: core.ResultSet{}},
 		{name: "every kind", rs: core.ResultSet{
@@ -388,7 +383,7 @@ func TestWireSelectMatchesReference(t *testing.T) {
 		{name: "projection", projection: []string{"price", "Note <&>", "name"}, rs: core.ResultSet{
 			Certain: wireAnswers(true), Possible: wireAnswers(false), Issued: wireIssued()[:1], Generated: 1,
 		}},
-		{name: "stale with planner", planner: pm, rs: core.ResultSet{
+		{name: "stale", rs: core.ResultSet{
 			Certain: wireAnswers(true)[:2], Possible: []core.Answer{}, Issued: []core.RewrittenQuery{},
 			Stale: true, StaleAge: 1500 * time.Millisecond,
 		}},
@@ -398,15 +393,9 @@ func TestWireSelectMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var explain []byte
-			if tc.planner != nil {
-				if explain, err = json.Marshal(tc.planner); err != nil {
-					t.Fatal(err)
-				}
-			}
 			const query = "σ[name = <x> & \"y\"](cars)"
-			got := enc.appendSelect(nil, []byte(query), "cars", &tc.rs, explain)
-			want := refBody(t, refSelect(query, "cars", wireSchema, tc.projection, &tc.rs, tc.planner))
+			got := enc.appendSelect(nil, []byte(query), "cars", &tc.rs)
+			want := refBody(t, refSelect(query, "cars", wireSchema, tc.projection, &tc.rs))
 			sameWire(t, "select body", got, want)
 		})
 	}
@@ -524,8 +513,8 @@ func TestWireQueryTextMatchesReference(t *testing.T) {
 		sameWire(t, "summary line", appendSummaryLine(nil, sum), refLine(t, streamEventJSON{Event: "summary", Summary: refSum}))
 
 		rs := &core.ResultSet{Certain: wireAnswers(true)[:2]}
-		sameWire(t, "select body", enc.appendSelect(nil, q.AppendString(nil), "cars", rs, nil),
-			refBody(t, refSelect(text, "cars", wireSchema, nil, rs, nil)))
+		sameWire(t, "select body", enc.appendSelect(nil, q.AppendString(nil), "cars", rs),
+			refBody(t, refSelect(text, "cars", wireSchema, nil, rs)))
 	}
 }
 
@@ -642,7 +631,7 @@ func FuzzAnswerWire(f *testing.F) {
 			enc.appendAnswerLine(nil, &a, unranked, stale),
 			appendRewriteLine(nil, &rq),
 			appendSummaryLine(nil, sum),
-			enc.appendSelect(nil, []byte(s), s, &rs, nil),
+			enc.appendSelect(nil, []byte(s), s, &rs),
 			appendJoin(nil, joinEnc, joinEnc, s, s, &join),
 		}
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -660,7 +649,7 @@ func FuzzAnswerWire(f *testing.F) {
 			refLine(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventAnswer, Answer: &a, Unranked: unranked, Stale: stale})),
 			refLine(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventRewrite, Rewrite: &rq})),
 			refLine(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventSummary, Summary: sum})),
-			refBody(t, refSelect(s, s, schema, projection, &rs, nil)),
+			refBody(t, refSelect(s, s, schema, projection, &rs)),
 			refBody(t, refJoin(schema, schema, s, s, &join)),
 		}
 		for k := range outputs {
@@ -750,7 +739,7 @@ func TestSelectBodiesMatchReferenceOverHTTP(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sameWire(t, sql, got, refBody(t, refSelect(st.Query.String(), st.Query.Relation, schema, nil, rs, nil)))
+		sameWire(t, sql, got, refBody(t, refSelect(st.Query.String(), st.Query.Relation, schema, nil, rs)))
 	}
 }
 

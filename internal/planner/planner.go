@@ -5,56 +5,25 @@
 // component rewrite even when an early adjacency already proved the chain
 // empty. This package turns the mined statistics — selectivity estimates
 // from the sample (selectivity.Estimator) and index cardinalities from the
-// same sample (relation.IndexStats) — into two cheap decisions:
+// same sample (relation.IndexStats) — into cheap join-ordering decisions.
+// PlanChain greedily orders chain-join adjacencies so the smallest estimated
+// intermediate result drives each hash join, growing a contiguous interval
+// from the cheapest adjacency outward (greedy from cheap cardinality
+// signals, in the spirit of "When Greedy Beats Optimal": planning cost is
+// O(n log n) table lookups, not a plan-space search), and BuildLeft picks
+// the hash-join build side. Reordering never changes the answer set — an
+// equi-join chain is associative and commutative over which adjacency is
+// materialized first — it changes only how early an empty intermediate can
+// short-circuit the remaining component fetches.
 //
-//   - Join ordering: PlanChain greedily orders chain-join adjacencies so the
-//     smallest estimated intermediate result drives each hash join, growing
-//     a contiguous interval from the cheapest adjacency outward (greedy from
-//     cheap cardinality signals, in the spirit of "When Greedy Beats
-//     Optimal": planning cost is O(n log n) table lookups, not a plan-space
-//     search). Reordering never changes the answer set — an equi-join chain
-//     is associative and commutative over which adjacency is materialized
-//     first — it changes only how early an empty intermediate can
-//     short-circuit the remaining component fetches.
-//
-//   - Cross-query scheduling: a Scheduler (see scheduler.go) admits rewrite
-//     fetches from concurrent user queries in order of marginal F-measure
-//     per estimated source-query cost, so interleaved plans spend a shared
-//     source budget on the globally best rewrites first.
+// The mediator switches the planner on with core.Config.Planner; off, joins
+// and chains run in caller order, which is the reference the planner
+// equivalence tests compare against.
 //
 // Everything here is deterministic: estimates are pure functions of the
 // mined sample, ties break on adjacency index, and no map is ever ranged.
 // The package is in the nodeterm analyzer's scope to keep it that way.
 package planner
-
-// Config arms the planner on a mediator. A nil *Config means the planner is
-// off (today's caller-order behavior); a non-nil Config with Disabled set
-// is an explicit off-switch that keeps a Scheduler attachable.
-type Config struct {
-	// Disabled turns statistics-driven ordering off while keeping the
-	// config (and any Scheduler) in place — the explicit off-switch that
-	// preserves caller-order execution.
-	Disabled bool
-	// Scheduler, when non-nil, admits rewrite fetches across concurrent
-	// user queries by priority under a bounded in-flight slot count. nil
-	// means fetches are never queued.
-	Scheduler *Scheduler
-}
-
-// On reports whether statistics-driven ordering is active. Safe on a nil
-// receiver: the zero mediator state plans nothing.
-func (c *Config) On() bool { return c != nil && !c.Disabled }
-
-// Sched returns the attached scheduler, if any. Safe on a nil receiver.
-// The scheduler is deliberately independent of the Disabled switch: it
-// governs cross-query admission fairness, not plan shape, so turning
-// ordering off does not tear down the shared queue.
-func (c *Config) Sched() *Scheduler {
-	if c == nil {
-		return nil
-	}
-	return c.Scheduler
-}
 
 // Side is one relation's contribution to a join adjacency, summarized by
 // the mined statistics the cost model runs on.
@@ -188,16 +157,6 @@ func fanout(a Adjacency, coveredLeft bool) float64 {
 // historical build side (right), so planner-off behavior is the tie case.
 func BuildLeft(leftLen, rightLen int) bool { return leftLen < rightLen }
 
-// Priority is the cross-query scheduling key: marginal F-measure per
-// estimated source-query cost. A high-F, low-cost rewrite runs first; the
-// +1 keeps zero-cost rewrites finite and preserves F-ordering among them.
-func Priority(f, estSel float64) float64 {
-	if estSel < 0 {
-		estSel = 0
-	}
-	return f / (1 + estSel)
-}
-
 // Step is one executed (or skipped) plan step in an Explain: the estimated
 // cardinalities the decision was made on, side by side with what actually
 // materialized.
@@ -226,8 +185,8 @@ type Step struct {
 
 // Explain reports the plan a join ran under: the chosen order and, per
 // step, estimated vs actual cardinalities. Attached to JoinResult and
-// ChainResult so callers (and the -explain CLI flag) can audit what the
-// statistics predicted against what happened.
+// ChainResult so callers can audit what the statistics predicted against
+// what happened.
 type Explain struct {
 	// PlannerOn reports whether statistics-driven ordering made the
 	// decisions (false = caller order throughout).

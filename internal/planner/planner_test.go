@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestConfigNilSafety(t *testing.T) {
-	var c *Config
-	if c.On() {
-		t.Error("nil config must be off")
-	}
-	if c.Sched() != nil {
-		t.Error("nil config must have no scheduler")
-	}
-	if (&Config{Disabled: true}).On() {
-		t.Error("Disabled config must be off")
-	}
-	sched := NewScheduler(2)
-	c = &Config{Disabled: true, Scheduler: sched}
-	if c.Sched() != sched {
-		t.Error("Disabled must not detach the scheduler")
-	}
-	if !(&Config{}).On() {
-		t.Error("zero-valued config must be on")
-	}
-}
-
 func TestEstOut(t *testing.T) {
 	a := Adjacency{
 		Left:  Side{Est: 100, Distinct: 10},
@@ -154,23 +133,5 @@ func TestBuildLeft(t *testing.T) {
 	// Ties keep the historical build side (right).
 	if BuildLeft(5, 5) {
 		t.Error("tie must keep the right build side")
-	}
-}
-
-func TestPriority(t *testing.T) {
-	// Higher F at equal cost wins; lower cost at equal F wins.
-	if Priority(0.9, 10) <= Priority(0.5, 10) {
-		t.Error("higher F should outrank")
-	}
-	if Priority(0.9, 2) <= Priority(0.9, 10) {
-		t.Error("cheaper rewrite should outrank")
-	}
-	// Zero-cost rewrites stay finite and F-ordered.
-	if Priority(0.9, 0) != 0.9 || Priority(0.4, 0) != 0.4 {
-		t.Error("zero-cost priority should equal F")
-	}
-	// Negative estimates clamp.
-	if Priority(0.5, -3) != 0.5 {
-		t.Error("negative cost should clamp to zero")
 	}
 }

@@ -216,26 +216,15 @@ type (
 	Knowledge = core.Knowledge
 	// AFD is a mined approximate functional dependency.
 	AFD = afd.AFD
-	// PlannerConfig tunes the statistics-driven query planner (Config.Planner).
-	PlannerConfig = planner.Config
-	// PlannerScheduler arbitrates rewrite fetches across concurrent user
-	// queries by marginal F-measure per estimated cost; share one instance
-	// across Systems (or attach via Config.Planner) to rate the whole
-	// mediator's source access.
-	PlannerScheduler = planner.Scheduler
 	// PlannerExplain is the per-plan cardinality report attached to join
 	// and chain results (estimated vs actual, per adjacency).
 	PlannerExplain = planner.Explain
 	// PlannerStep is one adjacency's entry in a PlannerExplain.
 	PlannerStep = planner.Step
 	// PlannerStats is the mediator's planner accounting (plans, reorders,
-	// skipped fetches, scheduler counters).
+	// skipped fetches).
 	PlannerStats = core.PlannerStats
 )
-
-// NewPlannerScheduler builds a cross-query rewrite scheduler admitting at
-// most limit concurrent source fetches (limit <= 0 means 1).
-func NewPlannerScheduler(limit int) *PlannerScheduler { return planner.NewScheduler(limit) }
 
 // Streaming event kinds.
 const (
@@ -332,17 +321,14 @@ type Config struct {
 	// served flagged ResultSet.Stale instead of failing. 0 disables the
 	// fallback.
 	StaleTTL time.Duration
-	// Planner, when non-nil, enables the statistics-driven query planner:
-	// chain-join adjacencies execute in greedy estimated-cost order,
-	// two-way joins fetch the estimated-smaller side first and build the
-	// hash index on the smaller materialized side, and an empty
-	// intermediate result short-circuits the remaining component fetches
-	// (accounted in EstSavedTuples). Answer sets are identical with the
-	// planner on or off — only source traffic and timing change. Set
-	// Disabled to keep caller-order execution while still attaching a
-	// Scheduler, which arbitrates rewrite fetches across concurrent user
-	// queries by marginal F-measure per estimated cost.
-	Planner *PlannerConfig
+	// Planner enables the statistics-driven query planner: chain-join
+	// adjacencies execute in greedy estimated-cost order, two-way joins
+	// fetch the estimated-smaller side first and build the hash index on
+	// the smaller materialized side, and an empty intermediate result
+	// short-circuits the remaining component fetches (accounted in
+	// EstSavedTuples). Answer sets are identical with the planner on or
+	// off — only source traffic and timing change.
+	Planner bool
 }
 
 // System is a configured QPIAD mediator over registered sources.
@@ -556,8 +542,7 @@ func (s *System) CacheStats() CacheStats {
 }
 
 // PlannerStats returns the planner accounting: plans consulted, orders
-// changed, component fetches skipped, and (when a scheduler is attached)
-// the cross-query admission counters.
+// changed and component fetches skipped.
 func (s *System) PlannerStats() PlannerStats {
 	return s.med.PlannerStats()
 }
