@@ -142,15 +142,18 @@ bench-chaos:
 # hot-cache smoke covers the answer cache and the wire encoders; the
 # web-sources smoke sends selects, aggregates, top-N streams and joins
 # through the fetch engine at Parallel 4 under seeded faults and checks
-# each reply against a fault-free Parallel=1 reference mediator.
+# each reply against a fault-free Parallel=1 reference mediator. Each
+# result line is copied to stderr with `tee -a`: a plain tee reopens
+# /dev/stderr with O_TRUNC, so when stderr is a file only the last smoke's
+# line would survive.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload interactive --seed 1 --seconds 1 --trace 0 \
-		| tail -n 1 | tee /dev/stderr | grep -Eq '"correct": ?true'
+		| tail -n 1 | tee -a /dev/stderr | grep -Eq '"correct": ?true'
 	bash perfbench/run.sh --workload hot-cache --seed 1 --seconds 1 --trace 0 \
-		| tail -n 1 | tee /dev/stderr | grep -Eq '"correct": ?true'
+		| tail -n 1 | tee -a /dev/stderr | grep -Eq '"correct": ?true'
 	bash perfbench/run.sh --workload web-sources --seed 1 --seconds 1 --trace 0 \
-		| tail -n 1 | tee /dev/stderr | grep -Eq '"correct": ?true'
+		| tail -n 1 | tee -a /dev/stderr | grep -Eq '"correct": ?true'
 
 clean:
 	$(GO) clean ./...

@@ -200,11 +200,12 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 		if err := st.CoerceTypes(db.Schema); err != nil {
 			return err
 		}
-		if st.Query.Agg != nil {
-			return runAggregate(sys, db.Schema, st.Query)
-		}
 		q = st.Query
 		q.Relation = "db"
+		if q.Agg != nil {
+			fmt.Printf("\naggregate query: %s\n", q)
+			return printAggregate(os.Stdout, sys, q)
+		}
 		stmt = st
 	} else {
 		var err error
@@ -213,42 +214,17 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 			return err
 		}
 	}
-	fmt.Printf("\nquery: %s\n", q)
+	fmt.Printf("\nquery: %s\n\n", q)
 	rs, err := sys.Query("db", q)
 	if err != nil {
 		return err
-	}
-	if rs.Stale {
-		fmt.Printf("NOTE: circuit open — serving STALE cached answers (age %v)\n", rs.StaleAge.Round(time.Millisecond))
 	}
 	if stmt != nil {
 		if rs, err = applyStatement(rs, stmt, db.Schema); err != nil {
 			return err
 		}
 	}
-
-	fmt.Printf("\n-- certain answers (%d) --\n", len(rs.Certain))
-	printAnswers(db.Schema, rs.Certain, limit, false)
-	fmt.Printf("\n-- relevant possible answers (%d, ranked) --\n", len(rs.Possible))
-	printAnswers(db.Schema, rs.Possible, limit, explain)
-	if len(rs.Unranked) > 0 {
-		fmt.Printf("\n-- unranked (multiple nulls on constrained attributes: %d) --\n", len(rs.Unranked))
-		printAnswers(db.Schema, rs.Unranked, limit, false)
-	}
-	fmt.Printf("\nissued %d rewritten queries (of %d generated):\n", len(rs.Issued), rs.Generated)
-	for _, rq := range rs.Issued {
-		if rq.Err != nil {
-			fmt.Printf("  %-60s FAILED after %d attempts: %v\n", rq.Query, rq.Attempts, rq.Err)
-			continue
-		}
-		fmt.Printf("  %-60s precision=%.3f estSel=%.1f F=%.3f\n", rq.Query, rq.Precision, rq.EstSel, rq.F)
-	}
-	if rs.EstSavedTuples > 0 {
-		fmt.Printf("open-circuit skips saved ~%.0f tuples of transfer\n", rs.EstSavedTuples)
-	}
-	if rs.Degraded {
-		fmt.Println("\nWARNING: result degraded — some rewrites failed; possible answers may be incomplete")
-	}
+	printResult(os.Stdout, rs, limit, explain)
 	if st, ok := sys.SourceStats("db"); ok {
 		fmt.Printf("\nsource accounting: %d queries, %d tuples transferred\n", st.Queries, st.TuplesReturned)
 	}
@@ -414,11 +390,11 @@ func printMetrics(sys *qpiad.System, name string) {
 		cs.Expired, cs.StaleHits, sys.StaleServed())
 }
 
-// emit writes best-effort REPL output. The writer is the user's terminal
-// (or a test buffer); once it dies there is nowhere left to report a
-// write failure, so the error is deliberately dropped in this one place.
+// emit writes best-effort output. The writer is the user's terminal (or a
+// test buffer); once it dies there is nowhere left to report a write
+// failure, so the error is deliberately dropped in this one place.
 func emit(out io.Writer, format string, args ...any) {
-	//lint:allow errdrop REPL output is best-effort: a dead terminal leaves nowhere to report the error
+	//lint:allow errdrop output is best-effort: a dead terminal leaves nowhere to report the error
 	fmt.Fprintf(out, format, args...)
 }
 
@@ -459,18 +435,7 @@ func execSQL(sys *qpiad.System, db *qpiad.Relation, sql string, out io.Writer, l
 	q := st.Query
 	q.Relation = "db"
 	if q.Agg != nil {
-		plain, err := sys.QueryAggregate("db", q, qpiad.AggOptions{})
-		if err != nil {
-			return err
-		}
-		pred, err := sys.QueryAggregate("db", q, qpiad.AggOptions{
-			IncludePossible: true, PredictMissing: true, Rule: qpiad.RuleArgmax,
-		})
-		if err != nil {
-			return err
-		}
-		emit(out, "certain-only: %.2f   with prediction: %.2f\n", plain.Total, pred.Total)
-		return nil
+		return printAggregate(out, sys, q)
 	}
 	rs, err := sys.Query("db", q)
 	if err != nil {
@@ -479,10 +444,7 @@ func execSQL(sys *qpiad.System, db *qpiad.Relation, sql string, out io.Writer, l
 	if rs, err = applyStatement(rs, st, db.Schema); err != nil {
 		return err
 	}
-	emit(out, "-- certain (%d) --\n", len(rs.Certain))
-	fprintAnswers(out, rs.Certain, limit, false)
-	emit(out, "-- possible (%d, ranked) --\n", len(rs.Possible))
-	fprintAnswers(out, rs.Possible, limit, explain)
+	printResult(out, rs, limit, explain)
 	return nil
 }
 
@@ -515,7 +477,40 @@ func applyStatement(rs *qpiad.ResultSet, st *qpiad.Statement, s *qpiad.Schema) (
 	return projected, err
 }
 
-func fprintAnswers(out io.Writer, answers []qpiad.Answer, limit int, explain bool) {
+// printResult prints a selection result for -sql and the -repl shell
+// alike: the stale note, the answer sections, the issued rewrites with
+// the failed ones marked, the transfer open circuits saved, and the
+// degraded warning.
+func printResult(out io.Writer, rs *qpiad.ResultSet, limit int, explain bool) {
+	if rs.Stale {
+		emit(out, "NOTE: circuit open — serving STALE cached answers (age %v)\n", rs.StaleAge.Round(time.Millisecond))
+	}
+	emit(out, "-- certain (%d) --\n", len(rs.Certain))
+	printAnswers(out, rs.Certain, limit, false)
+	emit(out, "-- possible (%d, ranked) --\n", len(rs.Possible))
+	printAnswers(out, rs.Possible, limit, explain)
+	if len(rs.Unranked) > 0 {
+		emit(out, "-- unranked (multiple nulls on constrained attributes: %d) --\n", len(rs.Unranked))
+		printAnswers(out, rs.Unranked, limit, false)
+	}
+	emit(out, "issued %d rewritten queries (of %d generated):\n", len(rs.Issued), rs.Generated)
+	for _, rq := range rs.Issued {
+		if rq.Err != nil {
+			emit(out, "  %-60s FAILED after %d attempts: %v\n", rq.Query, rq.Attempts, rq.Err)
+			continue
+		}
+		emit(out, "  %-60s precision=%.3f estSel=%.1f F=%.3f\n", rq.Query, rq.Precision, rq.EstSel, rq.F)
+	}
+	if rs.EstSavedTuples > 0 {
+		emit(out, "open-circuit skips saved ~%.0f tuples of transfer\n", rs.EstSavedTuples)
+	}
+	if rs.Degraded {
+		emit(out, "WARNING: result degraded — some rewrites failed; possible answers may be incomplete\n")
+	}
+}
+
+// printAnswers prints the first limit answers and how many more there are.
+func printAnswers(out io.Writer, answers []qpiad.Answer, limit int, explain bool) {
 	for i, a := range answers {
 		if i >= limit {
 			emit(out, "  ... and %d more\n", len(answers)-limit)
@@ -531,11 +526,10 @@ func fprintAnswers(out io.Writer, answers []qpiad.Answer, limit int, explain boo
 	}
 }
 
-// runAggregate processes an aggregate SQL statement, reporting the
-// certain-only and with-prediction totals side by side.
-func runAggregate(sys *qpiad.System, s *qpiad.Schema, q qpiad.Query) error {
-	q.Relation = "db"
-	fmt.Printf("\naggregate query: %s\n", q)
+// printAggregate answers an aggregate query over the certain answers only
+// and again with QPIAD's predicted contributions, and prints both totals
+// and, when rewrites failed, the degraded warning.
+func printAggregate(out io.Writer, sys *qpiad.System, q qpiad.Query) error {
 	plain, err := sys.QueryAggregate("db", q, qpiad.AggOptions{})
 	if err != nil {
 		return err
@@ -548,9 +542,12 @@ func runAggregate(sys *qpiad.System, s *qpiad.Schema, q qpiad.Query) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("certain answers only:   %.2f (%d rows)\n", plain.Total, plain.CertainRows)
-	fmt.Printf("with QPIAD prediction:  %.2f (%d certain + %d possible rows, %d rewrites combined)\n",
+	emit(out, "certain answers only: %.2f (%d rows)\n", plain.Total, plain.CertainRows)
+	emit(out, "with prediction:      %.2f (%d certain + %d possible rows, %d rewrites combined)\n",
 		pred.Total, pred.CertainRows, pred.PossibleRows, len(pred.Included))
+	if pred.Degraded {
+		emit(out, "WARNING: result degraded — %d rewrites failed; the total may miss possible rows\n", len(pred.Failed))
+	}
 	return nil
 }
 
@@ -596,20 +593,4 @@ func buildQuery(s *qpiad.Schema, attr, value, where string) (qpiad.Query, error)
 		}
 	}
 	return q, nil
-}
-
-func printAnswers(s *qpiad.Schema, answers []qpiad.Answer, limit int, explain bool) {
-	for i, a := range answers {
-		if i >= limit {
-			fmt.Printf("  ... and %d more\n", len(answers)-limit)
-			return
-		}
-		fmt.Printf("  [%.3f] %s\n", a.Confidence, a.Tuple)
-		if explain && a.Explanation != "" {
-			fmt.Printf("          because: %s\n", a.Explanation)
-		}
-	}
-	if len(answers) == 0 {
-		fmt.Println("  (none)")
-	}
 }

@@ -153,6 +153,34 @@ func TestREPL(t *testing.T) {
 	}
 }
 
+// TestREPLDegraded runs the shell over a faulted source: a degraded
+// selection must list its failed rewrites and the warning, as -sql does,
+// and a degraded aggregate must warn too.
+func TestREPLDegraded(t *testing.T) {
+	res := resilience{
+		faults: qpiad.FaultProfile{Seed: 1, TransientRate: 0.4},
+		retry:  qpiad.RetryPolicy{MaxAttempts: 1},
+	}
+	sys, db, err := setup("", 3000, 42, 0.10, 0.10, 0, 10, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	in := strings.NewReader("SELECT * FROM db WHERE body_style = 'Convt'\nSELECT COUNT(*) FROM db WHERE body_style = 'Sedan'\n")
+	if err := repl(sys, db, in, &out, 5, false); err != nil {
+		t.Fatal(err)
+	}
+	selection, aggregate, _ := strings.Cut(out.String(), "certain answers only")
+	for _, want := range []string{"FAILED after", "WARNING: result degraded"} {
+		if !strings.Contains(selection, want) {
+			t.Errorf("selection output missing %q:\n%s", want, selection)
+		}
+	}
+	if !strings.Contains(aggregate, "WARNING: result degraded") {
+		t.Errorf("aggregate output missing the degraded warning:\n%s", aggregate)
+	}
+}
+
 func TestExecSQLErrors(t *testing.T) {
 	sys, db, err := setup("", 1500, 7, 0.10, 0.10, 0, 5, resilience{})
 	if err != nil {

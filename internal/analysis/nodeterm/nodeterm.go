@@ -34,7 +34,6 @@ var MiningPackages = []string{
 	"internal/nbc",
 	"internal/assocrule",
 	"internal/bayesnet",
-	"internal/selectivity",
 	"internal/core",
 	"internal/breaker",
 	"internal/planner",

@@ -32,7 +32,6 @@ import (
 	"qpiad/internal/nbc"
 	"qpiad/internal/qcache"
 	"qpiad/internal/relation"
-	"qpiad/internal/selectivity"
 	"qpiad/internal/source"
 )
 
@@ -139,20 +138,24 @@ func DefaultConfig() Config { return Config{Alpha: 0, K: 10} }
 
 // Knowledge bundles everything QPIAD mines offline about one source
 // (Section 5): AFDs, per-attribute value-distribution predictors, and the
-// selectivity estimator over the probed sample.
+// probed sample with the statistics that scale its counts into selectivity
+// estimates.
 type Knowledge struct {
 	// Source is the name of the source the sample was probed from.
 	Source string
 	// Sample is the probed sample relation.
 	Sample *relation.Relation
+	// Ratio is SmplRatio(R): the source's size over the sample's.
+	Ratio float64
+	// PerInc is PerInc(R): the fraction of the source's tuples that are
+	// incomplete.
+	PerInc float64
 	// AFDs is the mined dependency set.
 	AFDs *afd.Result
 	// Predictors maps each attribute to its trained value-distribution
 	// predictor. Attributes whose training failed (e.g. all-null in the
 	// sample) are absent.
 	Predictors map[string]*nbc.Predictor
-	// Sel estimates rewritten-query selectivity.
-	Sel *selectivity.Estimator
 
 	// predCache memoizes PredictEvidence distributions keyed by
 	// (target, canonical evidence combination). Distributions are immutable
@@ -175,6 +178,27 @@ func (k *Knowledge) predictEvidence(p *nbc.Predictor, key string, evidence map[s
 	d := p.PredictEvidence(evidence)
 	k.predCache.Put(key, d)
 	return d
+}
+
+// EstSel estimates a rewritten query's selectivity per Section 5.4 of the
+// paper:
+//
+//	EstSel(Q) = SmplSel(Q) × SmplRatio(R) × PerInc(R)
+//
+// where SmplSel is the query's cardinality on the sample, SmplRatio scales
+// the sample to the full database, and PerInc is the fraction of
+// incomplete tuples: a rewritten query's useful yield is the incomplete
+// tuples it retrieves, because its complete ones were either certain
+// answers already or certain non-answers.
+func (k *Knowledge) EstSel(q relation.Query) float64 {
+	return float64(k.Sample.Count(q)) * k.Ratio * k.PerInc
+}
+
+// EstSelComplete estimates q's full-database cardinality: EstSel without
+// the incompleteness discount, for the join's side estimates, where the
+// whole result's size matters.
+func (k *Knowledge) EstSelComplete(q relation.Query) float64 {
+	return float64(k.Sample.Count(q)) * k.Ratio
 }
 
 // PredictionMemoStats snapshots the prediction memo's counters (zero when
@@ -202,16 +226,18 @@ type KnowledgeConfig struct {
 	Workers int `json:"-"`
 }
 
-// MineKnowledge mines AFDs, trains one predictor per attribute, and builds
-// the selectivity estimator from a probed sample. ratio is SmplRatio(R) and
-// perInc is PerInc(R), both produced by the sampling step.
+// MineKnowledge mines AFDs and trains one predictor per attribute from a
+// probed sample. ratio is SmplRatio(R) ≥ 0 and perInc is PerInc(R) in
+// [0, 1], both produced by the sampling step.
 func MineKnowledge(sourceName string, smpl *relation.Relation, ratio, perInc float64, cfg KnowledgeConfig) (*Knowledge, error) {
 	if smpl == nil || smpl.Len() == 0 {
 		return nil, fmt.Errorf("core: empty sample for source %s", sourceName)
 	}
-	sel, err := selectivity.New(smpl, ratio, perInc)
-	if err != nil {
-		return nil, err
+	if ratio < 0 {
+		return nil, fmt.Errorf("core: negative sample ratio %v for source %s", ratio, sourceName)
+	}
+	if perInc < 0 || perInc > 1 {
+		return nil, fmt.Errorf("core: PerInc %v outside [0,1] for source %s", perInc, sourceName)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -223,9 +249,10 @@ func MineKnowledge(sourceName string, smpl *relation.Relation, ratio, perInc flo
 	k := &Knowledge{
 		Source:     sourceName,
 		Sample:     smpl,
+		Ratio:      ratio,
+		PerInc:     perInc,
 		AFDs:       afd.Mine(smpl, cfg.AFD),
 		Predictors: make(map[string]*nbc.Predictor, smpl.Schema.Len()),
-		Sel:        sel,
 		predCache:  qcache.New(qcache.Config{Capacity: 4096}),
 	}
 	// Train one predictor per attribute on a bounded worker pool. Each

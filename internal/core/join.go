@@ -95,10 +95,8 @@ type JoinResult struct {
 // (the hash-join fanout denominator).
 func sideEstimate(name string, k *Knowledge, q relation.Query, attr string) planner.Side {
 	sd := planner.Side{Source: name}
-	if k.Sel != nil {
-		sd.Est = k.Sel.EstSelComplete(q)
-	}
 	if k.Sample != nil {
+		sd.Est = k.EstSelComplete(q)
 		if st, ok := k.Sample.IndexStats(attr); ok {
 			sd.Distinct = st.Distinct
 		}

@@ -81,8 +81,8 @@ func (k *Knowledge) Save(w io.Writer, cfg KnowledgeConfig) error {
 	doc := knowledgeFile{
 		Version:   knowledgeFileVersion,
 		Source:    k.Source,
-		Ratio:     k.Sel.Ratio(),
-		PerInc:    k.Sel.PerInc(),
+		Ratio:     k.Ratio,
+		PerInc:    k.PerInc,
 		Config:    cfg,
 		SampleCSV: csv.String(),
 	}

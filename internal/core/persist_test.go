@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,7 +37,7 @@ func TestKnowledgeSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Selectivity statistics survive.
-	if loaded.Sel.Ratio() != f.k.Sel.Ratio() || loaded.Sel.PerInc() != f.k.Sel.PerInc() {
+	if loaded.Ratio != f.k.Ratio || loaded.PerInc != f.k.PerInc {
 		t.Error("selectivity statistics differ")
 	}
 	// Predictions are identical.
@@ -95,6 +96,22 @@ func TestLoadKnowledgeErrors(t *testing.T) {
 	}
 	if _, err := LoadKnowledgeFile("/nonexistent"); err == nil {
 		t.Error("missing file should error")
+	}
+	// A file re-signed over an out-of-range ratio or PerInc passes the
+	// checksum; MineKnowledge's checks must reject it.
+	for _, c := range []struct {
+		ratio, perInc float64
+		ok            bool
+	}{{-1, 0.5, false}, {1, 1.5, false}, {1, 0.5, true}} {
+		doc := knowledgeFile{Version: knowledgeFileVersion, Source: "x", Ratio: c.ratio, PerInc: c.perInc, SampleCSV: "a\nv\n"}
+		doc.Checksum = doc.payloadChecksum()
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadKnowledge(bytes.NewReader(b)); (err == nil) != c.ok {
+			t.Errorf("ratio %v, PerInc %v: load error %v", c.ratio, c.perInc, err)
+		}
 	}
 }
 

@@ -49,11 +49,6 @@ type RewrittenQuery struct {
 	// skipped. nil for successful rewrites. A non-nil Err marks the
 	// enclosing result set Degraded.
 	Err error
-
-	// key is Query.Key(), built once by generateRewrites for the
-	// selectivity memo and the ranking tie-break; empty on candidates
-	// built elsewhere.
-	key string
 }
 
 // fMeasure computes the weighted harmonic mean (1+α)PR/(αP+R).
@@ -101,7 +96,7 @@ func GenerateRewrites(k *Knowledge, q relation.Query, base []relation.Tuple, bas
 // other family's rewrites keep q's predicates on it, so no rewrite repeats
 // q or another family's (DESIGN.md "One pass per rewrite family").
 //
-// k supplies the AFDs, predictors and selectivity estimates; baseSchema is
+// k supplies the AFDs, predictors and sample counts; baseSchema is
 // the schema the base tuples are in (usually the source's local schema).
 func (m *Mediator) generateRewrites(k *Knowledge, q relation.Query, base []relation.Tuple, baseSchema *relation.Schema) []RewrittenQuery {
 	var out []RewrittenQuery
@@ -206,7 +201,6 @@ rows:
 		}
 		rq := baseRq
 		rq.Preds = preds
-		key := rq.Key()
 		precision, modeHolds := maskedMass(k.predictEvidence(p, string(pkbuf), evidence), mask)
 		out = append(out, RewrittenQuery{
 			Query:             rq,
@@ -215,9 +209,8 @@ rows:
 			Evidence:          evidence,
 			Precision:         precision,
 			ModeSatisfiesPred: modeHolds,
-			EstSel:            k.Sel.EstSelKeyed(rq, key),
+			EstSel:            k.EstSel(rq),
 			Explanation:       explain,
-			key:               key,
 		})
 	}
 	return out
@@ -274,15 +267,11 @@ func ScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) 
 	}
 	// Every ordering ends in the query-key tie-break, so equal-F (and
 	// equal-precision) rewrites sort identically across runs and under the
-	// parallel mining/caching paths. generateRewrites keys each candidate
-	// once; a candidate built elsewhere is keyed here, outside the
-	// O(n log n) comparator.
+	// parallel mining/caching paths. Each candidate is keyed once, outside
+	// the O(n log n) comparator.
 	keys := make([]string, len(cands))
 	for i := range cands {
-		keys[i] = cands[i].key
-		if keys[i] == "" {
-			keys[i] = cands[i].Query.Key()
-		}
+		keys[i] = cands[i].Query.Key()
 	}
 	// Both sorts order positions into cands, which stays put until the
 	// final permutation moves each candidate once.

@@ -13,7 +13,6 @@ import (
 	"qpiad/internal/nbc"
 	"qpiad/internal/qcache"
 	"qpiad/internal/relation"
-	"qpiad/internal/selectivity"
 )
 
 // referenceGenerateRewrites is Step 2(a) as it was built before each
@@ -58,7 +57,7 @@ func referenceGenerateRewrites(k *Knowledge, q relation.Query, base []relation.T
 				Evidence:          evidence,
 				Precision:         PredicateMass(dist, pred),
 				ModeSatisfiesPred: modeOK && pred.Holds(mode),
-				EstSel:            k.Sel.EstSel(rq),
+				EstSel:            k.EstSel(rq),
 				Explanation:       p.Explain(),
 			})
 		}
@@ -92,7 +91,7 @@ var rewriteWorldSchema = relation.MustSchema(
 // the string pools. AFDs are drawn, not mined, so determining sets of one
 // to three attributes come in every mix of constrained and unconstrained
 // ones, and mode cycles through the four predictor modes by seed.
-func genRewriteWorld(seed int64, extra string) (*rewriteWorld, error) {
+func genRewriteWorld(seed int64, extra string) *rewriteWorld {
 	rng := rand.New(rand.NewSource(seed))
 	makes := []string{"Audi", "BMW", "Honda", "", extra}
 	colors := []string{"red", "blue", "ü€", extra}
@@ -149,12 +148,10 @@ func genRewriteWorld(seed int64, extra string) (*rewriteWorld, error) {
 			mined.AFDs[j], mined.AFDs[j-1] = mined.AFDs[j-1], mined.AFDs[j]
 		}
 	}
-	sel, err := selectivity.New(sample, float64(len(rows))/float64(sample.Len()), sample.IncompleteFraction())
-	if err != nil {
-		return nil, err
-	}
 	k := &Knowledge{
-		Source: "w", Sample: sample, AFDs: mined, Sel: sel,
+		Source: "w", Sample: sample, AFDs: mined,
+		Ratio:      float64(len(rows)) / float64(sample.Len()),
+		PerInc:     sample.IncompleteFraction(),
 		Predictors: map[string]*nbc.Predictor{},
 		predCache:  qcache.New(qcache.Config{Capacity: 4096}),
 	}
@@ -186,7 +183,7 @@ func genRewriteWorld(seed int64, extra string) (*rewriteWorld, error) {
 		}
 		w.queries = append(w.queries, q)
 	}
-	return w, nil
+	return w
 }
 
 func indexOf(names []string, name string) int {
@@ -235,15 +232,10 @@ func (w *rewriteWorld) bases(q relation.Query, drop int) []baseSet {
 // candidates compared.
 func checkRewritesMatchReference(t *testing.T, w *rewriteWorld, drop int) int {
 	t.Helper()
-	// The reference reads a fresh estimator and no prediction memo, so a
-	// memo the new path filled wrongly cannot hide in both.
+	// The reference reads no prediction memo, so a memo the new path filled
+	// wrongly cannot hide in both.
 	refK := *w.k
 	refK.predCache = nil
-	refSel, err := selectivity.New(w.k.Sel.Sample(), w.k.Sel.Ratio(), w.k.Sel.PerInc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refK.Sel = refSel
 	compared := 0
 	for _, q := range w.queries {
 		for _, b := range w.bases(q, drop) {
@@ -304,10 +296,7 @@ func checkRewritesMatchReference(t *testing.T, w *rewriteWorld, drop int) int {
 func TestGenerateRewritesMatchesReference(t *testing.T) {
 	compared := 0
 	for seed := int64(1); seed <= 24; seed++ {
-		w, err := genRewriteWorld(seed, "Ford")
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := genRewriteWorld(seed, "Ford")
 		compared += checkRewritesMatchReference(t, w, int(seed)%w.schema.Len())
 	}
 	t.Logf("%d candidates compared", compared)
@@ -329,10 +318,7 @@ func FuzzGenerateRewrites(f *testing.F) {
 		if i := strings.IndexAny(extra, "\x1e\x1f"); i >= 0 {
 			extra = extra[:i]
 		}
-		w, err := genRewriteWorld(seed, extra)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := genRewriteWorld(seed, extra)
 		checkRewritesMatchReference(t, w, int(drop)%w.schema.Len())
 	})
 }
@@ -342,9 +328,9 @@ func FuzzGenerateRewrites(f *testing.F) {
 // hold the key separators can join into one Query.Key although their
 // values differ: the reference dropped the second as a duplicate, while
 // generateRewrites compares values and keeps both. Both rewrites are real
-// and distinct queries. They share a key, so the ranking cannot order
-// them by it (they stay in generation order) and the selectivity memo
-// files both under it: the second reads the first's sample count.
+// and distinct queries, each estimated from its own sample count. They
+// share a key, so the ranking cannot order them by it (they stay in
+// generation order).
 func TestGenerateRewritesSeparatorStrings(t *testing.T) {
 	s := relation.MustSchema(
 		relation.Attribute{Name: "a", Kind: relation.KindString},
@@ -365,11 +351,7 @@ func TestGenerateRewritesSeparatorStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := selectivity.New(sample, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := &Knowledge{Source: "r", Sample: sample, AFDs: mined, Sel: sel, Predictors: map[string]*nbc.Predictor{"a": p}}
+	k := &Knowledge{Source: "r", Sample: sample, Ratio: 1, PerInc: 0.5, AFDs: mined, Predictors: map[string]*nbc.Predictor{"a": p}}
 	q := relation.NewQuery("r", relation.Eq("a", relation.String("x")))
 
 	if ref := referenceGenerateRewrites(k, q, rows, s); len(ref) != 1 {
@@ -382,9 +364,9 @@ func TestGenerateRewritesSeparatorStrings(t *testing.T) {
 	if reflect.DeepEqual(got[0].Query, got[1].Query) || got[0].Query.Key() != got[1].Query.Key() {
 		t.Fatalf("want two distinct queries under one key: %v, %v", got[0].Query, got[1].Query)
 	}
-	if n0, n1 := sample.Count(got[0].Query), sample.Count(got[1].Query); n0 == n1 || got[0].EstSel != got[1].EstSel {
-		t.Fatalf("sample counts %d and %d, EstSel %v and %v: want the second to read the first's memoized count",
-			n0, n1, got[0].EstSel, got[1].EstSel)
+	// Sample counts 3 and 1 at ratio 1 and PerInc 0.5.
+	if got[0].EstSel != 1.5 || got[1].EstSel != 0.5 {
+		t.Fatalf("EstSel %v and %v, want 1.5 and 0.5: each rewrite's own sample count", got[0].EstSel, got[1].EstSel)
 	}
 	chosen := ScoreAndSelect(got, 0, 0, OrderArbitrary)
 	if !reflect.DeepEqual(chosen[0].Query, got[0].Query) {
@@ -397,10 +379,7 @@ func TestGenerateRewritesSeparatorStrings(t *testing.T) {
 // they line up position for position with the predictor's class list.
 func TestPredictionMemoAlignsWithClasses(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		w, err := genRewriteWorld(seed, "Ford")
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := genRewriteWorld(seed, "Ford")
 		for target, p := range w.k.Predictors {
 			classes := p.Classes()
 			for i, t0 := range w.rows[:20] {
@@ -447,10 +426,7 @@ func referenceScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord O
 	}
 	keys := make([]string, len(cands))
 	for i := range cands {
-		keys[i] = cands[i].key
-		if keys[i] == "" {
-			keys[i] = cands[i].Query.Key()
-		}
+		keys[i] = cands[i].Query.Key()
 	}
 	sort.Stable(&keyedSorter[RewrittenQuery]{cands, keys, func(i, j int) bool {
 		switch ord {
@@ -521,10 +497,7 @@ func sameRanking(got, want []RewrittenQuery) int {
 func TestScoreAndSelectMatchesReference(t *testing.T) {
 	ranked := 0
 	for seed := int64(1); seed <= 24; seed++ {
-		w, err := genRewriteWorld(seed, "Ford")
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := genRewriteWorld(seed, "Ford")
 		for _, q := range w.queries {
 			for _, b := range w.bases(q, int(seed)%w.schema.Len()) {
 				cands := GenerateRewrites(w.k, q, b.rows, b.schema)

@@ -503,13 +503,11 @@ type sourceMetrics struct {
 }
 
 // knowledgeMetrics is one source's entry in the knowledge section of
-// /metrics: the counters of the two memos its mined knowledge keeps, the
-// selectivity estimator's sample-count memo and the NBC prediction memo,
-// both bounded LRUs.
+// /metrics: the counters of its mined knowledge's NBC prediction memo, a
+// bounded LRU.
 type knowledgeMetrics struct {
-	Source          string      `json:"source"`
-	SelectivityMemo memoMetrics `json:"selectivity_memo"`
-	PredictionMemo  memoMetrics `json:"prediction_memo"`
+	Source         string      `json:"source"`
+	PredictionMemo memoMetrics `json:"prediction_memo"`
 }
 
 // memoMetrics is one memo's counters.
@@ -617,11 +615,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 		out.Sources = append(out.Sources, sm)
-		if k, ok := s.med.Knowledge(name); ok && k != nil && k.Sel != nil {
+		if k, ok := s.med.Knowledge(name); ok && k != nil {
 			out.Knowledge = append(out.Knowledge, knowledgeMetrics{
-				Source:          name,
-				SelectivityMemo: memoJSON(k.Sel.MemoStats()),
-				PredictionMemo:  memoJSON(k.PredictionMemoStats()),
+				Source:         name,
+				PredictionMemo: memoJSON(k.PredictionMemoStats()),
 			})
 		}
 	}

@@ -120,8 +120,8 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsKnowledgeSection requires /metrics to report each source's
-// knowledge memos exactly as the mined knowledge counts them, and a
-// repeated uncached query to be answered from both memos.
+// prediction memo exactly as the mined knowledge counts it, and a
+// repeated uncached query to be answered from the memo.
 func TestMetricsKnowledgeSection(t *testing.T) {
 	med := testMediator(t, core.Config{Alpha: 0, K: 10})
 	srv := httptest.NewServer(New(med))
@@ -129,9 +129,8 @@ func TestMetricsKnowledgeSection(t *testing.T) {
 	k, _ := med.Knowledge("cars")
 	want := func() knowledgeMetrics {
 		return knowledgeMetrics{
-			Source:          "cars",
-			SelectivityMemo: memoJSON(k.Sel.MemoStats()),
-			PredictionMemo:  memoJSON(k.PredictionMemoStats()),
+			Source:         "cars",
+			PredictionMemo: memoJSON(k.PredictionMemoStats()),
 		}
 	}
 	check := func(stage string) knowledgeMetrics {
@@ -149,24 +148,16 @@ func TestMetricsKnowledgeSection(t *testing.T) {
 	if resp, out := postQuery(t, srv, body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	first := check("after one query")
-	for name, m := range map[string]memoMetrics{"selectivity": first.SelectivityMemo, "prediction": first.PredictionMemo} {
-		if m.Misses == 0 || m.Entries != int(m.Misses-m.Evictions) {
-			t.Errorf("%s memo after one query: %+v, want misses that all became entries", name, m)
-		}
+	first := check("after one query").PredictionMemo
+	if first.Misses == 0 || first.Entries != int(first.Misses-first.Evictions) {
+		t.Errorf("prediction memo after one query: %+v, want misses that all became entries", first)
 	}
 	if resp, out := postQuery(t, srv, body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	second := check("after the repeat")
-	for name, pair := range map[string][2]memoMetrics{
-		"selectivity": {first.SelectivityMemo, second.SelectivityMemo},
-		"prediction":  {first.PredictionMemo, second.PredictionMemo},
-	} {
-		before, after := pair[0], pair[1]
-		if after.Misses != before.Misses || after.Hits <= before.Hits {
-			t.Errorf("%s memo: repeat query went %+v -> %+v, want only hits", name, before, after)
-		}
+	second := check("after the repeat").PredictionMemo
+	if second.Misses != first.Misses || second.Hits <= first.Hits {
+		t.Errorf("prediction memo: repeat query went %+v -> %+v, want only hits", first, second)
 	}
 }
 

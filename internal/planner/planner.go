@@ -4,8 +4,9 @@
 // executes join adjacencies in the order the user wrote them pays for every
 // component rewrite even when an early adjacency already proved the chain
 // empty. This package turns the mined statistics — selectivity estimates
-// from the sample (selectivity.Estimator) and index cardinalities from the
-// same sample (relation.IndexStats) — into cheap join-ordering decisions.
+// from the sample (core.Knowledge.EstSelComplete) and index cardinalities
+// from the same sample (relation.IndexStats) — into cheap join-ordering
+// decisions.
 // PlanChain greedily orders chain-join adjacencies so the smallest estimated
 // intermediate result drives each hash join, growing a contiguous interval
 // from the cheapest adjacency outward (greedy from cheap cardinality

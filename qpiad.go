@@ -22,8 +22,8 @@
 //	// rs.Certain — exact matches; rs.Possible — ranked possible answers.
 //
 // The heavy lifting lives in the internal packages (relation, afd, nbc,
-// selectivity, sample, source, core, baseline); this package re-exports
-// the types a client needs and wires them with sensible defaults.
+// sample, source, core, baseline); this package re-exports the types a
+// client needs and wires them with sensible defaults.
 package qpiad
 
 import (
