@@ -75,11 +75,12 @@ type Config struct {
 	// the zero value is QPIAD's F-measure ordering).
 	Ordering Ordering
 	// Parallel bounds how many rewritten queries of one plan (a select,
-	// stream, aggregate, correlated query, or one chain-join source's
-	// rewrite set) are issued to a source concurrently. Web-source latency
-	// dominates mediator cost, so issuing the chosen top-K in parallel cuts
-	// wall-clock time without changing results: answers are still
-	// assembled in precision order. 0 or 1 is sequential.
+	// stream, aggregate, correlated query, one two-way join side's
+	// components, or one chain-join source's rewrite set) are issued to a
+	// source concurrently. Web-source latency dominates mediator cost, so
+	// issuing the chosen top-K in parallel cuts wall-clock time without
+	// changing results: answers are still assembled in precision order. 0
+	// or 1 is sequential.
 	Parallel int
 	// Retry bounds how the mediator's fetch path handles source failures:
 	// attempts, backoff, deadlines. The zero value resolves to 3 attempts

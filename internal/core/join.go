@@ -80,9 +80,9 @@ type JoinResult struct {
 	// fetched (after retries), so some possible join pairs may be missing.
 	Degraded bool
 	// EstSavedTuples sums the estimated selectivities of component rewrites
-	// the mediator never fetched — either because the planner proved the
-	// pair empty from the other side, or because the source's circuit was
-	// open (mirroring ResultSet.EstSavedTuples).
+	// the mediator never fetched — either because the planner found every
+	// component of the other side empty, or because the source's circuit
+	// was open (mirroring ResultSet.EstSavedTuples).
 	EstSavedTuples float64
 	// Explain records the plan: estimated vs actual cardinalities and the
 	// planner's ordering decisions. Always populated.
@@ -181,178 +181,84 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 
 	res := &JoinResult{Spec: spec}
 
-	// Step 5: issue component queries once each. A side's hash index is
-	// memoized alongside the fetch: a unit appearing in many scored pairs
-	// is indexed once, not once per pair.
-	type sideResult struct {
-		answers []Answer
-		index   map[string][]joinEntry
+	// Step 5: fetch each side's distinct selected components once, through
+	// the fetch engine; the complete component is answered from the base
+	// rows. With the planner off both sides are fetched at once. With it
+	// on, the estimated-smaller side goes first, and when none of its
+	// components returns a tuple no pair can match, so the other side's
+	// rewrites are never sent.
+	left := &joinSide{src: ls, base: lbase, col: ls.Schema().MustIndex(spec.LeftJoinAttr), pred: lk.Predictors[spec.LeftJoinAttr]}
+	right := &joinSide{src: rsrc, base: rbase, col: rsrc.Schema().MustIndex(spec.RightJoinAttr), pred: rk.Predictors[spec.RightJoinAttr]}
+	comps := make([][2]*sideResult, len(pairs))
+	for i, sp := range pairs {
+		res.Pairs = append(res.Pairs, sp.pair)
+		comps[i] = [2]*sideResult{left.add(sp.left, sp.lkey), right.add(sp.right, sp.rkey)}
 	}
-	leftResults := make(map[string]*sideResult)
-	rightResults := make(map[string]*sideResult)
-	var actLeft, actRight int
-	leftOpen, rightOpen := false, false
-	fetch := func(u queryUnit, src interface {
-		queryable
-		Schema() *relation.Schema
-	}, cache map[string]*sideResult, base []relation.Tuple, open *bool, act *int) *sideResult {
-		key := u.query.Key()
-		if sr, ok := cache[key]; ok {
-			return sr
+	if m.cfg.Planner {
+		first, second := left, right
+		if adj.Right.Est < adj.Left.Est {
+			first, second = right, left
 		}
-		sr := &sideResult{}
-		switch {
-		case u.complete:
-			for _, t := range base {
-				sr.answers = append(sr.answers, Answer{Tuple: t, Certain: true, Confidence: 1, FromQuery: u.query})
-			}
-		case *open:
-			// An earlier component on this side was rejected by the source's
-			// open circuit; skip the rest of the side's rewrites unissued and
-			// account their selectivity as saved tuples — the same plan-level
-			// short-circuit the select path applies (errSkippedOpen).
-			res.Degraded = true
-			res.EstSavedTuples += u.rq.EstSel
-		default:
-			fres := fetchOne(ctx, src, u.query, postFilter(src.Schema(), u.rq), m.cfg.Retry)
-			if fres.err != nil {
-				// A component that stays unfetchable after retries degrades
-				// the join rather than failing it.
-				res.Degraded = true
-				if errors.Is(fres.err, breaker.ErrOpen) {
-					res.EstSavedTuples += u.rq.EstSel
-					*open = true
-				}
-			} else {
-				for _, t := range fres.rows {
-					sr.answers = append(sr.answers, Answer{
-						Tuple:       t,
-						Confidence:  u.rq.Precision,
-						FromQuery:   u.query,
-						Explanation: u.rq.Explanation,
-					})
-				}
+		first.fold(res, first.start(ctx, m.cfg))
+		if first.act > 0 {
+			second.fold(res, second.start(ctx, m.cfg))
+		} else {
+			for _, u := range second.rewrites {
+				m.plannerSkipped.Add(1)
+				res.EstSavedTuples += u.rq.EstSel
 			}
 		}
-		cache[key] = sr
-		*act += len(sr.answers)
-		return sr
-	}
-	fetchLeft := func(u queryUnit) *sideResult {
-		return fetch(u, ls, leftResults, lbase, &leftOpen, &actLeft)
-	}
-	fetchRight := func(u queryUnit) *sideResult {
-		return fetch(u, rsrc, rightResults, rbase, &rightOpen, &actRight)
-	}
-	// canSkip reports that not fetching u would actually save a source
-	// query: complete units are served from the already-fetched base, and
-	// cached units were fetched for an earlier pair.
-	canSkip := func(u queryUnit, cache map[string]*sideResult) bool {
-		if u.complete {
-			return false
-		}
-		_, cached := cache[u.query.Key()]
-		return !cached
-	}
-	skip := func(u queryUnit) {
-		m.plannerSkipped.Add(1)
-		res.EstSavedTuples += u.rq.EstSel
+	} else {
+		lf, rf := left.start(ctx, m.cfg), right.start(ctx, m.cfg)
+		left.fold(res, lf)
+		right.fold(res, rf)
 	}
 
-	lcol := ls.Schema().MustIndex(spec.LeftJoinAttr)
-	rcol := rsrc.Schema().MustIndex(spec.RightJoinAttr)
-	lpred := lk.Predictors[spec.LeftJoinAttr]
-	rpred := rk.Predictors[spec.RightJoinAttr]
 	// seenJoin dedupes joined pairs by the two tuple keys joined with
 	// \x1f, appended into jbuf; tieKeys holds each answer's key, in step
 	// with res.Answers, for the ranking's tie-break.
 	seenJoin := make(map[string]bool)
 	var jbuf []byte
 	var tieKeys []string
-	emit := func(le, re joinEntry) {
-		jbuf = le.ans.Tuple.AppendKey(jbuf[:0])
-		jbuf = append(jbuf, '\x1f')
-		jbuf = re.ans.Tuple.AppendKey(jbuf)
-		if seenJoin[string(jbuf)] {
-			return
-		}
-		key := string(jbuf)
-		seenJoin[key] = true
-		tieKeys = append(tieKeys, key)
-		res.Answers = append(res.Answers, JoinAnswer{
-			Left:      le.ans.Tuple,
-			Right:     re.ans.Tuple,
-			JoinValue: le.val,
-			// A predicted join value means the stored one was null, so
-			// !predded is exactly the old non-null check.
-			Certain:    le.ans.Certain && re.ans.Certain && !le.predded && !re.predded,
-			Confidence: le.conf * re.conf,
-		})
-	}
-
-	for _, sp := range pairs {
-		lu, ru := sp.left, sp.right
-		res.Pairs = append(res.Pairs, sp.pair)
-		var lres, rres *sideResult
-		if m.cfg.Planner {
-			// Fetch the estimated-smaller component first; if it comes back
-			// empty the pair cannot match, so the other component's fetch is
-			// skipped entirely when that would save a source query.
-			if ru.estSel < lu.estSel {
-				rres = fetchRight(ru)
-				if len(rres.answers) == 0 && canSkip(lu, leftResults) {
-					skip(lu)
-					continue
-				}
-				lres = fetchLeft(lu)
-			} else {
-				lres = fetchLeft(lu)
-				if len(lres.answers) == 0 && canSkip(ru, rightResults) {
-					skip(ru)
-					continue
-				}
-				rres = fetchRight(ru)
-			}
-		} else {
-			lres = fetchLeft(lu)
-			rres = fetchRight(ru)
-		}
+	for i := range pairs {
+		lres, rres := comps[i][0], comps[i][1]
 		if len(lres.answers) == 0 || len(rres.answers) == 0 {
 			continue
 		}
-
+		lents, rents := left.entries(lres), right.entries(rres)
+		emit := func(l, r int) {
+			la, ra := lres.answers[l], rres.answers[r]
+			jbuf = la.Tuple.AppendKey(jbuf[:0])
+			jbuf = append(jbuf, '\x1f')
+			jbuf = ra.Tuple.AppendKey(jbuf)
+			if seenJoin[string(jbuf)] {
+				return
+			}
+			key := string(jbuf)
+			seenJoin[key] = true
+			tieKeys = append(tieKeys, key)
+			le, re := lents[l], rents[r]
+			res.Answers = append(res.Answers, JoinAnswer{
+				Left:      la.Tuple,
+				Right:     ra.Tuple,
+				JoinValue: le.val,
+				// A predicted join value means the stored one was null, so
+				// !predded is exactly the non-null check. Each side's
+				// confidence takes its prediction factor before the
+				// left×right product.
+				Certain:    la.Certain && ra.Certain && !le.predded && !re.predded,
+				Confidence: (la.Confidence * le.conf) * (ra.Confidence * re.conf),
+			})
+		}
 		// Step 6: hash join with missing-value prediction. The caller-order
-		// path builds on the right as always; the planner builds on the
-		// side whose materialized answer set is smaller. Either direction
-		// produces the same (left, right) match set, and emit computes
-		// confidence with fixed left×right orientation, so the answers are
-		// identical either way.
+		// path builds on the right; the planner builds on the side whose
+		// materialized answer set is smaller. Either direction produces the
+		// same (left, right) match set, and emit computes confidence with
+		// fixed left×right orientation, so the answers are identical.
 		if m.cfg.Planner && planner.BuildLeft(len(lres.answers), len(rres.answers)) {
-			if lres.index == nil {
-				lres.index = buildJoinIndex(ls.Schema(), lres.answers, lcol, lpred)
-			}
-			for _, ra := range rres.answers {
-				re, ok := resolveJoinValue(rsrc.Schema(), ra, rcol, rpred)
-				if !ok {
-					continue
-				}
-				for _, le := range lres.index[re.val.Key()] {
-					emit(le, re)
-				}
-			}
+			hashJoin(len(lents), len(rents), entryKey(lents), entryKey(rents), emit)
 		} else {
-			if rres.index == nil {
-				rres.index = buildJoinIndex(rsrc.Schema(), rres.answers, rcol, rpred)
-			}
-			for _, la := range lres.answers {
-				le, ok := resolveJoinValue(ls.Schema(), la, lcol, lpred)
-				if !ok {
-					continue
-				}
-				for _, re := range rres.index[le.val.Key()] {
-					emit(le, re)
-				}
-			}
+			hashJoin(len(rents), len(lents), entryKey(rents), entryKey(lents), func(r, l int) { emit(l, r) })
 		}
 	}
 	// Certain first, then descending confidence; ties broken by tuple keys
@@ -376,57 +282,171 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 			EstLeft:     adj.Left.Est,
 			EstRight:    adj.Right.Est,
 			EstOut:      adj.EstOut(),
-			ActLeft:     actLeft,
-			ActRight:    actRight,
+			ActLeft:     left.act,
+			ActRight:    right.act,
 			ActOut:      len(res.Answers),
-			BuildLeft:   m.cfg.Planner && planner.BuildLeft(actLeft, actRight),
+			BuildLeft:   m.cfg.Planner && planner.BuildLeft(left.act, right.act),
 		}},
 	}
 	return res, nil
 }
 
-// joinEntry is one answer carried through the mediator's hash join: the
-// resolved join value (stored, or NBC-predicted when the stored value was
-// null), the confidence after any prediction discount, and whether a
-// prediction happened — a predicted entry can never be part of a certain
-// join. Shared by the two-way and chain joins.
+// joinSide is one side of a two-way join: its distinct selected
+// components and what fetching them returned.
+type joinSide struct {
+	src  sourceIface
+	base []relation.Tuple
+	col  int
+	pred *nbc.Predictor
+	// byKey finds a component's result by its query key. rewrites and
+	// results line up: the selected rewrites, in the order the ranked pairs
+	// first select them.
+	byKey    map[string]*sideResult
+	rewrites []queryUnit
+	results  []*sideResult
+	// act counts the answers over every component.
+	act int
+}
+
+// sideResult is one component's answers and, once a pair joins on them,
+// their resolved join entries.
+type sideResult struct {
+	answers []Answer
+	ents    []joinEntry
+}
+
+// add selects u, keyed key, and returns its result, which every pair that
+// selects the same component shares. The complete component is answered
+// from the base rows at once.
+func (sd *joinSide) add(u queryUnit, key string) *sideResult {
+	if sr, ok := sd.byKey[key]; ok {
+		return sr
+	}
+	if sd.byKey == nil {
+		sd.byKey = make(map[string]*sideResult)
+	}
+	sr := &sideResult{}
+	sd.byKey[key] = sr
+	if u.complete {
+		for _, t := range sd.base {
+			sr.answers = append(sr.answers, Answer{Tuple: t, Certain: true, Confidence: 1, FromQuery: u.query})
+		}
+		sd.act += len(sr.answers)
+	} else {
+		sd.rewrites = append(sd.rewrites, u)
+		sd.results = append(sd.results, sr)
+	}
+	return sr
+}
+
+// start sends the side's rewrites through the fetch engine, under cfg's
+// Parallel and Retry.
+func (sd *joinSide) start(ctx context.Context, cfg Config) *fetcher {
+	queries := make([]relation.Query, len(sd.rewrites))
+	keeps := make([]func(relation.Tuple) bool, len(sd.rewrites))
+	for i, u := range sd.rewrites {
+		queries[i] = u.query
+		keeps[i] = postFilter(sd.src.Schema(), u.rq)
+	}
+	return startFetch(ctx, sd.src, queries, keeps, cfg.Parallel, cfg.Retry)
+}
+
+// fold waits for f, which start returned, and files each rewrite's kept
+// rows as its answers. A rewrite that stays unfetchable degrades the join
+// rather than failing it; one the source's open circuit turned away (or
+// that was skipped behind it) counts its estimated selectivity as saved
+// tuples.
+func (sd *joinSide) fold(res *JoinResult, f *fetcher) {
+	f.wait()
+	for i, u := range sd.rewrites {
+		fres := f.results[i]
+		if fres.err != nil {
+			res.Degraded = true
+			if errors.Is(fres.err, breaker.ErrOpen) {
+				res.EstSavedTuples += u.rq.EstSel
+			}
+			continue
+		}
+		sr := sd.results[i]
+		for _, t := range fres.rows {
+			sr.answers = append(sr.answers, Answer{
+				Tuple:       t,
+				Confidence:  u.rq.Precision,
+				FromQuery:   u.query,
+				Explanation: u.rq.Explanation,
+			})
+		}
+		sd.act += len(sr.answers)
+	}
+}
+
+// entries resolves sr's join entries on first use.
+func (sd *joinSide) entries(sr *sideResult) []joinEntry {
+	if sr.ents == nil {
+		sr.ents = joinEntries(sd.src.Schema(), sr.answers, sd.col, sd.pred)
+	}
+	return sr.ents
+}
+
+// joinEntry is one answer's side of the mediator's hash join: the resolved
+// join value (stored, or NBC-predicted when the stored value was null) and
+// its key, the prediction's probability as a confidence factor (1 for a
+// stored value), and whether a prediction happened — a predicted entry can
+// never be part of a certain join. Shared by the two-way and chain joins.
 type joinEntry struct {
-	ans     Answer
 	val     relation.Value
+	key     string // val.Key(); empty when the answer cannot join
 	conf    float64
 	predded bool
 }
 
-// resolveJoinValue resolves an answer's join value at column col, predicting
-// with pred when the stored value is null. ok=false means the value is null
-// and unpredictable, so the answer cannot join at all.
-func resolveJoinValue(s *relation.Schema, a Answer, col int, pred *nbc.Predictor) (joinEntry, bool) {
-	v := a.Tuple[col]
-	if !v.IsNull() {
-		return joinEntry{ans: a, val: v, conf: a.Confidence}, true
+// joinEntries resolves each answer's join value at column col, predicting
+// with pred where the stored value is null. The entries line up with
+// answers; an answer whose value is null and unpredictable gets an entry
+// with an empty key, which joins nothing (every value's key is non-empty).
+func joinEntries(s *relation.Schema, answers []Answer, col int, pred *nbc.Predictor) []joinEntry {
+	ents := make([]joinEntry, len(answers))
+	for i, a := range answers {
+		e := joinEntry{val: a.Tuple[col], conf: 1}
+		if e.val.IsNull() {
+			if pred == nil {
+				continue
+			}
+			guess, p, ok := pred.Predict(s, a.Tuple).Top()
+			if !ok {
+				continue
+			}
+			e = joinEntry{val: guess, conf: p, predded: true}
+		}
+		e.key = e.val.Key()
+		ents[i] = e
 	}
-	if pred == nil {
-		return joinEntry{}, false
-	}
-	guess, p, ok := pred.Predict(s, a.Tuple).Top()
-	if !ok {
-		return joinEntry{}, false
-	}
-	return joinEntry{ans: a, val: guess, conf: a.Confidence * p, predded: true}, true
+	return ents
 }
 
-// buildJoinIndex hashes answers by resolved join value — the build side of
-// the mediator's hash join, in answer order per key.
-func buildJoinIndex(s *relation.Schema, answers []Answer, col int, pred *nbc.Predictor) map[string][]joinEntry {
-	idx := make(map[string][]joinEntry, len(answers))
-	for _, a := range answers {
-		e, ok := resolveJoinValue(s, a, col, pred)
-		if !ok {
-			continue
+// entryKey reads join keys off entries for hashJoin.
+func entryKey(ents []joinEntry) func(int) string {
+	return func(i int) string { return ents[i].key }
+}
+
+// hashJoin is the mediator's one hash join: it indexes the nBuild build
+// rows by buildKey, in order, then probes with the nProbe probe rows in
+// order, calling emit(b, p) for each probe row's matches in build order.
+// A row whose key is empty joins nothing.
+func hashJoin(nBuild, nProbe int, buildKey, probeKey func(int) string, emit func(b, p int)) {
+	idx := make(map[string][]int)
+	for b := 0; b < nBuild; b++ {
+		if k := buildKey(b); k != "" {
+			idx[k] = append(idx[k], b)
 		}
-		idx[e.val.Key()] = append(idx[e.val.Key()], e)
 	}
-	return idx
+	for p := 0; p < nProbe; p++ {
+		if k := probeKey(p); k != "" {
+			for _, b := range idx[k] {
+				emit(b, p)
+			}
+		}
+	}
 }
 
 // buildUnits assembles Q∪Q′ for one side of the join: the complete query
@@ -498,9 +518,9 @@ type scoredPair struct {
 	pair  QueryPair
 	left  queryUnit
 	right queryUnit
-	// key is the ranking tie-break: the left query's key immediately
-	// followed by the right one's.
-	key string
+	// lkey and rkey are the two queries' keys; key, the ranking tie-break,
+	// is lkey immediately followed by rkey.
+	lkey, rkey, key string
 }
 
 // scorePairs implements steps 3(b), 3(c) and 4: per-value estimated
@@ -539,6 +559,8 @@ func scorePairs(lunits, runits []queryUnit, alpha float64, k int) []scoredPair {
 				},
 				left:  lu,
 				right: ru,
+				lkey:  lkey,
+				rkey:  rkeys[j],
 				key:   string(kbuf),
 			})
 		}

@@ -189,12 +189,12 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			if p.left.complete {
 				useComplete[a] = true
 			} else {
-				selected[a][p.left.query.Key()] = p.left.rq
+				selected[a][p.lkey] = p.left.rq
 			}
 			if p.right.complete {
 				useComplete[a+1] = true
 			} else {
-				selected[a+1][p.right.query.Key()] = p.right.rq
+				selected[a+1][p.rkey] = p.right.rq
 			}
 		}
 	}
@@ -277,33 +277,24 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 	}
 
 	// Per-source resolved join entries, memoized per (source, attr side).
-	// Resolution passes unit confidence so ent.conf is exactly the
-	// prediction factor; factors are multiplied in canonically at
-	// materialization, keeping confidences identical across plan orders.
-	type rowEnt struct {
-		ent joinEntry
-		ok  bool
-	}
-	entL := make([][]rowEnt, n) // answers[i] on JoinAttrs[i][0]   (i < n−1)
-	entR := make([][]rowEnt, n) // answers[i] on JoinAttrs[i−1][1] (i > 0)
-	resolveSide := func(i int, attr string) []rowEnt {
+	// An entry's conf is exactly its prediction factor; factors are
+	// multiplied in canonically at materialization, keeping confidences
+	// identical across plan orders.
+	entL := make([][]joinEntry, n) // answers[i] on JoinAttrs[i][0]   (i < n−1)
+	entR := make([][]joinEntry, n) // answers[i] on JoinAttrs[i−1][1] (i > 0)
+	resolveSide := func(i int, attr string) []joinEntry {
 		s := sides[i].src.Schema()
-		col := s.MustIndex(attr)
-		pred := sides[i].k.Predictors[attr]
-		out := make([]rowEnt, len(answers[i]))
-		for j, a := range answers[i] {
-			e, ok := resolveJoinValue(s, Answer{Tuple: a.Tuple, Certain: a.Certain, Confidence: 1}, col, pred)
-			out[j] = rowEnt{ent: e, ok: ok}
-		}
-		return out
+		return joinEntries(s, answers[i], s.MustIndex(attr), sides[i].k.Predictors[attr])
 	}
-	getEntL := func(i int) []rowEnt {
-		if entL[i] == nil {
-			entL[i] = resolveSide(i, spec.JoinAttrs[i][0])
+	// entries returns source i's entries on the attribute that faces
+	// source j, an adjacent source.
+	entries := func(i, j int) []joinEntry {
+		if j > i {
+			if entL[i] == nil {
+				entL[i] = resolveSide(i, spec.JoinAttrs[i][0])
+			}
+			return entL[i]
 		}
-		return entL[i]
-	}
-	getEntR := func(i int) []rowEnt {
 		if entR[i] == nil {
 			entR[i] = resolveSide(i, spec.JoinAttrs[i-1][1])
 		}
@@ -318,119 +309,22 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		np[i] = row
 		return np
 	}
-	seed := func(a int, buildLeft bool) [][]int {
-		le, re := getEntL(a), getEntR(a+1)
-		blank := make([]int, n)
-		for i := range blank {
-			blank[i] = -1
-		}
+	// extend joins the partials, whose member from is at one end of their
+	// interval, with source to, the adjacent source beyond that end.
+	// buildNew indexes the new source's rows and probes with the partials;
+	// otherwise the partials are indexed and the new rows probe.
+	extend := func(partials [][]int, from, to int, buildNew bool) [][]int {
+		fromEnt, toEnt := entries(from, to), entries(to, from)
+		partKey := func(pi int) string { return fromEnt[partials[pi][from]].key }
 		var out [][]int
-		idx := make(map[string][]int)
-		if buildLeft {
-			for j, e := range le {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], j)
-				}
-			}
-			for kdx, e := range re {
-				if !e.ok {
-					continue
-				}
-				for _, j := range idx[e.ent.val.Key()] {
-					out = append(out, clone(clone(blank, a, j), a+1, kdx))
-				}
-			}
-		} else {
-			for kdx, e := range re {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], kdx)
-				}
-			}
-			for j, e := range le {
-				if !e.ok {
-					continue
-				}
-				for _, kdx := range idx[e.ent.val.Key()] {
-					out = append(out, clone(clone(blank, a, j), a+1, kdx))
-				}
-			}
-		}
-		return out
-	}
-	// extendRight joins adjacency a = hi: partials (member hi, left attr)
-	// against new source hi+1. buildNew indexes the new source and probes
-	// partials — the caller-order default; otherwise partials are indexed.
-	extendRight := func(a int, partials [][]int, buildNew bool) [][]int {
-		le, re := getEntL(a), getEntR(a+1)
-		var out [][]int
-		idx := make(map[string][]int)
 		if buildNew {
-			for kdx, e := range re {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], kdx)
-				}
-			}
-			for _, p := range partials {
-				e := le[p[a]]
-				if !e.ok {
-					continue
-				}
-				for _, kdx := range idx[e.ent.val.Key()] {
-					out = append(out, clone(p, a+1, kdx))
-				}
-			}
+			hashJoin(len(toEnt), len(partials), entryKey(toEnt), partKey, func(row, pi int) {
+				out = append(out, clone(partials[pi], to, row))
+			})
 		} else {
-			for pi, p := range partials {
-				if e := le[p[a]]; e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], pi)
-				}
-			}
-			for kdx, e := range re {
-				if !e.ok {
-					continue
-				}
-				for _, pi := range idx[e.ent.val.Key()] {
-					out = append(out, clone(partials[pi], a+1, kdx))
-				}
-			}
-		}
-		return out
-	}
-	// extendLeft joins adjacency a = lo−1: new source a against partials
-	// (member a+1 = lo, right attr). Only reachable under a planner order.
-	extendLeft := func(a int, partials [][]int, buildNew bool) [][]int {
-		le, re := getEntL(a), getEntR(a+1)
-		var out [][]int
-		idx := make(map[string][]int)
-		if buildNew {
-			for j, e := range le {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], j)
-				}
-			}
-			for _, p := range partials {
-				e := re[p[a+1]]
-				if !e.ok {
-					continue
-				}
-				for _, j := range idx[e.ent.val.Key()] {
-					out = append(out, clone(p, a, j))
-				}
-			}
-		} else {
-			for pi, p := range partials {
-				if e := re[p[a+1]]; e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], pi)
-				}
-			}
-			for j, e := range le {
-				if !e.ok {
-					continue
-				}
-				for _, pi := range idx[e.ent.val.Key()] {
-					out = append(out, clone(partials[pi], a, j))
-				}
-			}
+			hashJoin(len(partials), len(toEnt), partKey, entryKey(toEnt), func(pi, row int) {
+				out = append(out, clone(partials[pi], to, row))
+			})
 		}
 		return out
 	}
@@ -489,20 +383,29 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 				fetchAnswers(second)
 				buildLeft := m.cfg.Planner && planner.BuildLeft(len(answers[a]), len(answers[a+1]))
 				st.BuildLeft = buildLeft
-				partials = seed(a, buildLeft)
+				// The first join extends one-member partials of source a.
+				blank := make([]int, n)
+				for i := range blank {
+					blank[i] = -1
+				}
+				partials = make([][]int, len(answers[a]))
+				for j := range partials {
+					partials[j] = clone(blank, a, j)
+				}
+				partials = extend(partials, a, a+1, !buildLeft)
 			}
 			lo = a
 		case a < lo:
 			fetchAnswers(a)
 			buildNew := !m.cfg.Planner || planner.BuildLeft(len(answers[a]), len(partials))
 			st.BuildLeft = buildNew
-			partials = extendLeft(a, partials, buildNew)
+			partials = extend(partials, a+1, a, buildNew)
 			lo = a
 		default:
 			fetchAnswers(a + 1)
 			buildPartials := m.cfg.Planner && planner.BuildLeft(len(partials), len(answers[a+1]))
 			st.BuildLeft = buildPartials
-			partials = extendRight(a, partials, !buildPartials)
+			partials = extend(partials, a, a+1, !buildPartials)
 		}
 		if m.cfg.Planner && len(partials) == 0 {
 			empty = true
@@ -532,15 +435,15 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			}
 			if i > 0 {
 				e := entR[i][p[i]]
-				conf *= e.ent.conf
-				if e.ent.predded {
+				conf *= e.conf
+				if e.predded {
 					certain = false
 				}
 			}
 			if i < n-1 {
 				e := entL[i][p[i]]
-				conf *= e.ent.conf
-				if e.ent.predded {
+				conf *= e.conf
+				if e.predded {
 					certain = false
 				}
 			}

@@ -149,10 +149,8 @@ func jitterSeed(seed int64, queryKey string) int64 {
 }
 
 // fetcher is the mediator's one rewrite-fetch engine. Every fan-out of
-// rewritten queries — select and stream, aggregates, correlated sources and
-// chain joins — issues through it (the two-way join alone fetches per pair,
-// because with the planner on whether it fetches a unit depends on what the
-// pair's other unit returned).
+// rewritten queries — select and stream, aggregates, correlated sources,
+// and each side of a two-way or chain join — issues through it.
 //
 // startFetch issues the queries against one source, at most parallel at a
 // time (one at a time when parallel <= 1), each under the retry policy and

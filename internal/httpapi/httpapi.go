@@ -119,8 +119,8 @@ func New(med *core.Mediator, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /sources", s.instrument("sources", s.handleSources))
 	s.mux.HandleFunc("GET /knowledge", s.instrument("knowledge", s.handleKnowledge))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("POST /query", s.queryEntry)
-	s.mux.HandleFunc("POST /join", s.admitted("join", s.handleJoin))
+	s.mux.HandleFunc("POST /query", s.admitted(queryEndpoint, s.handleQuery))
+	s.mux.HandleFunc("POST /join", s.admitted(func(*http.Request) string { return "join" }, s.handleJoin))
 	return s
 }
 
@@ -218,14 +218,15 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// admitted wraps an expensive handler with the admission gate (and, like
-// instrument, service-time recording). Shed requests answer 429 with a
+// admitted wraps an expensive handler with the admission gate and, like
+// instrument, deferred service-time recording, under the histogram that
+// endpoint names for the request. Shed requests answer 429 with a
 // Retry-After hint and a structured body without entering the handler.
-func (s *Server) admitted(name string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) admitted(endpoint func(*http.Request) string, h http.HandlerFunc) http.HandlerFunc {
 	if s.adm == nil {
 		return h
 	}
-	inner := s.instrument(name, h)
+	clock := s.adm.clock
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, shed, err := s.adm.acquire(r.Context())
 		if err != nil {
@@ -238,41 +239,25 @@ func (s *Server) admitted(name string, h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		defer release()
-		inner(w, r)
+		hist, start := s.endpoints[endpoint(r)], clock()
+		defer func() { hist.Record(clock().Sub(start)) }()
+		h(w, r)
 	}
+}
+
+// queryEndpoint names POST /query's histogram: the stream's or the
+// batch's.
+func queryEndpoint(r *http.Request) string {
+	if streamRequested(r) {
+		return "query_stream"
+	}
+	return "query"
 }
 
 // streamRequested reports whether the request asked for the NDJSON stream.
 func streamRequested(r *http.Request) bool {
 	v := r.URL.Query().Get("stream")
 	return v != "" && v != "0" && v != "false"
-}
-
-// queryEntry is the POST /query entry point: the admission gate plus
-// per-endpoint recording under the batch or stream histogram, then the
-// shared handler.
-func (s *Server) queryEntry(w http.ResponseWriter, r *http.Request) {
-	if s.adm == nil {
-		s.handleQuery(w, r)
-		return
-	}
-	release, shed, err := s.adm.acquire(r.Context())
-	if err != nil {
-		s.writeDisconnect(w)
-		return
-	}
-	if shed != "" {
-		s.writeShed(w, shed)
-		return
-	}
-	defer release()
-	name := "query"
-	if streamRequested(r) {
-		name = "query_stream"
-	}
-	start := s.adm.clock()
-	s.handleQuery(w, r)
-	s.endpoints[name].Record(s.adm.clock().Sub(start))
 }
 
 // writeShed answers a shed request: 429, Retry-After in whole seconds

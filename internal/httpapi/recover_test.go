@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"qpiad/internal/core"
 )
 
 // panicServer builds an admission-gated server with an extra route that
@@ -19,10 +21,10 @@ func panicServer(t *testing.T, maxInflight int) *Server {
 		MaxQueue:     2 * maxInflight,
 		QueueTimeout: 100 * time.Millisecond,
 	})
-	s.mux.HandleFunc("POST /panic", s.admitted("query", func(http.ResponseWriter, *http.Request) {
+	s.mux.HandleFunc("POST /panic", s.admitted(queryEndpoint, func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))
-	s.mux.HandleFunc("POST /panic-midstream", s.admitted("query", func(w http.ResponseWriter, _ *http.Request) {
+	s.mux.HandleFunc("POST /panic-midstream", s.admitted(queryEndpoint, func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		//lint:allow errdrop test writer cannot fail
 		w.Write([]byte("partial\n"))
@@ -95,6 +97,46 @@ func TestPanicRecoveryStructured500(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic query: status %d", resp.StatusCode)
+	}
+}
+
+// TestQueryPanicRecorded panics inside the real batch POST /query handler
+// (knowledge that lost its sample makes rewrite selectivity estimation
+// dereference nil) and checks that every panicking request still lands in
+// the query histogram, so admitted == Σ endpoint completions holds. Batch
+// only: a stream generates its rewrites in its own goroutine, outside the
+// recovery middleware. The answer cache is off because a computation that
+// panics never releases its singleflight slot, so the next identical
+// request would wait on it forever.
+func TestQueryPanicRecorded(t *testing.T) {
+	s := admissionWorld(t, AdmissionConfig{MaxInFlight: 2}, func(c *core.Config) { c.CacheSize = -1 })
+	k, ok := s.med.Knowledge("cars")
+	if !ok {
+		t.Fatal("no knowledge for cars")
+	}
+	k.Sample = nil
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	const n = 3
+	for i := 0; i < n; i++ {
+		resp, err := http.Post(ts.URL+"/query", "application/json",
+			strings.NewReader(`{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		//lint:allow errdrop test response body
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500", i, resp.StatusCode)
+		}
+	}
+	m := fetchMetrics(t, ts.URL)
+	if m.HTTP.Panics != n || m.HTTP.Admission.Admitted != n {
+		t.Fatalf("panics=%d admitted=%d, want %d each", m.HTTP.Panics, m.HTTP.Admission.Admitted, n)
+	}
+	if got := m.HTTP.Endpoints["query"].Count; got != n {
+		t.Errorf("query completions = %d, want %d: a panicking POST /query must still be recorded", got, n)
 	}
 }
 
