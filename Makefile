@@ -10,7 +10,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: tier1 build vet fmt-check lint sarif test race fuzz-smoke vuln bench bench-json bench-planner bench-load bench-chaos perfbench-check clean
+.PHONY: tier1 build vet fmt-check lint sarif test race fuzz-smoke vuln bench bench-json bench-chain bench-load bench-chaos perfbench-check clean
 
 tier1: build vet fmt-check lint race
 
@@ -93,16 +93,17 @@ bench-json:
 		-bench 'BenchmarkMineKnowledge|BenchmarkWarmQuery|BenchmarkRewriteGeneration|BenchmarkQuerySelectEndToEnd|BenchmarkTANEMining|BenchmarkNBCPrediction|BenchmarkStreamVsBatch|BenchmarkBreakerFlap|BenchmarkLazyVsMaterializedAggregate' \
 		-benchmem $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_JSON)
 
-# bench-planner pins the PR7 planner claim: on the pessimal four-source
-# chain, planner-on must strictly reduce source queries/op and tuples/op vs
-# caller order (the benchmark itself b.Fatals otherwise, and first proves
-# planner-on/off answer-set equivalence). Writes the JSON baseline.
-# Committed baseline: BENCH_PR7.json.
-BENCH_PLANNER_JSON ?= .bench_build/bench-planner.json
-bench-planner:
-	mkdir -p $(dir $(BENCH_PLANNER_JSON))
-	$(GO) test -run '^$$' -bench 'BenchmarkPlannerVsCallerOrder' \
-		-benchmem $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_PLANNER_JSON)
+# bench-chain pins what an empty base saves: on a four-source chain whose
+# last selection is empty, no rewrite is sent, so the chain must read at
+# most 4 source queries/op and 977 tuples/op, the figures BENCH_PR7.json
+# records for the statistics-driven planner this rule replaced (the
+# benchmark itself b.Fatals otherwise, and first checks that a non-empty
+# variant returns answers). Writes the JSON baseline.
+BENCH_CHAIN_JSON ?= .bench_build/bench-chain.json
+bench-chain:
+	mkdir -p $(dir $(BENCH_CHAIN_JSON))
+	$(GO) test -run '^$$' -bench 'BenchmarkChainEmptyBase' \
+		-benchmem $(BENCH_FLAGS) . | $(GO) run ./cmd/qpiad-benchjson -o $(BENCH_CHAIN_JSON)
 
 # bench-load pins the PR8 admission-control claim: the closed-loop loadgen
 # mix at 16/64/256 workers against the in-process HTTP server, admission

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -533,13 +532,11 @@ func BenchmarkLazyVsMaterializedAggregate(b *testing.B) {
 	})
 }
 
-// plannerBenchWorld builds the skewed four-source chain world behind
-// BenchmarkPlannerVsCallerOrder: two car fleets, complaints and recalls,
-// each with nulls planted on its constrained attribute so every selection
-// generates rewrites. The same source and knowledge objects are registered
-// into a planner-off and a planner-on mediator, so the two runs see
-// byte-identical data and shared transfer counters.
-func plannerBenchWorld(b *testing.B) (off, on *core.Mediator) {
+// chainBenchWorld builds the skewed four-source chain world behind
+// BenchmarkChainEmptyBase: two car fleets, complaints and recalls, each
+// with nulls planted on its constrained attribute so every selection
+// generates rewrites.
+func chainBenchWorld(b *testing.B) *core.Mediator {
 	b.Helper()
 	rng := rand.New(rand.NewSource(401))
 	mk := func(name string, gd *relation.Relation, nullAttr string, seed int64) (*source.Source, *core.Knowledge) {
@@ -560,30 +557,24 @@ func plannerBenchWorld(b *testing.B) (off, on *core.Mediator) {
 	compSrc, compK := mk("complaints", datagen.Complaints(2500, 406), "general_component", 407)
 	recSrc, recK := mk("recalls", datagen.Recalls(800, 408), "severity", 409)
 
-	cfg := core.Config{Alpha: 0.5, K: 8, NoCache: true, CacheSize: -1}
-	off = core.New(cfg)
-	cfg.Planner = true
-	on = core.New(cfg)
-	for _, m := range []*core.Mediator{off, on} {
-		m.Register(fleetSrc, fleetK)
-		m.Register(carsSrc, carsK)
-		m.Register(compSrc, compK)
-		m.Register(recSrc, recK)
-	}
-	return off, on
+	m := core.New(core.Config{Alpha: 0.5, K: 8, NoCache: true, CacheSize: -1})
+	m.Register(fleetSrc, fleetK)
+	m.Register(carsSrc, carsK)
+	m.Register(compSrc, compK)
+	m.Register(recSrc, recK)
+	return m
 }
 
-// BenchmarkPlannerVsCallerOrder pins the planner's headline claim
-// (BENCH_PR7.json): on a four-source chain whose caller order is pessimal —
-// the widest adjacency first, an empty selection last — caller-order
-// execution pulls every source's rewrites before discovering the chain is
-// empty, while the planner seeds at the cheapest adjacency, finds it empty,
-// and skips the remaining sources' rewrite fetches. Before timing it proves
-// answer-set equivalence on both the timed spec and a selective non-empty
-// variant, and it fails outright unless planner-on strictly reduces both
-// source queries/op and tuples/op.
-func BenchmarkPlannerVsCallerOrder(b *testing.B) {
-	off, on := plannerBenchWorld(b)
+// BenchmarkChainEmptyBase pins what an empty base saves on a four-source
+// chain whose last selection is empty. Every base query goes out and every
+// adjacency is pair-scored, but no rewrite is sent. BENCH_PR7.json
+// recorded 14 queries/op and 2036 tuples/op for this chain when it fetched
+// every source's rewrites, and 4 and 977 for the statistics-driven
+// planner it had then; the benchmark fails unless the chain reads at most
+// 4 queries/op and 977 tuples/op, and unless the selective variant (a
+// non-empty last selection) returns answers.
+func BenchmarkChainEmptyBase(b *testing.B) {
+	m := chainBenchWorld(b)
 	names := []string{"fleet", "cars", "complaints", "recalls"}
 	pessimal := core.ChainSpec{
 		Sources: names,
@@ -604,64 +595,40 @@ func BenchmarkPlannerVsCallerOrder(b *testing.B) {
 	selective := pessimal
 	selective.Queries = append([]relation.Query(nil), pessimal.Queries...)
 	selective.Queries[3] = relation.NewQuery("recalls", relation.Eq("severity", relation.String("severe")))
-
-	// Equivalence proof: identical answer sets (confidences included) with
-	// the planner on and off, on the timed spec and the non-empty variant.
-	for _, spec := range []core.ChainSpec{pessimal, selective} {
-		offRes, err := off.QueryJoinChain(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		onRes, err := on.QueryJoinChain(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !reflect.DeepEqual(offRes.Answers, onRes.Answers) {
-			b.Fatalf("planner changed the answer set: off=%d on=%d answers",
-				len(offRes.Answers), len(onRes.Answers))
-		}
-	}
-	if sel, err := on.QueryJoinChain(selective); err != nil || len(sel.Answers) == 0 {
+	if sel, err := m.QueryJoinChain(selective); err != nil || len(sel.Answers) == 0 {
 		b.Fatalf("selective variant should produce answers (err=%v)", err)
 	}
 
 	totals := func() (queries, tuples int) {
 		for _, name := range names {
-			src, _ := off.Source(name)
+			src, _ := m.Source(name)
 			st := src.Stats()
 			queries += st.Queries
 			tuples += st.TuplesReturned
 		}
 		return queries, tuples
 	}
-	measure := func(b *testing.B, m *core.Mediator) (qPerOp, tPerOp float64) {
-		b.ReportAllocs()
-		q0, t0 := totals()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := m.QueryJoinChain(pessimal)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Answers) != 0 {
-				b.Fatal("pessimal spec should yield an empty chain")
-			}
+	b.ReportAllocs()
+	q0, t0 := totals()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := m.QueryJoinChain(pessimal)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.StopTimer()
-		q1, t1 := totals()
-		qPerOp = float64(q1-q0) / float64(b.N)
-		tPerOp = float64(t1-t0) / float64(b.N)
-		b.ReportMetric(qPerOp, "queries/op")
-		b.ReportMetric(tPerOp, "tuples/op")
-		return qPerOp, tPerOp
+		if len(res.Answers) != 0 {
+			b.Fatal("pessimal spec should yield an empty chain")
+		}
 	}
-
-	var offQ, offT, onQ, onT float64
-	b.Run("caller-order", func(b *testing.B) { offQ, offT = measure(b, off) })
-	b.Run("planner", func(b *testing.B) { onQ, onT = measure(b, on) })
-	if onQ >= offQ || onT >= offT {
-		b.Fatalf("planner must strictly reduce source work: queries/op on=%.1f off=%.1f, tuples/op on=%.1f off=%.1f",
-			onQ, offQ, onT, offT)
+	b.StopTimer()
+	q1, t1 := totals()
+	qPerOp := float64(q1-q0) / float64(b.N)
+	tPerOp := float64(t1-t0) / float64(b.N)
+	b.ReportMetric(qPerOp, "queries/op")
+	b.ReportMetric(tPerOp, "tuples/op")
+	if qPerOp > 4 || tPerOp > 977 {
+		b.Fatalf("an empty base must end the chain: queries/op %.1f (want <= 4), tuples/op %.1f (want <= 977)",
+			qPerOp, tPerOp)
 	}
 }
 

@@ -66,7 +66,6 @@ func main() {
 		k        = flag.Int("k", 10, "default rewritten-query budget")
 		parallel = flag.Int("parallel", 4, "concurrent rewrite issuing")
 		top      = flag.Int("top", 0, "default top-N early-stop bound for streamed queries (0 = off; per-request top_n overrides)")
-		usePlan  = flag.Bool("planner", false, "enable the statistics-driven planner (join and chain ordering)")
 
 		mineWorkers = flag.Int("mine-workers", 0, "worker goroutines for knowledge mining (0 = GOMAXPROCS)")
 		noCache     = flag.Bool("no-cache", false, "disable the mediator answer cache")
@@ -101,7 +100,7 @@ func main() {
 	ccfg := core.Config{
 		Alpha: *alpha, K: *k, Parallel: *parallel, TopN: *top,
 		Retry:    core.RetryPolicy{MaxAttempts: *retries, AttemptTimeout: *attemptTO},
-		CacheTTL: *cacheTTL, StaleTTL: *staleTTL, Planner: *usePlan,
+		CacheTTL: *cacheTTL, StaleTTL: *staleTTL,
 	}
 	if *useBreaker {
 		ccfg.Breaker = &breaker.Config{}

@@ -50,7 +50,6 @@ func main() {
 		limit    = flag.Int("limit", 15, "answers to print per section")
 		explain  = flag.Bool("explain", true, "show AFD-based explanations")
 		stats    = flag.Bool("stats", false, "print full per-source metrics (queries, retries, errors, latency percentiles)")
-		usePlan  = flag.Bool("planner", false, "enable the statistics-driven planner (join and chain ordering)")
 
 		mineWorkers = flag.Int("mine-workers", 0, "worker goroutines for knowledge mining (0 = GOMAXPROCS)")
 		noCache     = flag.Bool("no-cache", false, "disable the mediator answer cache")
@@ -74,7 +73,6 @@ func main() {
 
 	res := resilience{
 		stats:       *stats,
-		planner:     *usePlan,
 		mineWorkers: *mineWorkers,
 		noCache:     *noCache,
 		topN:        *top,
@@ -121,7 +119,6 @@ func main() {
 // resilience bundles the fault-injection, retry and admission-control knobs.
 type resilience struct {
 	stats       bool
-	planner     bool
 	mineWorkers int
 	noCache     bool
 	topN        int
@@ -153,7 +150,6 @@ func setup(csvPath string, n int, seed int64, incmp, smplFrac, alpha float64, k 
 		Alpha: alpha, K: k, Retry: res.retry,
 		MineWorkers: res.mineWorkers, NoCache: res.noCache, TopN: res.topN,
 		Breaker: res.breaker, CacheTTL: res.cacheTTL, StaleTTL: res.staleTTL,
-		Planner: res.planner,
 	}
 	sys := qpiad.New(cfg)
 	if err := sys.AddSource("db", db, qpiad.Capabilities{}); err != nil {
@@ -227,9 +223,6 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 	printResult(os.Stdout, rs, limit, explain)
 	if st, ok := sys.SourceStats("db"); ok {
 		fmt.Printf("\nsource accounting: %d queries, %d tuples transferred\n", st.Queries, st.TuplesReturned)
-	}
-	if res.planner {
-		printPlanner(sys)
 	}
 	if res.stats {
 		printMetrics(sys, "db")
@@ -325,6 +318,8 @@ func runStream(csvPath string, n int, seed int64, incmp, smplFrac float64, attr,
 			}
 		case qpiad.StreamEventSummary:
 			sum = ev.Summary
+		case qpiad.StreamEventPanic:
+			panic(ev.Panic)
 		}
 	}
 	total := time.Since(start)
@@ -348,20 +343,10 @@ func runStream(csvPath string, n int, seed int64, incmp, smplFrac float64, attr,
 	if st, ok := sys.SourceStats("db"); ok {
 		fmt.Printf("source accounting: %d queries, %d tuples transferred\n", st.Queries, st.TuplesReturned)
 	}
-	if res.planner {
-		printPlanner(sys)
-	}
 	if res.stats {
 		printMetrics(sys, "db")
 	}
 	return nil
-}
-
-// printPlanner dumps the planner accounting behind -planner.
-func printPlanner(sys *qpiad.System) {
-	ps := sys.PlannerStats()
-	fmt.Printf("planner: %d plans consulted, %d reordered, %d fetches skipped\n",
-		ps.Plans, ps.Reordered, ps.SkippedFetches)
 }
 
 // printMetrics dumps the full per-source accounting behind -stats.

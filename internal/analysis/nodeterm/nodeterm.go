@@ -36,7 +36,6 @@ var MiningPackages = []string{
 	"internal/bayesnet",
 	"internal/core",
 	"internal/breaker",
-	"internal/planner",
 	"internal/httpapi",
 	"internal/loadgen",
 	"internal/latency",

@@ -125,13 +125,6 @@ type Config struct {
 	// Clock injects the time base for the answer cache's TTLs and newly
 	// attached breakers (deterministic tests). nil means the wall clock.
 	Clock func() time.Time
-	// Planner arms the statistics-driven query planner: greedy join/chain
-	// ordering from mined cardinality statistics, the hash-join build side
-	// and the empty-intermediate skip. false preserves caller-order
-	// execution exactly; the answer sets are identical either way (the
-	// planner only changes which fetches can be skipped and in what order
-	// sources are contacted).
-	Planner bool
 }
 
 // DefaultConfig matches the paper's experimental defaults (α = 0, K = 10).
@@ -193,13 +186,6 @@ func (k *Knowledge) predictEvidence(p *nbc.Predictor, key string, evidence map[s
 // answers already or certain non-answers.
 func (k *Knowledge) EstSel(q relation.Query) float64 {
 	return float64(k.Sample.Count(q)) * k.Ratio * k.PerInc
-}
-
-// EstSelComplete estimates q's full-database cardinality: EstSel without
-// the incompleteness discount, for the join's side estimates, where the
-// whole result's size matters.
-func (k *Knowledge) EstSelComplete(q relation.Query) float64 {
-	return float64(k.Sample.Count(q)) * k.Ratio
 }
 
 // PredictionMemoStats snapshots the prediction memo's counters (zero when
@@ -382,13 +368,6 @@ type Mediator struct {
 	cache *qcache.Cache
 	// staleServed counts answers served by the stale-cache fallback.
 	staleServed atomic.Int64
-	// Planner accounting: plans produced, plans whose execution order
-	// differed from caller order, and component fetches skipped because an
-	// earlier step proved them unnecessary (empty intermediate) or
-	// impossible (open circuit).
-	plannerPlans     atomic.Int64
-	plannerReordered atomic.Int64
-	plannerSkipped   atomic.Int64
 }
 
 // New creates a mediator.
@@ -480,33 +459,6 @@ func (m *Mediator) lookup(name string) (*source.Source, *Knowledge, bool) {
 // StaleServed returns the number of answers served by the stale-cache
 // fallback since the mediator was built.
 func (m *Mediator) StaleServed() int64 { return m.staleServed.Load() }
-
-// PlannerStats is the mediator's planner accounting: how many join/chain
-// plans ran, how often the statistics changed the execution order, and how
-// many component fetches the plan order let the executor skip.
-type PlannerStats struct {
-	// Enabled reports statistics-driven ordering is active on the
-	// mediator's shared config.
-	Enabled bool
-	// Plans counts join/chain executions that consulted the planner.
-	Plans int64
-	// Reordered counts plans whose execution order differed from caller
-	// order.
-	Reordered int64
-	// SkippedFetches counts component fetches never issued because an
-	// earlier plan step proved the chain empty or the side unreachable.
-	SkippedFetches int64
-}
-
-// PlannerStats snapshots the planner accounting.
-func (m *Mediator) PlannerStats() PlannerStats {
-	return PlannerStats{
-		Enabled:        m.cfg.Planner,
-		Plans:          m.plannerPlans.Load(),
-		Reordered:      m.plannerReordered.Load(),
-		SkippedFetches: m.plannerSkipped.Load(),
-	}
-}
 
 // BreakerSnapshot returns the named source's breaker accounting; ok is
 // false when the source is unknown or carries no breaker.

@@ -9,7 +9,6 @@ import (
 
 	"qpiad/internal/breaker"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 )
 
@@ -80,28 +79,11 @@ type JoinResult struct {
 	// fetched (after retries), so some possible join pairs may be missing.
 	Degraded bool
 	// EstSavedTuples sums the estimated selectivities of component rewrites
-	// the mediator never fetched — either because the planner found every
-	// component of the other side empty, or because the source's circuit
-	// was open (mirroring ResultSet.EstSavedTuples).
+	// the mediator never fetched: every selected rewrite when a base set
+	// came back empty (the join is then exactly empty, so not Degraded),
+	// and those the source's open circuit turned away or skipped
+	// (mirroring ResultSet.EstSavedTuples).
 	EstSavedTuples float64
-	// Explain records the plan: estimated vs actual cardinalities and the
-	// planner's ordering decisions. Always populated.
-	Explain *planner.Explain
-}
-
-// sideEstimate derives a planner-side cost estimate for one join side from
-// mined statistics: the estimated full-database cardinality of the
-// selection, and the sample's distinct-value count on the join attribute
-// (the hash-join fanout denominator).
-func sideEstimate(name string, k *Knowledge, q relation.Query, attr string) planner.Side {
-	sd := planner.Side{Source: name}
-	if k.Sample != nil {
-		sd.Est = k.EstSelComplete(q)
-		if st, ok := k.Sample.IndexStats(attr); ok {
-			sd.Distinct = st.Distinct
-		}
-	}
-	return sd
 }
 
 // QueryJoin processes a join query per Section 4.5: retrieve both base
@@ -132,44 +114,22 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		return nil, fmt.Errorf("core: join attributes %q/%q not present", spec.LeftJoinAttr, spec.RightJoinAttr)
 	}
 
-	// Estimate both sides from mined statistics before touching the
-	// sources. The estimates drive fetch ordering when the planner is on
-	// and surface in the Explain either way.
-	adj := planner.Adjacency{
-		Left:  sideEstimate(spec.LeftSource, lk, spec.LeftQuery, spec.LeftJoinAttr),
-		Right: sideEstimate(spec.RightSource, rk, spec.RightQuery, spec.RightJoinAttr),
-	}
-	if m.cfg.Planner {
-		m.plannerPlans.Add(1)
-	}
-
-	// Step 1: base sets (retried under the mediator's policy; the join
-	// cannot proceed without them). With the planner on, the estimated
-	// smaller side goes first so a failing cheap side aborts before the
-	// expensive one is queried; answer sets are order-independent.
-	var lbase, rbase []relation.Tuple
-	fetchBase := func(src queryable, q relation.Query, side string, out *[]relation.Tuple) error {
+	// Step 1: base sets, left then right (retried under the mediator's
+	// policy; the join cannot proceed without them).
+	fetchBase := func(src queryable, q relation.Query, side string) ([]relation.Tuple, error) {
 		bres := fetchOne(ctx, src, q, nil, m.cfg.Retry)
 		if bres.err != nil {
-			return fmt.Errorf("core: %s base query: %w", side, bres.err)
+			return nil, fmt.Errorf("core: %s base query: %w", side, bres.err)
 		}
-		*out = bres.rows
-		return nil
+		return bres.rows, nil
 	}
-	if m.cfg.Planner && adj.Right.Est < adj.Left.Est {
-		if err := fetchBase(rsrc, spec.RightQuery, "right", &rbase); err != nil {
-			return nil, err
-		}
-		if err := fetchBase(ls, spec.LeftQuery, "left", &lbase); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := fetchBase(ls, spec.LeftQuery, "left", &lbase); err != nil {
-			return nil, err
-		}
-		if err := fetchBase(rsrc, spec.RightQuery, "right", &rbase); err != nil {
-			return nil, err
-		}
+	lbase, err := fetchBase(ls, spec.LeftQuery, "left")
+	if err != nil {
+		return nil, err
+	}
+	rbase, err := fetchBase(rsrc, spec.RightQuery, "right")
+	if err != nil {
+		return nil, err
 	}
 
 	// Step 2: rewrites per side.
@@ -181,12 +141,11 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 
 	res := &JoinResult{Spec: spec}
 
-	// Step 5: fetch each side's distinct selected components once, through
-	// the fetch engine; the complete component is answered from the base
-	// rows. With the planner off both sides are fetched at once. With it
-	// on, the estimated-smaller side goes first, and when none of its
-	// components returns a tuple no pair can match, so the other side's
-	// rewrites are never sent.
+	// Step 5: fetch each side's distinct selected components once, both
+	// sides at once, through the fetch engine; the complete component is
+	// answered from the base rows. An empty base has no certain answers
+	// and mines no rewrites, so no pair can join: nothing more is sent,
+	// and every selected rewrite counts as saved.
 	left := &joinSide{src: ls, base: lbase, col: ls.Schema().MustIndex(spec.LeftJoinAttr), pred: lk.Predictors[spec.LeftJoinAttr]}
 	right := &joinSide{src: rsrc, base: rbase, col: rsrc.Schema().MustIndex(spec.RightJoinAttr), pred: rk.Predictors[spec.RightJoinAttr]}
 	comps := make([][2]*sideResult, len(pairs))
@@ -194,25 +153,17 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		res.Pairs = append(res.Pairs, sp.pair)
 		comps[i] = [2]*sideResult{left.add(sp.left, sp.lkey), right.add(sp.right, sp.rkey)}
 	}
-	if m.cfg.Planner {
-		first, second := left, right
-		if adj.Right.Est < adj.Left.Est {
-			first, second = right, left
-		}
-		first.fold(res, first.start(ctx, m.cfg))
-		if first.act > 0 {
-			second.fold(res, second.start(ctx, m.cfg))
-		} else {
-			for _, u := range second.rewrites {
-				m.plannerSkipped.Add(1)
+	if len(lbase) == 0 || len(rbase) == 0 {
+		for _, sd := range []*joinSide{left, right} {
+			for _, u := range sd.rewrites {
 				res.EstSavedTuples += u.rq.EstSel
 			}
 		}
-	} else {
-		lf, rf := left.start(ctx, m.cfg), right.start(ctx, m.cfg)
-		left.fold(res, lf)
-		right.fold(res, rf)
+		return res, nil
 	}
+	lf, rf := left.start(ctx, m.cfg), right.start(ctx, m.cfg)
+	left.fold(res, lf)
+	right.fold(res, rf)
 
 	// seenJoin dedupes joined pairs by the two tuple keys joined with
 	// \x1f, appended into jbuf; tieKeys holds each answer's key, in step
@@ -250,19 +201,11 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 				Confidence: (la.Confidence * le.conf) * (ra.Confidence * re.conf),
 			})
 		}
-		// Step 6: hash join with missing-value prediction. The caller-order
-		// path builds on the right; the planner builds on the side whose
-		// materialized answer set is smaller. Either direction produces the
-		// same (left, right) match set, and emit computes confidence with
-		// fixed left×right orientation, so the answers are identical.
-		if m.cfg.Planner && planner.BuildLeft(len(lres.answers), len(rres.answers)) {
-			hashJoin(len(lents), len(rents), entryKey(lents), entryKey(rents), emit)
-		} else {
-			hashJoin(len(rents), len(lents), entryKey(rents), entryKey(lents), func(r, l int) { emit(l, r) })
-		}
+		// Step 6: hash join with missing-value prediction, building on the
+		// right and probing with the left.
+		hashJoin(len(rents), len(lents), entryKey(rents), entryKey(lents), func(r, l int) { emit(l, r) })
 	}
-	// Certain first, then descending confidence; ties broken by tuple keys
-	// so the ranking is identical whichever order the planner joined in.
+	// Certain first, then descending confidence; ties broken by tuple keys.
 	sortByPosition(res.Answers, func(i, j int32) int {
 		ai, aj := &res.Answers[i], &res.Answers[j]
 		if ai.Certain != aj.Certain {
@@ -273,21 +216,6 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		}
 		return strings.Compare(tieKeys[i], tieKeys[j])
 	})
-	res.Explain = &planner.Explain{
-		PlannerOn: m.cfg.Planner,
-		Order:     []int{0},
-		Steps: []planner.Step{{
-			LeftSource:  spec.LeftSource,
-			RightSource: spec.RightSource,
-			EstLeft:     adj.Left.Est,
-			EstRight:    adj.Right.Est,
-			EstOut:      adj.EstOut(),
-			ActLeft:     left.act,
-			ActRight:    right.act,
-			ActOut:      len(res.Answers),
-			BuildLeft:   m.cfg.Planner && planner.BuildLeft(left.act, right.act),
-		}},
-	}
 	return res, nil
 }
 
@@ -304,8 +232,6 @@ type joinSide struct {
 	byKey    map[string]*sideResult
 	rewrites []queryUnit
 	results  []*sideResult
-	// act counts the answers over every component.
-	act int
 }
 
 // sideResult is one component's answers and, once a pair joins on them,
@@ -331,7 +257,6 @@ func (sd *joinSide) add(u queryUnit, key string) *sideResult {
 		for _, t := range sd.base {
 			sr.answers = append(sr.answers, Answer{Tuple: t, Certain: true, Confidence: 1, FromQuery: u.query})
 		}
-		sd.act += len(sr.answers)
 	} else {
 		sd.rewrites = append(sd.rewrites, u)
 		sd.results = append(sd.results, sr)
@@ -376,7 +301,6 @@ func (sd *joinSide) fold(res *JoinResult, f *fetcher) {
 				Explanation: u.rq.Explanation,
 			})
 		}
-		sd.act += len(sr.answers)
 	}
 }
 

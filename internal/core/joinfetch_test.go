@@ -10,16 +10,14 @@ import (
 	"strings"
 	"testing"
 
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
 )
 
-// configTwin is a mediator over m's sources and knowledge with the planner
-// and the fetch parallelism set as given.
-func configTwin(m *Mediator, plannerOn bool, parallel int) *Mediator {
+// configTwin is a mediator over m's sources and knowledge with the fetch
+// parallelism set as given.
+func configTwin(m *Mediator, parallel int) *Mediator {
 	cfg := m.cfg
-	cfg.Planner = plannerOn
 	cfg.Parallel = parallel
 	twin := New(cfg)
 	for name, src := range m.sources {
@@ -29,8 +27,8 @@ func configTwin(m *Mediator, plannerOn bool, parallel int) *Mediator {
 }
 
 // randomJoinSpec draws a two-way join over the chain fixture's cars and
-// complaints: TestJoinPlannerEquivalence's specs, with general_component
-// selections on the right as well as fire ones.
+// complaints, with model selections on the left (one of them empty) and
+// fire or general_component selections on the right.
 func randomJoinSpec(rng *rand.Rand) JoinSpec {
 	models := []string{"F150", "Civic", "Boxster", "Miata", "zzz-none"}
 	components := []string{"Electrical System", "Brakes", "Engine and Engine Cooling", "Suspension"}
@@ -84,8 +82,9 @@ func writeTuple(b *strings.Builder, t relation.Tuple) {
 	}
 }
 
-// renderJoin writes a two-way join result as the pin sees it.
-func renderJoin(b *strings.Builder, res *JoinResult, queries []int) {
+// renderJoinAnswers writes what a two-way join answers: the issued pairs,
+// the answers and Degraded.
+func renderJoinAnswers(b *strings.Builder, res *JoinResult) {
 	for _, p := range res.Pairs {
 		fmt.Fprintf(b, "pair %s | %s %t %t %x %x %x %x\n", p.Left.String(), p.Right.String(),
 			p.LeftComplete, p.RightComplete, math.Float64bits(p.Precision),
@@ -98,24 +97,13 @@ func renderJoin(b *strings.Builder, res *JoinResult, queries []int) {
 		writeTuple(b, a.Right)
 		fmt.Fprintf(b, " | %s %t %x\n", a.JoinValue.String(), a.Certain, math.Float64bits(a.Confidence))
 	}
-	renderSteps(b, res.Explain)
-	fmt.Fprintf(b, "degraded %t saved %x queries %v\n", res.Degraded, math.Float64bits(res.EstSavedTuples), queries)
+	fmt.Fprintf(b, "degraded %t\n", res.Degraded)
 }
 
-// renderSteps writes a join's Explain steps.
-func renderSteps(b *strings.Builder, ex *planner.Explain) {
-	fmt.Fprintf(b, "order %v\n", ex.Order)
-	for _, st := range ex.Steps {
-		fmt.Fprintf(b, "step %d %s %s %x %x %x %d %d %d %t %t\n", st.Adjacency, st.LeftSource, st.RightSource,
-			math.Float64bits(st.EstLeft), math.Float64bits(st.EstRight), math.Float64bits(st.EstOut),
-			st.ActLeft, st.ActRight, st.ActOut, st.BuildLeft, st.Skipped)
-	}
-}
-
-// renderChain writes a chain join result as the pin sees it.
-func renderChain(b *strings.Builder, res *ChainResult, queries []int) {
+// renderChainAnswers writes what a chain answers: the pairs each adjacency
+// issued, the answers and Degraded.
+func renderChainAnswers(b *strings.Builder, res *ChainResult) {
 	fmt.Fprintf(b, "pairs %v\n", res.PairsPerAdjacency)
-	renderSteps(b, res.Explain)
 	for _, a := range res.Answers {
 		b.WriteString("answer")
 		for _, t := range a.Tuples {
@@ -124,107 +112,136 @@ func renderChain(b *strings.Builder, res *ChainResult, queries []int) {
 		}
 		fmt.Fprintf(b, " %t %x\n", a.Certain, math.Float64bits(a.Confidence))
 	}
-	fmt.Fprintf(b, "degraded %t saved %x queries %v\n", res.Degraded, math.Float64bits(res.EstSavedTuples), queries)
+	fmt.Fprintf(b, "degraded %t\n", res.Degraded)
 }
 
-// TestJoinChainAnswersPinned pins, by SHA-256 digest, what seeded two-way
-// joins and chains return on the chain fixture: every answer's member
-// tuples, certain flag and confidence bits, the issued pairs, Degraded,
-// EstSavedTuples, the Explain steps and the queries each call sent.
-// Each spec runs at Parallel 1 and 4, which must render identically, with
-// the planner off and on, whose answers must match; the four digests keep
-// the two modes of each join shape apart.
-func TestJoinChainAnswersPinned(t *testing.T) {
+// pinJoins runs 60 seeded joins at Parallel 1 and 4, which must render
+// identically, and checks two SHA-256 digests: one over what the joins
+// answered and one over their accounting, EstSavedTuples and the queries
+// each join sent every source. next draws a trial's join from rng and
+// returns the call that runs it on a mediator, renders its answers into b
+// and returns its EstSavedTuples.
+func pinJoins(t *testing.T, seed int64, next func(rng *rand.Rand) func(m *Mediator, b *strings.Builder) float64, wantAnswers, wantAccounting string) {
+	t.Helper()
 	f := newChainFixture(t)
-	var meds [2][2]*Mediator // [planner off/on][Parallel 1/4]
-	for p, on := range []bool{false, true} {
-		for q, par := range []int{1, 4} {
-			meds[p][q] = configTwin(f.m, on, par)
+	meds := []*Mediator{configTwin(f.m, 1), configTwin(f.m, 4)}
+	var answers, accounting strings.Builder
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 60; trial++ {
+		call := next(rng)
+		var renders [2][2]string // [Parallel 1/4][answers/accounting]
+		for i, m := range meds {
+			var b strings.Builder
+			var saved float64
+			queries := callQueries(m, func() { saved = call(m, &b) })
+			renders[i] = [2]string{b.String(), fmt.Sprintf("saved %x queries %v\n", math.Float64bits(saved), queries)}
+		}
+		if renders[0] != renders[1] {
+			t.Fatalf("trial %d: Parallel 4 renders differently from Parallel 1:\n%s\nvs\n%s",
+				trial, renders[0], renders[1])
+		}
+		fmt.Fprintf(&answers, "trial %d\n%s", trial, renders[0][0])
+		fmt.Fprintf(&accounting, "trial %d\n%s", trial, renders[0][1])
+	}
+	for _, d := range []struct{ what, text, want string }{
+		{"answer", answers.String(), wantAnswers},
+		{"accounting", accounting.String(), wantAccounting},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(d.text))); got != d.want {
+			t.Errorf("%s digest %s, want %s", d.what, got, d.want)
 		}
 	}
-	// pin runs one join on every twin through call, which renders it and
-	// returns its answers, and gives the planner-off and planner-on
-	// renderings.
-	pin := func(what string, call func(m *Mediator, b *strings.Builder) any) [2]string {
-		var out [2]string
-		var answers [2]any
-		for p := range meds {
-			var renders [2]string
-			for q, m := range meds[p] {
-				var b strings.Builder
-				answers[p] = call(m, &b)
-				renders[q] = b.String()
-			}
-			if renders[0] != renders[1] {
-				t.Fatalf("%s planner=%v: Parallel 4 renders differently from Parallel 1:\n%s\nvs\n%s",
-					what, p == 1, renders[0], renders[1])
-			}
-			out[p] = renders[0]
-		}
-		if !reflect.DeepEqual(answers[0], answers[1]) {
-			t.Fatalf("%s: planner-on answers diverge", what)
-		}
-		return out
-	}
-	const trials = 60
-	var join, chain [2]strings.Builder
-	rng := rand.New(rand.NewSource(2501))
-	for trial := 0; trial < trials; trial++ {
-		spec := randomJoinSpec(rng)
-		what := fmt.Sprintf("join trial %d", trial)
-		r := pin(what, func(m *Mediator, b *strings.Builder) any {
-			var res *JoinResult
-			var err error
-			queries := callQueries(m, func() { res, err = m.QueryJoin(spec) })
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			renderJoin(b, res, queries)
-			return res.Answers
-		})
-		for p := range r {
-			fmt.Fprintf(&join[p], "trial %d\n%s", trial, r[p])
-		}
-	}
-	rng = rand.New(rand.NewSource(2502))
-	for trial := 0; trial < trials; trial++ {
-		spec := randomChainSpec(rng)
-		what := fmt.Sprintf("chain trial %d", trial)
-		r := pin(what, func(m *Mediator, b *strings.Builder) any {
-			var res *ChainResult
-			var err error
-			queries := callQueries(m, func() { res, err = m.QueryJoinChain(spec) })
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			renderChain(b, res, queries)
-			return res.Answers
-		})
-		for p := range r {
-			fmt.Fprintf(&chain[p], "trial %d\n%s", trial, r[p])
-		}
-	}
+}
 
-	// Captured before the two-way join fetched through the engine and
-	// both join shapes shared one hash join; nothing these cover moved.
-	want := [4]string{
-		"ac380b39151f9593bf9de43bb2ae79000359dddc1519e22aa2441fc69dae7a24",
-		"a450310bc67df6db640ed498ca59531ebbd0bb3c7155a976316ed00fde97ca14",
-		"db7ff02f3c466a452f21cb94fc5ace3a9cdf6882ae95cb41ac126f979fde6aad",
-		"ceefe49c5d5d9cb216a225f7cf83d23316e5ae0ab85e6a02a30656d78878252a",
-	}
-	names := [4]string{"join, planner off", "join, planner on", "chain, planner off", "chain, planner on"}
-	for i, b := range []*strings.Builder{&join[0], &join[1], &chain[0], &chain[1]} {
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != want[i] {
-			t.Errorf("%s: digest %s, want %s", names[i], got, want[i])
+// TestJoinAnswersPinned pins, by digest, what seeded two-way joins on the
+// chain fixture return (issued pairs, answers' tuples, certain flags and
+// confidence bits, Degraded) and what they cost (EstSavedTuples bits and
+// the queries each join sent every source).
+func TestJoinAnswersPinned(t *testing.T) {
+	pinJoins(t, 2501, func(rng *rand.Rand) func(*Mediator, *strings.Builder) float64 {
+		spec := randomJoinSpec(rng)
+		return func(m *Mediator, b *strings.Builder) float64 {
+			res, err := m.QueryJoin(spec)
+			if err != nil {
+				t.Fatalf("%+v: %v", spec, err)
+			}
+			renderJoinAnswers(b, res)
+			return res.EstSavedTuples
 		}
+	},
+		// Captured with the planner off and on before joins ran without
+		// statistics; the two agreed.
+		"de169157f1c6576ef2c00d298a7ce807a10795d08af0a29ae37312911eab47d2",
+		// Re-pinned when an empty base began to end the join: those joins
+		// send their base queries only and count every selected rewrite
+		// as saved.
+		"ac338eb73cef0eb1e7746c90cd7d57140cb4f0657501f25828bbf9d4848a1d26")
+}
+
+// TestChainAnswersPinned is TestJoinAnswersPinned for seeded chains of two
+// and three sources, which pin PairsPerAdjacency in place of the pairs.
+func TestChainAnswersPinned(t *testing.T) {
+	pinJoins(t, 2502, func(rng *rand.Rand) func(*Mediator, *strings.Builder) float64 {
+		spec := randomChainSpec(rng)
+		return func(m *Mediator, b *strings.Builder) float64 {
+			res, err := m.QueryJoinChain(spec)
+			if err != nil {
+				t.Fatalf("%+v: %v", spec, err)
+			}
+			renderChainAnswers(b, res)
+			return res.EstSavedTuples
+		}
+	},
+		// Captured with the planner off and on before chains ran without
+		// statistics; the two agreed.
+		"6ef6d85a3eb0beb982e5885a02ea4b38bb93e805387352b81d20ab9e764a3cf3",
+		// Re-pinned when an empty base began to end the chain and every
+		// other chain began to fetch all its sources at once.
+		"e1caee011ceced9e9026c771fc0d6976fb4ebd55e7e16728d7b99f6282eca506")
+}
+
+// TestJoinEmptyBaseSendsNoRewrites checks that a two-way join whose left
+// base set is empty sends the right source its base query and nothing
+// else: the join is exactly empty, not degraded, and the right side's
+// selected rewrites count as saved.
+func TestJoinEmptyBaseSendsNoRewrites(t *testing.T) {
+	f := newChainFixture(t)
+	spec := JoinSpec{
+		LeftSource:  "cars",
+		RightSource: "complaints",
+		LeftQuery:   relation.NewQuery("cars", relation.Eq("model", relation.String("zzz-none"))),
+		RightQuery: relation.NewQuery("complaints",
+			relation.Eq("general_component", relation.String("Electrical System"))),
+		LeftJoinAttr:  "model",
+		RightJoinAttr: "model",
+		Alpha:         0.5,
+		K:             10,
+	}
+	var res *JoinResult
+	var err error
+	queries := callQueries(f.m, func() { res, err = f.m.QueryJoin(spec) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sourceQueries orders by name: cars, complaints, recalls.
+	if want := []int{1, 1, 0}; !reflect.DeepEqual(queries, want) {
+		t.Errorf("queries per source = %v, want %v (base queries only)", queries, want)
+	}
+	if len(res.Answers) != 0 {
+		t.Errorf("%d answers, want 0", len(res.Answers))
+	}
+	if res.EstSavedTuples <= 0 {
+		t.Errorf("EstSavedTuples = %v, want > 0: the right side's selected rewrites were never sent", res.EstSavedTuples)
+	}
+	if res.Degraded {
+		t.Error("an empty base must not degrade the join")
 	}
 }
 
 // TestJoinStopsAtBudget checks that a two-way join stops sending a side's
 // component rewrites at the source's first budget refusal, as every other
 // fan-out does: the rest resolve unissued, so the source counts one
-// rejection whatever the budget, the parallelism and the planner mode.
+// rejection whatever the budget and the parallelism.
 func TestJoinStopsAtBudget(t *testing.T) {
 	f := newChainFixture(t)
 	spec := JoinSpec{
@@ -241,28 +258,26 @@ func TestJoinStopsAtBudget(t *testing.T) {
 	// The answers each budget leaves, the same as when the join kept
 	// sending its components after the first refusal.
 	wantAnswers := map[int]int{1: 6024, 2: 6285, 3: 6362}
-	for _, plannerOn := range []bool{false, true} {
-		for _, parallel := range []int{1, 4} {
-			for budget := 1; budget <= 3; budget++ {
-				m := configTwin(f.m, plannerOn, parallel)
-				comp := source.New("complaints", f.comp, source.Capabilities{MaxQueries: budget})
-				m.Register(comp, f.m.knowledge["complaints"])
-				res, err := m.QueryJoin(spec)
-				if err != nil {
-					t.Fatalf("planner=%v parallel=%d budget=%d: %v", plannerOn, parallel, budget, err)
-				}
-				if got := comp.Stats().Rejected; got != 1 {
-					t.Errorf("planner=%v parallel=%d budget=%d: complaints rejected %d queries, want 1",
-						plannerOn, parallel, budget, got)
-				}
-				if !res.Degraded {
-					t.Errorf("planner=%v parallel=%d budget=%d: a refused component must degrade the join",
-						plannerOn, parallel, budget)
-				}
-				if got := len(res.Answers); got != wantAnswers[budget] {
-					t.Errorf("planner=%v parallel=%d budget=%d: %d answers, want %d",
-						plannerOn, parallel, budget, got, wantAnswers[budget])
-				}
+	for _, parallel := range []int{1, 4} {
+		for budget := 1; budget <= 3; budget++ {
+			m := configTwin(f.m, parallel)
+			comp := source.New("complaints", f.comp, source.Capabilities{MaxQueries: budget})
+			m.Register(comp, f.m.knowledge["complaints"])
+			res, err := m.QueryJoin(spec)
+			if err != nil {
+				t.Fatalf("parallel=%d budget=%d: %v", parallel, budget, err)
+			}
+			if got := comp.Stats().Rejected; got != 1 {
+				t.Errorf("parallel=%d budget=%d: complaints rejected %d queries, want 1",
+					parallel, budget, got)
+			}
+			if !res.Degraded {
+				t.Errorf("parallel=%d budget=%d: a refused component must degrade the join",
+					parallel, budget)
+			}
+			if got := len(res.Answers); got != wantAnswers[budget] {
+				t.Errorf("parallel=%d budget=%d: %d answers, want %d",
+					parallel, budget, got, wantAnswers[budget])
 			}
 		}
 	}

@@ -42,9 +42,6 @@ func TestEstSel(t *testing.T) {
 	if k.EstSel(qa) <= k.EstSel(qz) {
 		t.Error("A4 should have higher estimated selectivity")
 	}
-	if got := k.EstSelComplete(qa); got != 60 {
-		t.Errorf("EstSelComplete(A4) = %v", got)
-	}
 	if k.Ratio != 10 || k.PerInc != 0.1 {
 		t.Errorf("mined knowledge holds ratio %v and PerInc %v, want 10 and 0.1", k.Ratio, k.PerInc)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"qpiad/internal/breaker"
-	"qpiad/internal/planner"
 	"qpiad/internal/relation"
 )
 
@@ -48,20 +47,17 @@ type ChainResult struct {
 	// Answers are ranked certain-first, then by descending confidence.
 	Answers []ChainAnswer
 	// PairsPerAdjacency records how many query pairs each adjacency issued,
-	// indexed by adjacency (caller order, regardless of plan order).
+	// indexed by adjacency.
 	PairsPerAdjacency []int
 	// Degraded reports that at least one selected component rewrite could
 	// not be fetched (after retries), so some chains may be missing.
 	Degraded bool
 	// EstSavedTuples sums the estimated selectivities of selected rewrites
-	// the mediator never fetched: rewrites skipped behind an open circuit
-	// (which also degrade the result) and rewrites the planner proved
-	// irrelevant because an earlier adjacency produced an empty
-	// intermediate (which do not — the empty intermediate is exact).
+	// the mediator never fetched: every one when a base set came back
+	// empty (the chain is then exactly empty, so not Degraded), and those
+	// the source's open circuit turned away or skipped (which degrade the
+	// result).
 	EstSavedTuples float64
-	// Explain records the executed plan: adjacency order plus estimated vs
-	// actual cardinalities per step. Always populated.
-	Explain *planner.Explain
 }
 
 // QueryJoinChain processes an n-way chain join. Each adjacency is planned
@@ -79,19 +75,15 @@ func (m *Mediator) QueryJoinChain(spec ChainSpec) (*ChainResult, error) {
 // QueryJoinChainCtx is QueryJoinChain under a caller-supplied context:
 // cancelling ctx aborts in-flight source attempts and retry backoffs.
 //
-// Execution is planner-aware. Adjacencies are estimated from mined
-// statistics, ordered by planner.PlanChain when Config.Planner is enabled
-// (caller order otherwise), and executed over a contiguous interval: base
-// results are fetched lazily as their adjacency comes up, every adjacency
-// is pair-planned before any rewrite is fetched (a source shared by two
-// adjacencies retrieves the union of both selections), and per-source
-// answer sets materialize only when their adjacency executes. When the
-// planner is on and an intermediate result comes up empty, the remaining
-// sources' rewrite fetches are skipped — the empty intermediate proves
-// they cannot contribute — with their estimated selectivity accounted in
-// EstSavedTuples. Both modes produce identical answer sets; confidence
-// products are computed in canonical source order so rankings match
-// bit-for-bit.
+// Execution needs no statistics. The base queries go out one source after
+// another in chain order, and every adjacency is pair-scored on the base
+// rows. A source whose base set is empty has no certain answers and mines
+// no rewrites, so the chain is exactly empty: nothing more is sent, and
+// every selected rewrite counts as saved. Otherwise every source's
+// selected rewrites go through the fetch engine at once (a source shared
+// by two adjacencies retrieves the union of both selections), and the
+// answer sets are hash-joined left to right. Confidence products are
+// computed in source order.
 func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*ChainResult, error) {
 	n := len(spec.Sources)
 	if n < 2 {
@@ -101,10 +93,9 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		return nil, fmt.Errorf("core: chain join needs %d queries and %d join attribute pairs", n, n-1)
 	}
 	type side struct {
-		src         sourceIface
-		k           *Knowledge
-		base        []relation.Tuple
-		baseFetched bool
+		src  sourceIface
+		k    *Knowledge
+		base []relation.Tuple
 	}
 	sides := make([]side, n)
 	for i, name := range spec.Sources {
@@ -126,60 +117,28 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		}
 	}
 
-	// Estimate every adjacency from mined statistics (sample-only reads —
-	// no source queries) and pick the execution order.
-	adjEst := make([]planner.Adjacency, n-1)
-	for a := range adjEst {
-		adjEst[a] = planner.Adjacency{
-			Left:  sideEstimate(spec.Sources[a], sides[a].k, spec.Queries[a], spec.JoinAttrs[a][0]),
-			Right: sideEstimate(spec.Sources[a+1], sides[a+1].k, spec.Queries[a+1], spec.JoinAttrs[a][1]),
-		}
-	}
-	order := make([]int, n-1)
-	for i := range order {
-		order[i] = i
-	}
-	if m.cfg.Planner {
-		cp := planner.PlanChain(adjEst)
-		order = cp.Order
-		m.plannerPlans.Add(1)
-		if cp.Reordered {
-			m.plannerReordered.Add(1)
-		}
-	}
-
 	res := &ChainResult{Spec: spec, PairsPerAdjacency: make([]int, n-1)}
 
-	fetchBase := func(i int) error {
-		if sides[i].baseFetched {
-			return nil
-		}
+	// The base queries, in chain order; a failed one fails the chain before
+	// any later source is contacted.
+	empty := false
+	for i := range sides {
 		bres := fetchOne(ctx, sides[i].src, spec.Queries[i], nil, m.cfg.Retry)
 		if bres.err != nil {
-			return fmt.Errorf("core: base query on %q: %w", spec.Sources[i], bres.err)
+			return nil, fmt.Errorf("core: base query on %q: %w", spec.Sources[i], bres.err)
 		}
 		sides[i].base = bres.rows
-		sides[i].baseFetched = true
-		return nil
+		empty = empty || len(bres.rows) == 0
 	}
 
-	// Plan each adjacency as a two-way join, in plan order, fetching base
-	// results lazily as their side first appears. All adjacencies are
-	// planned before any rewrite fetch: a source shared by two adjacencies
-	// retrieves the union of both adjacencies' selections, so its answer
-	// set is only known once both have planned.
-	selected := make([]map[string]RewrittenQuery, n) // query key -> rewrite
+	// Plan each adjacency as a two-way join. selected[i] maps a query key
+	// to the rewrite of source i that some adjacency selected.
+	selected := make([]map[string]RewrittenQuery, n)
 	useComplete := make([]bool, n)
 	for i := range selected {
 		selected[i] = map[string]RewrittenQuery{}
 	}
-	for _, a := range order {
-		if err := fetchBase(a); err != nil {
-			return nil, err
-		}
-		if err := fetchBase(a + 1); err != nil {
-			return nil, err
-		}
+	for a := 0; a < n-1; a++ {
 		lAttr, rAttr := spec.JoinAttrs[a][0], spec.JoinAttrs[a][1]
 		lu := m.buildUnits(sides[a].k, spec.Queries[a], sides[a].base, sides[a].src.Schema(), lAttr)
 		ru := m.buildUnits(sides[a+1].k, spec.Queries[a+1], sides[a+1].base, sides[a+1].src.Schema(), rAttr)
@@ -199,29 +158,46 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		}
 	}
 
-	sortedSelected := func(i int) []string {
+	// Each source's selected rewrites, in sorted key order.
+	rqs := make([][]RewrittenQuery, n)
+	for i := range selected {
 		keys := make([]string, 0, len(selected[i]))
 		for key := range selected[i] {
 			keys = append(keys, key)
 		}
 		sort.Strings(keys)
-		return keys
+		for _, key := range keys {
+			rqs[i] = append(rqs[i], selected[i][key])
+		}
+	}
+	if empty {
+		for i := range rqs {
+			for _, rq := range rqs[i] {
+				res.EstSavedTuples += rq.EstSel
+			}
+		}
+		return res, nil
 	}
 
-	// Materialize one source's answer set: certain answers when any
-	// adjacency selected the complete query, plus post-filtered rewrite
-	// results in sorted key order. The rewrites go through the fetch
-	// engine, so after the source's circuit rejects one the rest are
-	// skipped unissued (errSkippedOpen), as on the select path; both count
-	// their estimated selectivity as saved tuples.
-	answers := make([][]Answer, n)
-	fetched := make([]bool, n)
-	skipped := make([]bool, n)
-	fetchAnswers := func(i int) {
-		if fetched[i] {
-			return
+	// Start every source's rewrites at once, then materialize each
+	// source's answer set in chain order: certain answers when an
+	// adjacency selected the complete query, then the post-filtered
+	// rewrite results. After the source's circuit rejects one rewrite the
+	// rest are skipped unissued (errSkippedOpen), as on the select path;
+	// both count their estimated selectivity as saved tuples.
+	fetchers := make([]*fetcher, n)
+	for i := range sides {
+		queries := make([]relation.Query, len(rqs[i]))
+		keeps := make([]func(relation.Tuple) bool, len(rqs[i]))
+		for j, rq := range rqs[i] {
+			queries[j] = rq.Query
+			keeps[j] = postFilter(sides[i].src.Schema(), rq)
 		}
-		fetched[i] = true
+		fetchers[i] = startFetch(ctx, sides[i].src, queries, keeps, m.cfg.Parallel, m.cfg.Retry)
+	}
+	answers := make([][]Answer, n)
+	for i := range sides {
+		fetchers[i].wait()
 		var seen answerKeys
 		if useComplete[i] {
 			for _, t := range sides[i].base {
@@ -230,25 +206,16 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 				}
 			}
 		}
-		keys := sortedSelected(i)
-		rqs := make([]RewrittenQuery, len(keys))
-		queries := make([]relation.Query, len(keys))
-		keeps := make([]func(relation.Tuple) bool, len(keys))
-		for j, key := range keys {
-			rqs[j] = selected[i][key]
-			queries[j] = rqs[j].Query
-			keeps[j] = postFilter(sides[i].src.Schema(), rqs[j])
-		}
-		results := fetchAll(ctx, sides[i].src, queries, keeps, m.cfg.Parallel, m.cfg.Retry)
-		for j, rq := range rqs {
-			if err := results[j].err; err != nil {
+		for j, rq := range rqs[i] {
+			fres := fetchers[i].results[j]
+			if fres.err != nil {
 				res.Degraded = true
-				if errors.Is(err, breaker.ErrOpen) {
+				if errors.Is(fres.err, breaker.ErrOpen) {
 					res.EstSavedTuples += rq.EstSel
 				}
 				continue
 			}
-			for _, t := range results[j].rows {
+			for _, t := range fres.rows {
 				if !seen.add(t) {
 					continue
 				}
@@ -260,166 +227,34 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			}
 		}
 	}
-	// skipSource accounts a source whose rewrites the planner never
-	// fetched because an earlier adjacency proved the chain empty. Not a
-	// degradation: the empty intermediate is exact, so the skipped
-	// rewrites could not have contributed an answer.
-	skipSource := func(i int) {
-		if fetched[i] {
-			return
-		}
-		fetched[i] = true
-		skipped[i] = true
-		for _, key := range sortedSelected(i) {
-			res.EstSavedTuples += selected[i][key].EstSel
-			m.plannerSkipped.Add(1)
-		}
-	}
 
-	// Per-source resolved join entries, memoized per (source, attr side).
-	// An entry's conf is exactly its prediction factor; factors are
-	// multiplied in canonically at materialization, keeping confidences
-	// identical across plan orders.
-	entL := make([][]joinEntry, n) // answers[i] on JoinAttrs[i][0]   (i < n−1)
-	entR := make([][]joinEntry, n) // answers[i] on JoinAttrs[i−1][1] (i > 0)
-	resolveSide := func(i int, attr string) []joinEntry {
+	// Hash-join left to right. entL[i] holds source i's join entries on
+	// JoinAttrs[i][0] (it faces source i+1), entR[i] those on
+	// JoinAttrs[i-1][1] (it faces source i-1). A partial chain lists one
+	// answer row per source joined so far; each step builds on the new
+	// source's entries and probes with the partials.
+	entL := make([][]joinEntry, n)
+	entR := make([][]joinEntry, n)
+	resolve := func(i int, attr string) []joinEntry {
 		s := sides[i].src.Schema()
 		return joinEntries(s, answers[i], s.MustIndex(attr), sides[i].k.Predictors[attr])
 	}
-	// entries returns source i's entries on the attribute that faces
-	// source j, an adjacent source.
-	entries := func(i, j int) []joinEntry {
-		if j > i {
-			if entL[i] == nil {
-				entL[i] = resolveSide(i, spec.JoinAttrs[i][0])
-			}
-			return entL[i]
-		}
-		if entR[i] == nil {
-			entR[i] = resolveSide(i, spec.JoinAttrs[i-1][1])
-		}
-		return entR[i]
+	partials := make([][]int, len(answers[0]))
+	for j := range partials {
+		partials[j] = []int{j}
 	}
-
-	// Partial chains are fixed-length row-index vectors (-1 = source not
-	// yet joined) covering the contiguous interval [lo, hi].
-	clone := func(p []int, i, row int) []int {
-		np := make([]int, n)
-		copy(np, p)
-		np[i] = row
-		return np
+	for a := 0; a < n-1 && len(partials) > 0; a++ {
+		entL[a] = resolve(a, spec.JoinAttrs[a][0])
+		entR[a+1] = resolve(a+1, spec.JoinAttrs[a][1])
+		from, to := entL[a], entR[a+1]
+		var next [][]int
+		hashJoin(len(to), len(partials), entryKey(to), func(pi int) string { return from[partials[pi][a]].key },
+			func(row, pi int) { next = append(next, append(append(make([]int, 0, a+2), partials[pi]...), row)) })
+		partials = next
 	}
-	// extend joins the partials, whose member from is at one end of their
-	// interval, with source to, the adjacent source beyond that end.
-	// buildNew indexes the new source's rows and probes with the partials;
-	// otherwise the partials are indexed and the new rows probe.
-	extend := func(partials [][]int, from, to int, buildNew bool) [][]int {
-		fromEnt, toEnt := entries(from, to), entries(to, from)
-		partKey := func(pi int) string { return fromEnt[partials[pi][from]].key }
-		var out [][]int
-		if buildNew {
-			hashJoin(len(toEnt), len(partials), entryKey(toEnt), partKey, func(row, pi int) {
-				out = append(out, clone(partials[pi], to, row))
-			})
-		} else {
-			hashJoin(len(partials), len(toEnt), partKey, entryKey(toEnt), func(pi, row int) {
-				out = append(out, clone(partials[pi], to, row))
-			})
-		}
-		return out
-	}
-
-	act := func(i int) int {
-		if !fetched[i] || skipped[i] {
-			return -1
-		}
-		return len(answers[i])
-	}
-
-	// Execute the adjacencies in plan order over a growing contiguous
-	// interval. Caller order degenerates to the historical left-to-right
-	// sweep; a planner order may extend the interval on either end.
-	var partials [][]int
-	lo := -1
-	empty := false
-	steps := make([]planner.Step, 0, n-1)
-	for step, a := range order {
-		st := planner.Step{
-			Adjacency:   a,
-			LeftSource:  spec.Sources[a],
-			RightSource: spec.Sources[a+1],
-			EstLeft:     adjEst[a].Left.Est,
-			EstRight:    adjEst[a].Right.Est,
-			EstOut:      adjEst[a].EstOut(),
-			ActLeft:     -1,
-			ActRight:    -1,
-			ActOut:      -1,
-		}
-		if empty {
-			// A previous step proved the chain empty; the remaining sources
-			// cannot contribute, so their rewrite fetches are skipped.
-			st.Skipped = true
-			if a < lo {
-				skipSource(a)
-				lo = a
-			} else {
-				skipSource(a + 1)
-			}
-			st.ActLeft, st.ActRight = act(a), act(a+1)
-			steps = append(steps, st)
-			continue
-		}
-		switch {
-		case step == 0:
-			first, second := a, a+1
-			if m.cfg.Planner && adjEst[a].Right.Est < adjEst[a].Left.Est {
-				first, second = a+1, a
-			}
-			fetchAnswers(first)
-			if m.cfg.Planner && len(answers[first]) == 0 {
-				empty = true
-				skipSource(second)
-			} else {
-				fetchAnswers(second)
-				buildLeft := m.cfg.Planner && planner.BuildLeft(len(answers[a]), len(answers[a+1]))
-				st.BuildLeft = buildLeft
-				// The first join extends one-member partials of source a.
-				blank := make([]int, n)
-				for i := range blank {
-					blank[i] = -1
-				}
-				partials = make([][]int, len(answers[a]))
-				for j := range partials {
-					partials[j] = clone(blank, a, j)
-				}
-				partials = extend(partials, a, a+1, !buildLeft)
-			}
-			lo = a
-		case a < lo:
-			fetchAnswers(a)
-			buildNew := !m.cfg.Planner || planner.BuildLeft(len(answers[a]), len(partials))
-			st.BuildLeft = buildNew
-			partials = extend(partials, a+1, a, buildNew)
-			lo = a
-		default:
-			fetchAnswers(a + 1)
-			buildPartials := m.cfg.Planner && planner.BuildLeft(len(partials), len(answers[a+1]))
-			st.BuildLeft = buildPartials
-			partials = extend(partials, a, a+1, !buildPartials)
-		}
-		if m.cfg.Planner && len(partials) == 0 {
-			empty = true
-		}
-		st.ActLeft, st.ActRight = act(a), act(a+1)
-		st.ActOut = len(partials)
-		steps = append(steps, st)
-	}
-
-	// Materialize surviving chains with canonical confidence: for each
-	// source in chain order, its member confidence, then its right-attr
-	// prediction factor (adjacency i−1), then its left-attr factor
-	// (adjacency i). The product is identical whatever order the
-	// adjacencies executed in.
+	// Materialize surviving chains. Confidence multiplies, for each source
+	// in chain order, its member confidence, then its right-attr prediction
+	// factor (adjacency i−1), then its left-attr factor (adjacency i).
 	chainKeys := make([]string, 0, len(partials))
 	var kbuf []byte
 	for _, p := range partials {
@@ -457,8 +292,7 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		chainKeys = append(chainKeys, string(kbuf))
 	}
 	// Certain first, then descending confidence; ties broken by the chain
-	// keys so the ranking is identical whichever order the planner joined
-	// in.
+	// keys.
 	sortByPosition(res.Answers, func(i, j int32) int {
 		ai, aj := &res.Answers[i], &res.Answers[j]
 		if ai.Certain != aj.Certain {
@@ -469,13 +303,11 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		}
 		return strings.Compare(chainKeys[i], chainKeys[j])
 	})
-	res.Explain = &planner.Explain{PlannerOn: m.cfg.Planner, Order: order, Steps: steps}
 	return res, nil
 }
 
-// sourceIface is the slice of the source API the chain join uses.
+// sourceIface is the slice of the source API the joins use.
 type sourceIface interface {
 	queryable
 	Schema() *relation.Schema
-	Name() string
 }

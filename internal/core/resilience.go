@@ -179,15 +179,21 @@ func jitterSeed(seed int64, queryKey string) int64 {
 // stopIssuing (the streaming top-N bound) resolves every not-yet-admitted
 // query to ErrEarlyStop.
 //
+// A worker that panics hands the panic to the caller: result and wait
+// re-raise it on the caller's goroutine, where the request's own recovery
+// sees it.
+//
 // Note: when retries race with successors' admissions (faults + budget +
 // parallel combined), which attempt consumes the last budget slot is
 // scheduling-dependent; fault decisions themselves stay deterministic.
 type fetcher struct {
 	results []fetchResult
-	ready   []chan struct{}
-	wg      sync.WaitGroup
-	stop    atomic.Bool
-	cancel  context.CancelFunc
+	// panics holds what each query's worker panicked with, nil if nothing.
+	panics []any
+	ready  []chan struct{}
+	wg     sync.WaitGroup
+	stop   atomic.Bool
+	cancel context.CancelFunc
 }
 
 // startFetch launches one worker per query and returns at once.
@@ -195,6 +201,7 @@ func startFetch(ctx context.Context, src queryable, queries []relation.Query, ke
 	ctx, cancel := context.WithCancel(ctx)
 	f := &fetcher{
 		results: make([]fetchResult, len(queries)),
+		panics:  make([]any, len(queries)),
 		ready:   make([]chan struct{}, len(queries)),
 		cancel:  cancel,
 	}
@@ -215,6 +222,7 @@ func startFetch(ctx context.Context, src queryable, queries []relation.Query, ke
 		go func() {
 			defer f.wg.Done()
 			defer close(f.ready[i])
+			defer func() { f.panics[i] = recover() }()
 			var once sync.Once
 			open := func() { once.Do(func() { close(gates[i+1]) }) }
 			defer open() // skipped/finished queries release the successor too
@@ -245,9 +253,14 @@ func startFetch(ctx context.Context, src queryable, queries []relation.Query, ke
 }
 
 // result blocks until query i has resolved (completed, failed, or been
-// skipped) and returns its outcome.
+// skipped) and returns its outcome. If its worker panicked, result cancels
+// the engine's context and re-raises the panic.
 func (f *fetcher) result(i int) fetchResult {
 	<-f.ready[i]
+	if p := f.panics[i]; p != nil {
+		f.cancel()
+		panic(p)
+	}
 	return f.results[i]
 }
 
@@ -260,10 +273,16 @@ func (f *fetcher) stopIssuing() {
 }
 
 // wait blocks until every query has resolved, then releases the engine's
-// context.
+// context. If a worker panicked, wait re-raises the first such panic in
+// query order.
 func (f *fetcher) wait() {
 	f.wg.Wait()
 	f.cancel()
+	for _, p := range f.panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // fetchAll issues the queries through the engine and waits on every

@@ -11,6 +11,7 @@ import (
 
 	"qpiad/internal/afd"
 	"qpiad/internal/faults"
+	"qpiad/internal/leakcheck"
 	"qpiad/internal/nbc"
 	"qpiad/internal/relation"
 	"qpiad/internal/source"
@@ -533,6 +534,39 @@ func (r *recordingSource) Fetch(ctx context.Context, q relation.Query, keep func
 	r.inFlight--
 	r.mu.Unlock()
 	return rows, n, err
+}
+
+// panickingSource is a queryable whose Fetch panics.
+type panickingSource struct{}
+
+func (panickingSource) Fetch(context.Context, relation.Query, func(relation.Tuple) bool) ([]relation.Tuple, int, error) {
+	panic("fetch exploded")
+}
+
+// TestFetchEnginePanicReachesCaller checks that a worker's panic does not
+// end the process from the worker's goroutine: result and wait re-raise it
+// on the caller's, and once wait returns no engine goroutine is left.
+func TestFetchEnginePanicReachesCaller(t *testing.T) {
+	queries := make([]relation.Query, 4)
+	for i := range queries {
+		queries[i] = relation.NewQuery("cars", relation.Eq("id", relation.Int(int64(i))))
+	}
+	recovered := func(call func()) (p any) {
+		defer func() { p = recover() }()
+		call()
+		return nil
+	}
+	snap := leakcheck.Take()
+	f := startFetch(context.Background(), panickingSource{}, queries, nil, 2, fastRetry(1))
+	if p := recovered(func() { f.result(1) }); p != "fetch exploded" {
+		t.Errorf("result re-raised %v, want the worker's panic", p)
+	}
+	if p := recovered(f.wait); p != "fetch exploded" {
+		t.Errorf("wait re-raised %v, want the worker's panic", p)
+	}
+	if leaks := snap.Check(); len(leaks) > 0 {
+		t.Errorf("engine goroutines left after wait: %v", leaks)
+	}
 }
 
 // TestFetchEngineBound pins the engine's concurrency bound: at Parallel 0

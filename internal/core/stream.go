@@ -55,6 +55,10 @@ const (
 	StreamEventRewrite
 	// StreamSummary is the final event before the channel closes.
 	StreamEventSummary
+	// StreamEventPanic ends a stream whose pipeline panicked, in place of
+	// the summary. Its Panic holds the panic value; the consumer re-raises
+	// it on its own goroutine (panic(ev.Panic)).
+	StreamEventPanic
 )
 
 // String names the event kind.
@@ -66,13 +70,15 @@ func (k StreamEventKind) String() string {
 		return "rewrite"
 	case StreamEventSummary:
 		return "summary"
+	case StreamEventPanic:
+		return "panic"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(k))
 	}
 }
 
 // StreamEvent is one message on a SelectStream channel. Exactly one of
-// Answer, Rewrite and Summary is non-nil, per Kind.
+// Answer, Rewrite, Summary and Panic is non-nil, per Kind.
 type StreamEvent struct {
 	Kind StreamEventKind
 	// Answer is set on StreamAnswer events. Answers arrive in final rank
@@ -89,8 +95,11 @@ type StreamEvent struct {
 	// Rewrite is set on StreamRewrite events.
 	Rewrite *RewrittenQuery
 	// Summary is set on the single StreamSummary event that ends a healthy
-	// stream (it is omitted only when the caller's context is cancelled).
+	// stream (it is omitted when the caller's context is cancelled or the
+	// pipeline panicked).
 	Summary *StreamSummary
+	// Panic is set on a StreamEventPanic event.
+	Panic any
 }
 
 // StreamSummary closes a stream with the batch-equivalent result set and
@@ -136,7 +145,8 @@ func (m *Mediator) SelectStream(ctx context.Context, srcName string, q relation.
 //
 // cfg.TopN > 0 arms confidence-bound early termination (see the package
 // comment above). Cancelling ctx aborts the stream: in-flight source queries
-// are cancelled and the channel closes without a summary.
+// are cancelled and the channel closes without a summary. A panic in the
+// pipeline ends the stream with a StreamEventPanic instead of the summary.
 //
 // The streaming path never consults the mediator answer cache for fresh
 // answers: it exists to cut time-to-first-answer and source traffic on new
@@ -168,6 +178,7 @@ func (m *Mediator) SelectStreamWith(ctx context.Context, cfg Config, srcName str
 // issued to the source.
 func streamStale(ctx context.Context, rs *ResultSet, events chan<- StreamEvent) {
 	defer close(events)
+	defer handOverPanic(ctx, events)
 	emit := func(ev StreamEvent) bool {
 		select {
 		case events <- ev:
@@ -198,6 +209,7 @@ func streamStale(ctx context.Context, rs *ResultSet, events chan<- StreamEvent) 
 // closed. Once ctx is cancelled nothing more is sent.
 func (m *Mediator) streamRun(ctx context.Context, cfg Config, src *source.Source, k *Knowledge, q relation.Query, base []relation.Tuple, events chan<- StreamEvent) {
 	defer close(events)
+	defer handOverPanic(ctx, events)
 	live := true
 	emit := func(ev StreamEvent) {
 		if !live {
@@ -211,4 +223,17 @@ func (m *Mediator) streamRun(ctx context.Context, cfg Config, src *source.Source
 	}
 	sum := m.runSelect(ctx, cfg, src, k, q, base, emit)
 	emit(StreamEvent{Kind: StreamEventSummary, Summary: sum})
+}
+
+// handOverPanic, deferred on a stream's goroutine, hands a panic there to
+// the consumer, which re-raises it on its own goroutine; the panic ends the
+// stream in place of the summary. A consumer that has gone (ctx done) gets
+// nothing.
+func handOverPanic(ctx context.Context, events chan<- StreamEvent) {
+	if p := recover(); p != nil {
+		select {
+		case events <- StreamEvent{Kind: StreamEventPanic, Panic: p}:
+		case <-ctx.Done():
+		}
+	}
 }

@@ -83,6 +83,8 @@ func ExtStream(s Scale) (*Report, error) {
 					possible = len(ev.Summary.Result.Possible)
 					saved = fmt.Sprintf("%d skipped, %d cancelled",
 						ev.Summary.SkippedRewrites, ev.Summary.CancelledRewrites)
+				case core.StreamEventPanic:
+					panic(ev.Panic)
 				}
 			}
 		}

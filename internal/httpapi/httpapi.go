@@ -526,16 +526,6 @@ type streamMetrics struct {
 	EarlyStops int64 `json:"early_stops"`
 }
 
-// plannerMetrics is the planner section of the /metrics payload: plan and
-// reorder counts, and the fetches the plan order let the executor skip. It
-// is core.PlannerStats in wire form.
-type plannerMetrics struct {
-	Enabled        bool  `json:"enabled"`
-	Plans          int64 `json:"plans"`
-	Reordered      int64 `json:"reordered"`
-	SkippedFetches int64 `json:"skipped_fetches"`
-}
-
 // httpMetrics is the HTTP-layer section of the /metrics payload: the
 // admission gate's counters, per-endpoint service-time histograms (both
 // present only when WithAdmission configured them), and the error split —
@@ -559,7 +549,6 @@ type metricsResponse struct {
 	Knowledge []knowledgeMetrics `json:"knowledge"`
 	Cache     cacheMetrics       `json:"cache"`
 	Streaming streamMetrics      `json:"streaming"`
-	Planner   plannerMetrics     `json:"planner"`
 	HTTP      httpMetrics        `json:"http"`
 }
 
@@ -623,7 +612,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Events:     s.streamEvents.Load(),
 		EarlyStops: s.streamStops.Load(),
 	}
-	out.Planner = plannerMetrics(s.med.PlannerStats())
 	out.HTTP = httpMetrics{
 		ClientDisconnects: s.clientDisconnects.Load(),
 		ServerErrors:      s.serverErrors.Load(),
@@ -850,6 +838,12 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 	var line []byte
 	live := true
 	for ev, open := nextEvent(events, flush); open; ev, open = nextEvent(events, flush) {
+		if ev.Kind == core.StreamEventPanic {
+			// The pipeline panicked on its own goroutine. Re-raised here,
+			// the recovery middleware counts it; the header is out, so the
+			// body ends without a summary line.
+			panic(ev.Panic)
+		}
 		if !live {
 			continue // drain after a write failure
 		}

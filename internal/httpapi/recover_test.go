@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,43 +101,96 @@ func TestPanicRecoveryStructured500(t *testing.T) {
 	}
 }
 
-// TestQueryPanicRecorded panics inside the real batch POST /query handler
-// (knowledge that lost its sample makes rewrite selectivity estimation
-// dereference nil) and checks that every panicking request still lands in
-// the query histogram, so admitted == Σ endpoint completions holds. Batch
-// only: a stream generates its rewrites in its own goroutine, outside the
-// recovery middleware. The answer cache is off because a computation that
-// panics never releases its singleflight slot, so the next identical
-// request would wait on it forever.
-func TestQueryPanicRecorded(t *testing.T) {
-	s := admissionWorld(t, AdmissionConfig{MaxInFlight: 2}, func(c *core.Config) { c.CacheSize = -1 })
+// sampleLessWorld is the admission-gated test server whose cars knowledge
+// lost its sample, so rewrite selectivity estimation dereferences nil and
+// every query that gets as far as its rewrites panics.
+func sampleLessWorld(t *testing.T, copts ...func(*core.Config)) *httptest.Server {
+	t.Helper()
+	s := admissionWorld(t, AdmissionConfig{MaxInFlight: 2}, copts...)
 	k, ok := s.med.Knowledge("cars")
 	if !ok {
 		t.Fatal("no knowledge for cars")
 	}
 	k.Sample = nil
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	return httptest.NewServer(s)
+}
 
-	const n = 3
-	for i := 0; i < n; i++ {
-		resp, err := http.Post(ts.URL+"/query", "application/json",
-			strings.NewReader(`{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'"}`))
-		if err != nil {
-			t.Fatal(err)
+// TestQueryPanicRecorded panics inside the real batch POST /query handler
+// and checks that every panicking request answers 500 and still lands in
+// the query histogram, so admitted == Σ endpoint completions holds. With
+// the answer cache on, the panicking computation must release its
+// singleflight slot: each identical request computes (and panics) afresh
+// rather than waiting on the first one forever, which the client timeout
+// would catch.
+func TestQueryPanicRecorded(t *testing.T) {
+	for _, cacheOn := range []bool{false, true} {
+		ts := sampleLessWorld(t, func(c *core.Config) {
+			if !cacheOn {
+				c.CacheSize = -1
+			}
+		})
+		client := &http.Client{Timeout: 10 * time.Second}
+		const n = 3
+		for i := 0; i < n; i++ {
+			resp, err := client.Post(ts.URL+"/query", "application/json",
+				strings.NewReader(`{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'"}`))
+			if err != nil {
+				t.Fatalf("cache=%v request %d: %v", cacheOn, i, err)
+			}
+			//lint:allow errdrop test response body
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("cache=%v request %d: status %d, want 500", cacheOn, i, resp.StatusCode)
+			}
 		}
-		//lint:allow errdrop test response body
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d, want 500", i, resp.StatusCode)
+		m := fetchMetrics(t, ts.URL)
+		if m.HTTP.Panics != n || m.HTTP.Admission.Admitted != n {
+			t.Fatalf("cache=%v: panics=%d admitted=%d, want %d each", cacheOn, m.HTTP.Panics, m.HTTP.Admission.Admitted, n)
 		}
+		if got := m.HTTP.Endpoints["query"].Count; got != n {
+			t.Errorf("cache=%v: query completions = %d, want %d: a panicking POST /query must still be recorded", cacheOn, got, n)
+		}
+		ts.Close()
 	}
-	m := fetchMetrics(t, ts.URL)
-	if m.HTTP.Panics != n || m.HTTP.Admission.Admitted != n {
-		t.Fatalf("panics=%d admitted=%d, want %d each", m.HTTP.Panics, m.HTTP.Admission.Admitted, n)
+}
+
+// TestQueryStreamPanicRecorded is the same panic over ?stream=1, where the
+// pipeline runs on the stream's own goroutine: the handler re-raises it on
+// the request's goroutine, so the recovery middleware counts it instead of
+// the process dying. The 200 header is already out, so the body ends
+// without a summary line, and the server goes on serving.
+func TestQueryStreamPanicRecorded(t *testing.T) {
+	ts := sampleLessWorld(t)
+	defer ts.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/query?stream=1", "application/json",
+		strings.NewReader(`{"sql": "SELECT * FROM cars WHERE body_style = 'Convt'"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m.HTTP.Endpoints["query"].Count; got != n {
-		t.Errorf("query completions = %d, want %d: a panicking POST /query must still be recorded", got, n)
+	body, err := io.ReadAll(resp.Body)
+	//lint:allow errdrop test response body
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d, want the 200 sent before the pipeline panicked", resp.StatusCode)
+	}
+	if strings.Contains(string(body), `"event":"summary"`) {
+		t.Errorf("a panicked stream must end without a summary line:\n%s", body)
+	}
+	if m := fetchMetrics(t, ts.URL); m.HTTP.Panics != 1 {
+		t.Errorf("panics = %d, want 1", m.HTTP.Panics)
+	}
+	health, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	//lint:allow errdrop test response body
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the panic: status %d, want 200", health.StatusCode)
 	}
 }
 

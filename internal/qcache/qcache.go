@@ -28,6 +28,7 @@ package qcache
 
 import (
 	"container/list"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -261,8 +262,9 @@ func (c *Cache) putLocked(s *shard, key string, val any, now time.Time) {
 // wait and share its result (counted as Coalesced). A successful result is
 // cached; an error is propagated to every waiter and nothing is cached —
 // any pre-existing (expired) entry stays in place for GetStale readers —
-// so a later call retries. Entries older than FreshTTL do not answer Do;
-// they count under Expired and fn recomputes.
+// so a later call retries. A panic in fn is handled like an error, except
+// that it goes on in the caller that ran fn. Entries older than FreshTTL do
+// not answer Do; they count under Expired and fn recomputes.
 func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
 	s := c.shardFor(key)
 	for {
@@ -294,10 +296,23 @@ func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
 		s.inflight[key] = cl
 		s.mu.Unlock()
 		c.misses.Add(1)
+		return c.lead(s, key, cl, fn)
+	}
+}
 
-		cl.val, cl.err = fn()
-
-		now = c.clock()
+// lead runs fn as key's one computation and hands its outcome to the
+// waiters on cl. When fn panics, the waiters get an error that names the
+// panic, the slot is cleared so that a later Do runs fn afresh, and the
+// panic goes on in the caller.
+func (c *Cache) lead(s *shard, key string, cl *call, fn func() (any, error)) (any, error) {
+	returned := false
+	defer func() {
+		var p any
+		if !returned {
+			p = recover()
+			cl.val, cl.err = nil, fmt.Errorf("qcache: computing the value panicked: %v", p)
+		}
+		now := c.clock()
 		s.mu.Lock()
 		delete(s.inflight, key)
 		if cl.err == nil {
@@ -305,8 +320,13 @@ func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
 		}
 		s.mu.Unlock()
 		close(cl.done)
-		return cl.val, cl.err
-	}
+		if p != nil {
+			panic(p)
+		}
+	}()
+	cl.val, cl.err = fn()
+	returned = true
+	return cl.val, cl.err
 }
 
 // Delete removes one key. It reports whether the key was present.

@@ -3,6 +3,7 @@ package qcache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,6 +145,73 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 	if st := c.Stats(); st.Coalesced != waiters-1 {
 		t.Fatalf("coalesced = %d; want %d", st.Coalesced, waiters-1)
+	}
+}
+
+// TestDoPanicReleasesWaiters checks that a computation that panics does
+// not keep its key in flight: a caller coalesced on it returns an error
+// naming the panic, the panic goes on in the caller that ran it, and a
+// later Do runs fn afresh. Every wait has a deadline, so a stuck slot fails
+// the test instead of hanging it.
+func TestDoPanicReleasesWaiters(t *testing.T) {
+	c := New(Config{Capacity: 16, Shards: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		//lint:allow errdrop fn panics, so Do never returns
+		c.Do("k", func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.Do("k", func() (any, error) { return nil, errors.New("waiter ran fn") })
+		waiter <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Coalesced < 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for the waiter to coalesce: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	timeout := time.After(5 * time.Second)
+	select {
+	case err := <-waiter:
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("waiter err = %v, want an error naming the panic", err)
+		}
+	case <-timeout:
+		t.Fatal("waiter still blocked after the computation panicked")
+	}
+	select {
+	case p := <-leader:
+		if p != "boom" {
+			t.Errorf("leader recovered %v, want the panic value boom", p)
+		}
+	case <-timeout:
+		t.Fatal("leader never returned")
+	}
+	later := make(chan any, 1)
+	go func() {
+		v, err := c.Do("k", func() (any, error) { return 7, nil })
+		if err != nil {
+			v = err
+		}
+		later <- v
+	}()
+	select {
+	case v := <-later:
+		if v != 7 {
+			t.Errorf("later Do = %v, want 7 from a fresh fn", v)
+		}
+	case <-timeout:
+		t.Fatal("later Do still blocked on the panicked computation")
 	}
 }
 

@@ -493,47 +493,6 @@ func (r *Relation) Domain(attr string) []Value {
 	return out
 }
 
-// Stats summarizes one attribute's hash-index statistics — the cheap
-// cardinality signals the query planner's greedy join ordering runs on
-// (distinct-value counts bound join fan-out, posting-list sizes bound
-// per-value match counts). Computed from the same hash index Scan probes,
-// so asking for stats costs at most one index build.
-type Stats struct {
-	// Rows is the relation cardinality.
-	Rows int
-	// Distinct is the number of distinct non-null values of the attribute.
-	Distinct int
-	// Nulls is the number of tuples null on the attribute.
-	Nulls int
-	// MaxPosting is the largest non-null posting list — the worst-case
-	// per-value join fan-out.
-	MaxPosting int
-}
-
-// IndexStats returns the attribute's index statistics; ok is false when the
-// attribute is not in the schema. Safe for concurrent use (the index build
-// is mutex-guarded); every aggregate is order-independent, so the map
-// iteration below cannot leak randomized order into the result.
-func (r *Relation) IndexStats(attr string) (Stats, bool) {
-	idx := r.index(attr)
-	if idx == nil {
-		return Stats{}, false
-	}
-	st := Stats{Rows: len(r.tuples)}
-	nullKey := Null().Key()
-	for k, list := range idx {
-		if k == nullKey {
-			st.Nulls = len(list)
-			continue
-		}
-		st.Distinct++
-		if len(list) > st.MaxPosting {
-			st.MaxPosting = len(list)
-		}
-	}
-	return st, true
-}
-
 // IncompleteFraction returns the fraction of tuples containing at least one
 // null (the PerInc statistic of Section 5.4; also Table 1's first row).
 func (r *Relation) IncompleteFraction() float64 {

@@ -461,37 +461,3 @@ func TestCSVFileRoundTrip(t *testing.T) {
 		t.Errorf("file round trip: %d rows, want %d", got.Len(), r.Len())
 	}
 }
-
-func TestIndexStats(t *testing.T) {
-	r := paperFragment()
-	st, ok := r.IndexStats("body_style")
-	if !ok {
-		t.Fatal("body_style should have stats")
-	}
-	// Values: Convt ×3, Sedan ×1, null ×2.
-	want := Stats{Rows: 6, Distinct: 2, Nulls: 2, MaxPosting: 3}
-	if st != want {
-		t.Errorf("IndexStats(body_style) = %+v, want %+v", st, want)
-	}
-	st, ok = r.IndexStats("model")
-	if !ok {
-		t.Fatal("model should have stats")
-	}
-	want = Stats{Rows: 6, Distinct: 5, Nulls: 0, MaxPosting: 2}
-	if st != want {
-		t.Errorf("IndexStats(model) = %+v, want %+v", st, want)
-	}
-	if _, ok := r.IndexStats("nope"); ok {
-		t.Error("unknown attribute should report ok=false")
-	}
-}
-
-func TestIndexStatsInvalidatedByInsert(t *testing.T) {
-	r := paperFragment()
-	before, _ := r.IndexStats("model")
-	r.MustInsert(Tuple{Int(7), String("Ford"), String("F150"), Int(2003), Null()})
-	after, _ := r.IndexStats("model")
-	if after.Rows != before.Rows+1 || after.Distinct != before.Distinct+1 {
-		t.Errorf("stats after insert = %+v (before %+v): index not rebuilt", after, before)
-	}
-}

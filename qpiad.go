@@ -41,7 +41,6 @@ import (
 	"qpiad/internal/latency"
 	"qpiad/internal/loadgen"
 	"qpiad/internal/nbc"
-	"qpiad/internal/planner"
 	"qpiad/internal/qcache"
 	"qpiad/internal/relation"
 	"qpiad/internal/sample"
@@ -216,14 +215,6 @@ type (
 	Knowledge = core.Knowledge
 	// AFD is a mined approximate functional dependency.
 	AFD = afd.AFD
-	// PlannerExplain is the per-plan cardinality report attached to join
-	// and chain results (estimated vs actual, per adjacency).
-	PlannerExplain = planner.Explain
-	// PlannerStep is one adjacency's entry in a PlannerExplain.
-	PlannerStep = planner.Step
-	// PlannerStats is the mediator's planner accounting (plans, reorders,
-	// skipped fetches).
-	PlannerStats = core.PlannerStats
 )
 
 // Streaming event kinds.
@@ -234,6 +225,9 @@ const (
 	StreamEventRewrite = core.StreamEventRewrite
 	// StreamEventSummary is the final event before the channel closes.
 	StreamEventSummary = core.StreamEventSummary
+	// StreamEventPanic ends a stream whose pipeline panicked; re-raise its
+	// Panic on the consuming goroutine.
+	StreamEventPanic = core.StreamEventPanic
 )
 
 // ErrEarlyStop marks a rewrite skipped or cancelled by the top-N confidence
@@ -321,14 +315,6 @@ type Config struct {
 	// served flagged ResultSet.Stale instead of failing. 0 disables the
 	// fallback.
 	StaleTTL time.Duration
-	// Planner enables the statistics-driven query planner: chain-join
-	// adjacencies execute in greedy estimated-cost order, two-way joins
-	// fetch the estimated-smaller side first and build the hash index on
-	// the smaller materialized side, and an empty intermediate result
-	// short-circuits the remaining component fetches (accounted in
-	// EstSavedTuples). Answer sets are identical with the planner on or
-	// off — only source traffic and timing change.
-	Planner bool
 }
 
 // System is a configured QPIAD mediator over registered sources.
@@ -356,7 +342,6 @@ func New(cfg Config) *System {
 		Breaker:   cfg.Breaker,
 		CacheTTL:  cfg.CacheTTL,
 		StaleTTL:  cfg.StaleTTL,
-		Planner:   cfg.Planner,
 	}
 	if cfg.NoCache {
 		ccfg.NoCache = true
@@ -492,13 +477,17 @@ func (s *System) QueryAggregate(sourceName string, q Query, opts AggOptions) (*A
 }
 
 // QueryJoin processes a two-way join over incomplete sources via ranked
-// query pairs (Section 4.5).
+// query pairs (Section 4.5). A base set that comes back empty ends the
+// join before any rewrite is sent; JoinResult.EstSavedTuples counts what
+// that saved.
 func (s *System) QueryJoin(spec JoinSpec) (*JoinResult, error) {
 	return s.med.QueryJoin(spec)
 }
 
 // QueryJoinChain processes an n-way chain join, planning each adjacency as
-// a Section 4.5 query-pair problem (the paper's footnote 5 extension).
+// a Section 4.5 query-pair problem (the paper's footnote 5 extension). As
+// with QueryJoin, an empty base set ends the chain before any rewrite is
+// sent.
 func (s *System) QueryJoinChain(spec ChainSpec) (*ChainResult, error) {
 	return s.med.QueryJoinChain(spec)
 }
@@ -539,12 +528,6 @@ func (s *System) LoadKnowledge(sourceName, path string) error {
 // when the cache is disabled (Config.NoCache).
 func (s *System) CacheStats() CacheStats {
 	return s.med.CacheStats()
-}
-
-// PlannerStats returns the planner accounting: plans consulted, orders
-// changed and component fetches skipped.
-func (s *System) PlannerStats() PlannerStats {
-	return s.med.PlannerStats()
 }
 
 // SourceStats returns the access accounting of a registered source.
