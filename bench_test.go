@@ -367,6 +367,9 @@ func BenchmarkSourceIndexedSelect(b *testing.B) {
 //     round-trip;
 //   - stream-top: the top-5 confidence bound additionally cuts queries and
 //     tuples transferred.
+//
+// The stream delivers answers in runs; the stream sub-benchmark fails
+// unless its runs hold as many answers as batch returns.
 func BenchmarkStreamVsBatch(b *testing.B) {
 	const srcLatency = time.Millisecond
 	gd := datagen.Cars(8000, 99)
@@ -386,6 +389,12 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 		b.ReportMetric(float64(st.TuplesReturned)/float64(b.N), "tuples/op")
 		b.ReportMetric(float64(ttfaTotal.Nanoseconds())/float64(b.N), "ttfa-ns/op")
 	}
+	med, _ := newWorld(0)
+	rs, err := med.QuerySelect("cars", q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batchAnswers := len(rs.Certain) + len(rs.Possible) + len(rs.Unranked)
 
 	b.Run("batch", func(b *testing.B) {
 		med, src := newWorld(0)
@@ -426,20 +435,21 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				first := false
 				answers := 0
 				for ev := range events {
 					if ev.Kind != core.StreamEventAnswer {
 						continue
 					}
-					if !first {
-						first = true
+					if answers == 0 {
 						ttfa += time.Since(start)
 					}
-					answers++
+					answers += len(ev.Answers)
 				}
 				if answers == 0 {
 					b.Fatal("no answers")
+				}
+				if bc.topN == 0 && answers != batchAnswers {
+					b.Fatalf("stream delivered %d answers, batch %d", answers, batchAnswers)
 				}
 			}
 			b.StopTimer()

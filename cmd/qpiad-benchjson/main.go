@@ -9,7 +9,9 @@
 //	go test -bench='Mine|WarmQuery' -benchmem . | qpiad-benchjson -o BENCH.json
 //
 // Lines that are not benchmark results (the "goos:"/"PASS" chatter) are
-// ignored. Benchmarks run with -count>1 keep the last measurement.
+// ignored. A benchmark run with -count>1 has one line per run; each field
+// of its result (ns/op, B/op, allocs/op and every custom metric) is the
+// median of that field over its lines.
 package main
 
 import (
@@ -18,7 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,10 +92,11 @@ func main() {
 //
 //	BenchmarkName-8   123   456789 ns/op   1024 B/op   12 allocs/op
 //
-// (the -benchmem columns are optional).
+// (the -benchmem columns are optional) and keeps, per benchmark, the
+// median of its lines.
 func parse(sc *bufio.Scanner) (map[string]result, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	results := make(map[string]result)
+	runs := make(map[string][]result)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -131,8 +136,50 @@ func parse(sc *bufio.Scanner) (map[string]result, error) {
 			}
 		}
 		if ok {
-			results[name] = r
+			runs[name] = append(runs[name], r)
 		}
 	}
+	results := make(map[string]result, len(runs))
+	for name, rs := range runs {
+		results[name] = medianResult(rs)
+	}
 	return results, sc.Err()
+}
+
+// medianResult is the result whose every field is the median of that field
+// over rs; a custom metric's median is over the lines that report it.
+func medianResult(rs []result) result {
+	var ns, bytes, allocs []float64
+	extra := make(map[string][]float64)
+	for _, r := range rs {
+		ns = append(ns, r.NsPerOp)
+		bytes = append(bytes, float64(r.BytesPerOp))
+		allocs = append(allocs, float64(r.AllocsPerOp))
+		for unit, v := range r.Extra {
+			extra[unit] = append(extra[unit], v)
+		}
+	}
+	m := result{
+		NsPerOp:     median(ns),
+		BytesPerOp:  int64(math.Round(median(bytes))),
+		AllocsPerOp: int64(math.Round(median(allocs))),
+	}
+	if len(extra) > 0 {
+		m.Extra = make(map[string]float64, len(extra))
+	}
+	for unit, vs := range extra {
+		m.Extra[unit] = median(vs)
+	}
+	return m
+}
+
+// median returns the middle of vs, or the mean of the two middle values
+// when there is an even number; it sorts vs.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

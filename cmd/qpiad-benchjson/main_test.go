@@ -58,6 +58,28 @@ func TestParseCustomMetrics(t *testing.T) {
 	}
 }
 
+// TestParseCountMedian checks that a benchmark run with -count keeps the
+// median of each field over its lines, not the last line.
+func TestParseCountMedian(t *testing.T) {
+	in := `BenchmarkX-8   10   100 ns/op   64 B/op   1 allocs/op   7 ttfa-ns/op
+BenchmarkX-8   10   300 ns/op   16 B/op   3 allocs/op   5 ttfa-ns/op
+BenchmarkX-8   10   200 ns/op   32 B/op   2 allocs/op   9 ttfa-ns/op
+BenchmarkY-8   10   100 ns/op
+BenchmarkY-8   10   400 ns/op
+`
+	got, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := got["BenchmarkX"]
+	if x.NsPerOp != 200 || x.BytesPerOp != 32 || x.AllocsPerOp != 2 || x.Extra["ttfa-ns/op"] != 7 {
+		t.Errorf("BenchmarkX = %+v, want the medians 200 ns/op, 32 B/op, 2 allocs/op, 7 ttfa-ns/op", x)
+	}
+	if y := got["BenchmarkY"]; y.NsPerOp != 250 {
+		t.Errorf("BenchmarkY = %+v, want 250 ns/op, the mean of its two lines", y)
+	}
+}
+
 func TestParseEmpty(t *testing.T) {
 	got, err := parse(bufio.NewScanner(strings.NewReader("PASS\nok qpiad 1s\n")))
 	if err != nil {

@@ -282,12 +282,17 @@ func runStream(csvPath string, n int, seed int64, incmp, smplFrac float64, attr,
 			if answers == 0 {
 				firstAnswer = time.Since(start)
 			}
-			answers++
-			if printed < limit {
-				printed++
+			answers += len(ev.Answers)
+			for _, a := range ev.Answers {
+				if printed == limit {
+					fmt.Println("  ... (further answers not shown)")
+				}
+				if printed++; printed > limit {
+					break
+				}
 				tag := "possible"
 				switch {
-				case ev.Answer.Certain:
+				case a.Certain:
 					tag = "certain"
 				case ev.Unranked:
 					tag = "unranked"
@@ -295,13 +300,10 @@ func runStream(csvPath string, n int, seed int64, incmp, smplFrac float64, attr,
 				if ev.Stale {
 					tag += " STALE"
 				}
-				fmt.Printf("  [%s %.3f] %s\n", tag, ev.Answer.Confidence, ev.Answer.Tuple)
-				if explain && !ev.Answer.Certain && ev.Answer.Explanation != "" {
-					fmt.Printf("          because: %s\n", ev.Answer.Explanation)
+				fmt.Printf("  [%s %.3f] %s\n", tag, a.Confidence, a.Tuple)
+				if explain && !a.Certain && a.Explanation != "" {
+					fmt.Printf("          because: %s\n", a.Explanation)
 				}
-			} else if printed == limit {
-				printed++
-				fmt.Println("  ... (further answers not shown)")
 			}
 		case qpiad.StreamEventRewrite:
 			rq := ev.Rewrite

@@ -256,9 +256,9 @@ func TestStreamStaleFallback(t *testing.T) {
 		switch ev.Kind {
 		case StreamEventAnswer:
 			if !ev.Stale {
-				t.Error("stale replay answer event not flagged Stale")
+				t.Error("stale replay answer run not flagged Stale")
 			}
-			answers = append(answers, *ev.Answer)
+			answers = append(answers, ev.Answers...)
 		case StreamEventRewrite:
 			t.Error("stale replay must not emit rewrite events")
 		case StreamEventSummary:

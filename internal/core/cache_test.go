@@ -278,8 +278,8 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	}
 	var streamed []relation.Tuple
 	for ev := range events {
-		if ev.Kind == StreamEventAnswer {
-			streamed = append(streamed, ev.Answer.Tuple)
+		for _, a := range ev.Answers {
+			streamed = append(streamed, a.Tuple)
 		}
 	}
 	checkStoreWall(t, "stream", streamed, f.ed)

@@ -123,3 +123,49 @@ func TestQueryAggregateCtxCancelPrompt(t *testing.T) {
 		t.Errorf("cancellation not prompt: took %v", elapsed)
 	}
 }
+
+// TestSelectStreamCancelledSendsNoRewrite cancels a stream before reading
+// any event. The pipeline is then held at its certain run until the
+// cancellation, so every rewrite it chooses afterwards must stay unsent:
+// the source sees the base query and nothing more.
+func TestSelectStreamCancelledSendsNoRewrite(t *testing.T) {
+	cfg := Config{Alpha: 0.5, K: 10, Parallel: 4, NoCache: true}
+	f := newFixture(t, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	events, err := f.m.SelectStreamWith(ctx, cfg, "cars", convtQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	for ev := range events {
+		if ev.Kind == StreamEventSummary {
+			t.Error("cancelled stream sent a summary")
+		}
+	}
+	if q := f.src.Stats().Queries; q != 1 {
+		t.Errorf("source counted %d queries, want the base query alone", q)
+	}
+}
+
+// TestFetchAllCancelledSendsNothing runs the fetch engine on a context that
+// is already cancelled: no query reaches the source, so none is counted or
+// takes budget, and each resolves unsent (0 attempts) with the context's
+// error.
+func TestFetchAllCancelledSendsNothing(t *testing.T) {
+	f := newFixture(t, Config{})
+	queries := []relation.Query{
+		convtQuery(),
+		relation.NewQuery("cars", relation.Eq("model", relation.String("A4"))),
+		relation.NewQuery("cars", relation.Eq("model", relation.String("Z4"))),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, res := range fetchAll(ctx, f.src, queries, nil, 2, fastRetry(3)) {
+		if res.attempts != 0 || !errors.Is(res.err, context.Canceled) {
+			t.Errorf("query %d: attempts %d, err %v; want 0 attempts and context.Canceled", i, res.attempts, res.err)
+		}
+	}
+	if st := f.src.Stats(); st.Queries != 0 || st.Rejected != 0 || st.BreakerRejected != 0 {
+		t.Errorf("source stats %+v, want no query admitted or rejected", st)
+	}
+}

@@ -141,7 +141,9 @@ func TestNullBindingNoDuplicateAnswers(t *testing.T) {
 		}
 		var streamed []relation.Tuple
 		for _, ev := range answers {
-			streamed = append(streamed, ev.Answer.Tuple)
+			for _, a := range ev.Answers {
+				streamed = append(streamed, a.Tuple)
+			}
 		}
 		noDuplicates("stream "+spec.make, streamed)
 		if len(streamed) != len(batch) {

@@ -93,7 +93,14 @@ var errSkippedOpen = fmt.Errorf("core: rewrite not issued: %w", breaker.ErrOpen)
 // admission rejections (breaker.ErrOpen) — return immediately: retrying a
 // source that refused on principle only wastes its budget. keep is the
 // source's post-filter (see source.Source.Fetch); nil keeps every row.
+//
+// A query whose ctx is already done is not sent: the source would admit
+// it (count it, take its budget, ask its breaker) before looking at ctx.
+// It resolves with 0 attempts and an error wrapping ctx.Err().
 func fetchOne(ctx context.Context, src queryable, q relation.Query, keep func(relation.Tuple) bool, pol RetryPolicy) fetchResult {
+	if err := ctx.Err(); err != nil {
+		return fetchResult{err: fmt.Errorf("core: query not sent: %w", err)}
+	}
 	pol = pol.withDefaults()
 	if pol.QueryDeadline > 0 {
 		var cancel context.CancelFunc

@@ -196,16 +196,14 @@ func (m *Mediator) fetchBase(ctx context.Context, cfg Config, srcName string, q 
 // and stream: certain answers from the base set, rewrite generation (Step
 // 2a) and top-K selection (2b–c), the chosen rewrites through the fetch
 // engine, and the fold in issue order (2d–e), which is descending precision
-// and so rank order. emit, when non-nil, receives every answer as it is
-// folded and every rewrite's outcome; batch passes nil and only folds.
-// cfg.TopN > 0 arms the streaming early stop (see stream.go).
+// and so rank order. emit, when non-nil, receives the certain section as
+// one run, each folded rewrite's possible and unranked answers as runs
+// ahead of its outcome, and every rewrite's outcome; batch passes nil and
+// only folds. cfg.TopN > 0 arms the streaming early stop (see stream.go).
 func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source, k *Knowledge, q relation.Query, base []relation.Tuple, emit func(StreamEvent)) *StreamSummary {
-	emitAnswers := func(answers []Answer, unranked bool) {
-		if emit == nil {
-			return
-		}
-		for _, a := range answers {
-			emit(StreamEvent{Kind: StreamEventAnswer, Answer: &a, Unranked: unranked})
+	emitRun := func(run []Answer, unranked bool) {
+		if emit != nil && len(run) > 0 {
+			emit(StreamEvent{Kind: StreamEventAnswer, Answers: run, Unranked: unranked})
 		}
 	}
 
@@ -220,7 +218,7 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 			FromQuery:  q,
 		})
 	}
-	emitAnswers(rs.Certain, false)
+	emitRun(rs.Certain, false)
 
 	// Step 2(a): generate; 2(b)+(c): order and select.
 	cands := m.generateRewrites(k, q, base, src.Schema())
@@ -257,9 +255,9 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 			continue
 		}
 		possible, unranked := foldRewriteResult(rs, src.Schema(), constrained, seen, chosen[i], res)
+		emitRun(possible, false)
+		emitRun(unranked, true)
 		if emit != nil {
-			emitAnswers(possible, false)
-			emitAnswers(unranked, true)
 			done := rs.Issued[len(rs.Issued)-1]
 			emit(StreamEvent{Kind: StreamEventRewrite, Rewrite: &done})
 		}
@@ -316,10 +314,12 @@ func postFilter(schema *relation.Schema, rq RewrittenQuery) func(relation.Tuple)
 // set — the shared assembly step of the batch and streaming executors. On
 // success the rows the source kept (the target-null tuples, Step 2e) are
 // deduplicated against everything already answered and appended to
-// Possible or Unranked; the answers appended are returned so the streaming
-// executor can emit exactly them. A failed or budget-skipped
-// rewrite degrades the result instead of failing it, and is still accounted
-// in Issued so cost analysis sees it.
+// Possible or Unranked; the answers appended are returned, as the tails of
+// those sections capped at their length, so the streaming executor can
+// emit exactly them. A later fold appends past the cap, never into a
+// returned run. A failed or budget-skipped rewrite degrades the result
+// instead of failing it, and is still accounted in Issued so cost analysis
+// sees it.
 func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []string, seen *answerKeys, rq RewrittenQuery, res fetchResult) (possible, unranked []Answer) {
 	rq.Attempts = res.attempts
 	if err := res.err; err != nil {
@@ -335,6 +335,7 @@ func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []str
 		return nil, nil
 	}
 	rq.Transferred = res.transferred
+	p0, u0 := len(rs.Possible), len(rs.Unranked)
 	for _, t := range res.rows {
 		if !seen.add(t) {
 			continue
@@ -347,15 +348,13 @@ func foldRewriteResult(rs *ResultSet, schema *relation.Schema, constrained []str
 			Explanation: rq.Explanation,
 		}
 		if t.NullCountOn(schema, constrained) > 1 {
-			unranked = append(unranked, ans)
+			rs.Unranked = append(rs.Unranked, ans)
 		} else {
-			possible = append(possible, ans)
+			rs.Possible = append(rs.Possible, ans)
 		}
 	}
-	rs.Possible = append(rs.Possible, possible...)
-	rs.Unranked = append(rs.Unranked, unranked...)
 	rs.Issued = append(rs.Issued, rq)
-	return possible, unranked
+	return slices.Clip(rs.Possible[p0:]), slices.Clip(rs.Unranked[u0:])
 }
 
 // answerKeys is the set of answers already returned, by canonical tuple

@@ -11,15 +11,17 @@ import (
 
 // This file implements the streaming form of selection. Batch QuerySelect
 // returns the answer list once every chosen rewrite has been folded;
-// SelectStream runs the same pipeline (runSelect) and emits each answer as
-// it is folded:
+// SelectStream runs the same pipeline (runSelect) and emits the answers in
+// runs as they are folded:
 //
-//   - certain answers are emitted as soon as the base query returns, before
-//     any rewriting work starts;
+//   - the certain answers are emitted as one run as soon as the base query
+//     returns, before any rewriting work starts;
 //   - rewrites are issued through the fetch engine (fetcher), and their
 //     results are folded and emitted strictly in issue (descending
 //     estimated precision) order — which is also rank order, so the client
-//     receives the answer list incrementally in its final order;
+//     receives the answer list incrementally in its final order. Each
+//     folded rewrite emits at most one run of possible answers and one run
+//     of unranked answers, then its rewrite event;
 //   - a final summary event carries the reassembled ResultSet with the
 //     usual Issued/Generated/Degraded accounting.
 //
@@ -46,8 +48,9 @@ import (
 type StreamEventKind uint8
 
 const (
-	// StreamAnswer carries one answer: Answer.Certain distinguishes certain
-	// answers from possible ones, Unranked marks the multi-null tail.
+	// StreamEventAnswer carries a run of answers of one kind: all certain,
+	// or all possible from one rewrite, or all unranked from one rewrite
+	// (Unranked set).
 	StreamEventAnswer StreamEventKind = iota
 	// StreamRewrite reports one chosen rewrite's final outcome — succeeded
 	// (with transfer accounting), failed after retries, budget-skipped, or
@@ -78,19 +81,25 @@ func (k StreamEventKind) String() string {
 }
 
 // StreamEvent is one message on a SelectStream channel. Exactly one of
-// Answer, Rewrite, Summary and Panic is non-nil, per Kind.
+// Answers, Rewrite, Summary and Panic is non-nil, per Kind.
 type StreamEvent struct {
 	Kind StreamEventKind
-	// Answer is set on StreamAnswer events. Answers arrive in final rank
-	// order: all certain answers first, then possible answers in descending
-	// retrieving-query precision.
-	Answer *Answer
-	// Unranked marks an answer belonging to the unranked multi-null tail
-	// rather than the ranked possible section.
+	// Answers is the run a StreamEventAnswer event carries. A run is never
+	// empty and holds one kind of answer: the whole certain section, or one
+	// rewrite's possible answers, or one rewrite's unranked answers. Runs
+	// arrive in final rank order — certain answers first, then each
+	// rewrite's runs in descending retrieving-query precision, possible
+	// before unranked, ahead of that rewrite's StreamEventRewrite event.
+	// The slice aliases the result set the summary carries, capped at its
+	// length: a consumer may read and keep it but must not write to an
+	// element, as with an answer-cache hit.
+	Answers []Answer
+	// Unranked marks a run from the unranked multi-null tail rather than
+	// the ranked possible section.
 	Unranked bool
-	// Stale marks an answer replayed from the answer cache by the
-	// stale-cache fallback (the source's circuit breaker was open). The
-	// final summary's Result.Stale is set accordingly.
+	// Stale marks a run replayed from the answer cache by the stale-cache
+	// fallback (the source's circuit breaker was open). The final
+	// summary's Result.Stale is set accordingly.
 	Stale bool
 	// Rewrite is set on StreamRewrite events.
 	Rewrite *RewrittenQuery
@@ -136,12 +145,12 @@ func (m *Mediator) SelectStream(ctx context.Context, srcName string, q relation.
 }
 
 // SelectStreamWith runs the QPIAD selection pipeline and streams its output:
-// certain answers as soon as the base query returns, possible answers
-// incrementally in rank order as each rewrite completes, one StreamRewrite
-// event per chosen rewrite, and a final StreamSummary, after which the
-// channel is closed. The base query runs synchronously — without it there is
-// nothing to stream — so base-query failure is reported as an error here
-// rather than on the channel.
+// the certain answers as one run as soon as the base query returns, each
+// folded rewrite's possible and unranked answers as runs in rank order, one
+// StreamEventRewrite event per chosen rewrite, and a final StreamSummary,
+// after which the channel is closed. The base query runs synchronously —
+// without it there is nothing to stream — so base-query failure is reported
+// as an error here rather than on the channel.
 //
 // cfg.TopN > 0 arms confidence-bound early termination (see the package
 // comment above). Cancelling ctx aborts the stream: in-flight source queries
@@ -154,7 +163,7 @@ func (m *Mediator) SelectStream(ctx context.Context, srcName string, q relation.
 // one exception is the stale-cache fallback: when the source's circuit
 // breaker rejects the base query and cfg.StaleTTL arms the fallback, the
 // last cached answer within the staleness bound is replayed as a stream —
-// every answer event flagged Stale — instead of failing.
+// every run flagged Stale — instead of failing.
 func (m *Mediator) SelectStreamWith(ctx context.Context, cfg Config, srcName string, q relation.Query) (<-chan StreamEvent, error) {
 	src, k, base, err := m.fetchBase(ctx, cfg, srcName, q)
 	if err != nil {
@@ -172,10 +181,10 @@ func (m *Mediator) SelectStreamWith(ctx context.Context, cfg Config, srcName str
 	return events, nil
 }
 
-// streamStale replays a stale cached result as a stream: answers in their
-// cached rank order, each flagged Stale, then the summary carrying the
-// stale-marked result set. No rewrite events are emitted — nothing was
-// issued to the source.
+// streamStale replays a stale cached result as a stream: one run per
+// non-empty section in rank order, each flagged Stale, then the summary
+// carrying the stale-marked result set. No rewrite events are emitted —
+// nothing was issued to the source.
 func streamStale(ctx context.Context, rs *ResultSet, events chan<- StreamEvent) {
 	defer close(events)
 	defer handOverPanic(ctx, events)
@@ -187,19 +196,18 @@ func streamStale(ctx context.Context, rs *ResultSet, events chan<- StreamEvent) 
 			return false
 		}
 	}
-	emitAnswers := func(answers []Answer, unranked bool) bool {
-		for _, a := range answers {
-			a := a
-			if !emit(StreamEvent{Kind: StreamEventAnswer, Answer: &a, Unranked: unranked, Stale: true}) {
-				return false
-			}
+	for _, run := range []StreamEvent{
+		{Answers: rs.Certain},
+		{Answers: rs.Possible},
+		{Answers: rs.Unranked, Unranked: true},
+	} {
+		if len(run.Answers) == 0 {
+			continue
 		}
-		return true
-	}
-	if !emitAnswers(rs.Certain, false) ||
-		!emitAnswers(rs.Possible, false) ||
-		!emitAnswers(rs.Unranked, true) {
-		return
+		run.Kind, run.Stale = StreamEventAnswer, true
+		if !emit(run) {
+			return
+		}
 	}
 	emit(StreamEvent{Kind: StreamEventSummary, Summary: &StreamSummary{Result: rs}})
 }

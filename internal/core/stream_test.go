@@ -12,7 +12,8 @@ import (
 	"qpiad/internal/source"
 )
 
-// collectStream drains a stream into its parts, preserving arrival order.
+// collectStream drains a stream into its parts, preserving arrival order:
+// the answer events (runs), the rewrite outcomes and the summary.
 func collectStream(t *testing.T, events <-chan StreamEvent) (answers []StreamEvent, rewrites []*RewrittenQuery, sum *StreamSummary) {
 	t.Helper()
 	for ev := range events {
@@ -80,13 +81,15 @@ func TestSelectStreamEquivalence(t *testing.T) {
 			// order: certain answers, then possible, with unranked flagged.
 			var replayCertain, replayPossible, replayUnranked []Answer
 			for _, ev := range answers {
-				switch {
-				case ev.Answer.Certain:
-					replayCertain = append(replayCertain, *ev.Answer)
-				case ev.Unranked:
-					replayUnranked = append(replayUnranked, *ev.Answer)
-				default:
-					replayPossible = append(replayPossible, *ev.Answer)
+				for _, a := range ev.Answers {
+					switch {
+					case a.Certain:
+						replayCertain = append(replayCertain, a)
+					case ev.Unranked:
+						replayUnranked = append(replayUnranked, a)
+					default:
+						replayPossible = append(replayPossible, a)
+					}
 				}
 			}
 			if !reflect.DeepEqual(replayCertain, batch.Certain) {

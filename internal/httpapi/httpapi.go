@@ -304,8 +304,8 @@ func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
 	}
 }
 
-// replyBufs holds the buffers select and join bodies are appended into, so
-// a reply does not regrow its body from nothing.
+// replyBufs holds the buffers select and join bodies and stream chunks are
+// appended into, so a reply does not regrow its body from nothing.
 var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledReply bounds the buffers replyBufs keeps: one that grew past it
@@ -786,8 +786,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, func(b []byte) []byte { return enc.appendSelect(b, query, srcName, rs) })
 }
 
+// streamChunk is the size past which handleQueryStream writes out the
+// NDJSON lines it has appended: a run of a thousand answers costs about ten
+// writes instead of a thousand. A larger chunk would save little more and
+// hold a long run's first lines back longer; this one stays far below
+// maxPooledReply, so its buffer is reused from replyBufs.
+const streamChunk = 32 << 10
+
 // handleQueryStream serves POST /query?stream=1: the selection pipeline's
-// events written as NDJSON, one line per event. Lines are flushed whenever
+// events written as NDJSON, one line per answer, rewrite and summary. A
+// run's lines are appended into one buffer, which is written each time it
+// passes streamChunk and at the end of the run. Lines are flushed whenever
 // the pipeline has no event ready: a burst of answers leaves in
 // buffer-sized writes, and no line waits behind rewrite generation or a
 // source round trip. Headers go out before the first event, so mid-stream
@@ -835,8 +844,23 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 		}
 		unflushed = false
 	}
-	var line []byte
+	pooled := replyBufs.Get().(*[]byte)
+	buf, lines := (*pooled)[:0], int64(0)
 	live := true
+	write := func() {
+		if _, err := w.Write(buf); err != nil {
+			// Client gone: r.Context() is cancelled by the server when the
+			// connection drops, which aborts the pipeline; just stop writing
+			// and drain the channel so the producer can close it. Counted
+			// as a disconnect, not a server error.
+			s.clientDisconnects.Add(1)
+			live = false
+		} else {
+			s.streamEvents.Add(lines)
+			unflushed = true
+		}
+		buf, lines = buf[:0], 0
+	}
 	for ev, open := nextEvent(events, flush); open; ev, open = nextEvent(events, flush) {
 		if ev.Kind == core.StreamEventPanic {
 			// The pipeline panicked on its own goroutine. Re-raised here,
@@ -849,30 +873,35 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 		}
 		switch ev.Kind {
 		case core.StreamEventAnswer:
-			line = enc.appendAnswerLine(line[:0], ev.Answer, ev.Unranked, ev.Stale)
+			for i := range ev.Answers {
+				buf = enc.appendAnswerLine(buf, &ev.Answers[i], ev.Unranked, ev.Stale)
+				lines++
+				if len(buf) >= streamChunk {
+					if write(); !live {
+						break
+					}
+				}
+			}
 		case core.StreamEventRewrite:
-			line = appendRewriteLine(line[:0], ev.Rewrite)
+			buf = appendRewriteLine(buf, ev.Rewrite)
+			lines++
 		case core.StreamEventSummary:
 			if ev.Summary.EarlyStopped {
 				s.streamStops.Add(1)
 			}
-			line = appendSummaryLine(line[:0], ev.Summary)
-		default:
-			continue
+			buf = appendSummaryLine(buf, ev.Summary)
+			lines++
 		}
-		if _, err := w.Write(line); err != nil {
-			// Client gone: r.Context() is cancelled by the server when the
-			// connection drops, which aborts the pipeline; just stop writing
-			// and drain the channel so the producer can close it. Counted
-			// as a disconnect, not a server error.
-			s.clientDisconnects.Add(1)
-			live = false
-			continue
+		if live && len(buf) > 0 {
+			write()
 		}
-		s.streamEvents.Add(1)
-		unflushed = true
 	}
 	flush()
+	// The last w.Write has returned, so the buffer is free again.
+	if cap(buf) <= maxPooledReply {
+		*pooled = buf[:0]
+		replyBufs.Put(pooled)
+	}
 }
 
 // nextEvent receives the next stream event, calling idle (the flush) first

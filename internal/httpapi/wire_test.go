@@ -217,16 +217,21 @@ func refSummary(sum *core.StreamSummary) *streamSumJSON {
 	}
 }
 
-// refEvent is the reference NDJSON event for one stream event.
-func refEvent(s *relation.Schema, projection []string, ev core.StreamEvent) streamEventJSON {
+// refEvent is the reference NDJSON for one stream event: one line per
+// answer of a run, or the rewrite's or the summary's line.
+func refEvent(s *relation.Schema, projection []string, ev core.StreamEvent) []streamEventJSON {
 	switch ev.Kind {
 	case core.StreamEventAnswer:
-		a := refAnswer(s, projection, *ev.Answer)
-		return streamEventJSON{Event: "answer", Answer: &a, Unranked: ev.Unranked, Stale: ev.Stale}
+		lines := make([]streamEventJSON, len(ev.Answers))
+		for i, a := range ev.Answers {
+			ref := refAnswer(s, projection, a)
+			lines[i] = streamEventJSON{Event: "answer", Answer: &ref, Unranked: ev.Unranked, Stale: ev.Stale}
+		}
+		return lines
 	case core.StreamEventRewrite:
-		return streamEventJSON{Event: "rewrite", Rewrite: refRewrite(*ev.Rewrite)}
+		return []streamEventJSON{{Event: "rewrite", Rewrite: refRewrite(*ev.Rewrite)}}
 	default:
-		return streamEventJSON{Event: "summary", Summary: refSummary(ev.Summary)}
+		return []streamEventJSON{{Event: "summary", Summary: refSummary(ev.Summary)}}
 	}
 }
 
@@ -276,6 +281,16 @@ func refLine(t testing.TB, ev streamEventJSON) []byte {
 		t.Fatalf("reference encode: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// refLines is refLine over each of evs, concatenated.
+func refLines(t testing.TB, evs []streamEventJSON) []byte {
+	t.Helper()
+	var out []byte
+	for _, ev := range evs {
+		out = append(out, refLine(t, ev)...)
+	}
+	return out
 }
 
 // sameWire fails unless got equals want byte for byte and is valid JSON
@@ -409,8 +424,9 @@ func TestWireStreamLinesMatchReference(t *testing.T) {
 		}
 		var events []core.StreamEvent
 		for i, a := range append(wireAnswers(true), wireAnswers(false)...) {
-			events = append(events, core.StreamEvent{Kind: core.StreamEventAnswer, Answer: &a, Unranked: i%3 == 1, Stale: i%4 == 2})
+			events = append(events, core.StreamEvent{Kind: core.StreamEventAnswer, Answers: []core.Answer{a}, Unranked: i%3 == 1, Stale: i%4 == 2})
 		}
+		events = append(events, core.StreamEvent{Kind: core.StreamEventAnswer, Answers: wireAnswers(false), Unranked: true})
 		for _, rq := range wireIssued() {
 			events = append(events, core.StreamEvent{Kind: core.StreamEventRewrite, Rewrite: &rq})
 		}
@@ -428,13 +444,15 @@ func TestWireStreamLinesMatchReference(t *testing.T) {
 			var got []byte
 			switch ev.Kind {
 			case core.StreamEventAnswer:
-				got = enc.appendAnswerLine(nil, ev.Answer, ev.Unranked, ev.Stale)
+				for i := range ev.Answers {
+					got = enc.appendAnswerLine(got, &ev.Answers[i], ev.Unranked, ev.Stale)
+				}
 			case core.StreamEventRewrite:
 				got = appendRewriteLine(nil, ev.Rewrite)
 			default:
 				got = appendSummaryLine(nil, ev.Summary)
 			}
-			sameWire(t, "stream line", got, refLine(t, refEvent(wireSchema, projection, ev)))
+			sameWire(t, "stream line", got, refLines(t, refEvent(wireSchema, projection, ev)))
 		}
 	}
 }
@@ -646,9 +664,9 @@ func FuzzAnswerWire(f *testing.F) {
 			return
 		}
 		refs := [][]byte{
-			refLine(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventAnswer, Answer: &a, Unranked: unranked, Stale: stale})),
-			refLine(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventRewrite, Rewrite: &rq})),
-			refLine(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventSummary, Summary: sum})),
+			refLines(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventAnswer, Answers: []core.Answer{a}, Unranked: unranked, Stale: stale})),
+			refLines(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventRewrite, Rewrite: &rq})),
+			refLines(t, refEvent(schema, projection, core.StreamEvent{Kind: core.StreamEventSummary, Summary: sum})),
 			refBody(t, refSelect(s, s, schema, projection, &rs)),
 			refBody(t, refJoin(schema, schema, s, s, &join)),
 		}
@@ -762,7 +780,7 @@ func TestStreamLinesMatchReferenceOverHTTP(t *testing.T) {
 		}
 		var want []byte
 		for ev := range events {
-			want = append(want, refLine(t, refEvent(schema, st.Projection, ev))...)
+			want = append(want, refLines(t, refEvent(schema, st.Projection, ev))...)
 		}
 		sameWire(t, sql, got, want)
 	}

@@ -183,8 +183,10 @@ type (
 	ResultSet = core.ResultSet
 	// RewrittenQuery is one issued rewrite with its ranking statistics.
 	RewrittenQuery = core.RewrittenQuery
-	// StreamEvent is one message from the streaming executor: an answer, a
-	// rewrite outcome, or the final summary.
+	// StreamEvent is one message from the streaming executor: a run of
+	// answers, a rewrite outcome, or the final summary. A run's Answers
+	// share their array with the summary's result set: read them, never
+	// write to one in place.
 	StreamEvent = core.StreamEvent
 	// StreamEventKind enumerates streaming event types.
 	StreamEventKind = core.StreamEventKind
@@ -219,7 +221,8 @@ type (
 
 // Streaming event kinds.
 const (
-	// StreamEventAnswer carries one answer (certain, possible, or unranked).
+	// StreamEventAnswer carries a run of answers of one kind: the whole
+	// certain section, or one rewrite's possible or unranked answers.
 	StreamEventAnswer = core.StreamEventAnswer
 	// StreamEventRewrite reports one chosen rewrite's final outcome.
 	StreamEventRewrite = core.StreamEventRewrite
@@ -443,10 +446,10 @@ func (s *System) QueryCtx(ctx context.Context, sourceName string, q Query) (*Res
 	return s.med.QuerySelectCtx(ctx, sourceName, q)
 }
 
-// QueryStream runs the QPIAD selection algorithm as a stream: certain
-// answers are delivered as soon as the base query returns, possible answers
-// incrementally in rank order as each rewritten query completes, and a final
-// summary carries the reassembled ResultSet. With Config.TopN > 0 the
+// QueryStream runs the QPIAD selection algorithm as a stream: the certain
+// answers are delivered as one run as soon as the base query returns,
+// possible answers as runs in rank order as each rewritten query completes,
+// and a final summary carries the reassembled ResultSet. With Config.TopN > 0 the
 // executor stops issuing rewrites once the top-N possible answers are
 // provably in hand, saving source queries and tuple transfer. Cancelling ctx
 // aborts the stream.
