@@ -10,7 +10,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: tier1 build vet fmt-check lint sarif test race fuzz-smoke vuln bench bench-json bench-chain bench-load bench-chaos perfbench-check clean
+.PHONY: tier1 build vet fmt-check lint test race fuzz-smoke vuln bench bench-json bench-chain bench-load bench-chaos perfbench-check clean
 
 tier1: build vet fmt-check lint race
 
@@ -35,13 +35,6 @@ fmt-check:
 # any finding; see DESIGN.md "Enforced invariants".
 lint: bin/qpiad-vet
 	$(GO) vet -vettool=bin/qpiad-vet ./...
-
-# sarif writes the same findings as a SARIF 2.1.0 log for CI artifact
-# upload. Exit status matches lint (non-zero on findings); the log is
-# written either way.
-SARIF_OUT ?= qpiad-vet.sarif
-sarif: bin/qpiad-vet
-	./bin/qpiad-vet -json ./... > $(SARIF_OUT)
 
 bin/qpiad-vet: FORCE
 	$(GO) build -o bin/qpiad-vet ./cmd/qpiad-vet

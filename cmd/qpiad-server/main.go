@@ -146,7 +146,8 @@ func main() {
 	defer stop()
 	log.Printf("qpiad-server listening on %s (sources: %v)", ln.Addr(), med.SourceNames())
 	if *maxInflight > 0 {
-		log.Printf("admission control on: max-inflight %d, max-queue %d", *maxInflight, resolvedQueue(*maxInflight, *maxQueue))
+		adm := httpapi.AdmissionConfig{MaxInFlight: *maxInflight, MaxQueue: *maxQueue}.WithDefaults()
+		log.Printf("admission control on: max-inflight %d, max-queue %d", adm.MaxInFlight, adm.MaxQueue)
 	}
 	if err := serve(ctx, srv, api, ln, *drainTimeout, *drainGrace); err != nil {
 		log.Fatal(err)
@@ -166,18 +167,6 @@ func admissionOptions(maxInflight, maxQueue int, queueTimeout, retryAfter time.D
 		QueueTimeout: queueTimeout,
 		RetryAfter:   retryAfter,
 	})}
-}
-
-// resolvedQueue mirrors AdmissionConfig.withDefaults for the startup log:
-// the flag's 0 means 2×max-inflight, negative means no queue.
-func resolvedQueue(maxInflight, maxQueue int) int {
-	switch {
-	case maxQueue == 0:
-		return 2 * maxInflight
-	case maxQueue < 0:
-		return 0
-	}
-	return maxQueue
 }
 
 // serve runs srv on ln until ctx is cancelled (SIGINT/SIGTERM in main),

@@ -67,19 +67,6 @@ func TestAdmissionOptions(t *testing.T) {
 	}
 }
 
-func TestResolvedQueue(t *testing.T) {
-	for _, tc := range []struct{ inflight, queue, want int }{
-		{8, 0, 16}, // default: 2×max-inflight
-		{8, -1, 0}, // negative flag: no queue
-		{8, 3, 3},  // explicit depth passes through
-		{64, 0, 128},
-	} {
-		if got := resolvedQueue(tc.inflight, tc.queue); got != tc.want {
-			t.Errorf("resolvedQueue(%d, %d) = %d, want %d", tc.inflight, tc.queue, got, tc.want)
-		}
-	}
-}
-
 // TestServeGracefulDrain exercises the real signal-driven shutdown path:
 // cancel the serve context while a request is in flight and assert the
 // request completes, new connections are refused, and serve returns nil.

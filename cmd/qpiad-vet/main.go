@@ -2,13 +2,9 @@
 // locksafe, nakedgoroutine, tupleescape, and the flow-sensitive errdrop,
 // lockbalance, cancelleak — see internal/analysis) in two modes:
 //
-//	qpiad-vet [-fix] [-json] [patterns...]
+//	qpiad-vet [patterns...]
 //	                              standalone: analyze module packages
 //	                              (default ./...) and exit 1 on findings.
-//	                              -fix applies machine-applicable suggested
-//	                              fixes, gofmts the files, and re-runs until
-//	                              no fixable finding remains. -json writes
-//	                              the findings as SARIF 2.1.0 on stdout.
 //
 //	go vet -vettool=$(which qpiad-vet) ./...
 //	                              vettool: speak cmd/go's vet.cfg protocol
@@ -73,10 +69,8 @@ func main() {
 			return
 		}
 	}
-	applyFix := flag.Bool("fix", false, "apply suggested fixes, gofmt, and re-run to convergence")
-	jsonOut := flag.Bool("json", false, "write findings as SARIF 2.1.0 JSON on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: qpiad-vet [-fix] [-json] [packages]\n       go vet -vettool=qpiad-vet [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: qpiad-vet [packages]\n       go vet -vettool=qpiad-vet [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -87,7 +81,7 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(vettoolMode(args[0]))
 	}
-	os.Exit(standaloneMode(args, *applyFix, *jsonOut))
+	os.Exit(standaloneMode(args))
 }
 
 // versionLine answers `qpiad-vet -V=full`. cmd/go folds this into its
@@ -103,19 +97,12 @@ func versionLine() string {
 	return fmt.Sprintf("qpiad-vet version devel buildID=%x", sum[:16])
 }
 
-// standaloneMode loads the module packages itself and reports findings —
-// after applying suggested fixes to convergence when -fix is set.
-func standaloneMode(patterns []string, applyFix, jsonOut bool) int {
+// standaloneMode loads the module packages itself and reports findings.
+func standaloneMode(patterns []string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qpiad-vet:", err)
 		return 1
-	}
-	if applyFix {
-		if err := fixLoop(cwd, patterns); err != nil {
-			fmt.Fprintln(os.Stderr, "qpiad-vet:", err)
-			return 1
-		}
 	}
 	units, err := load.Module(cwd, patterns...)
 	if err != nil {
@@ -123,7 +110,8 @@ func standaloneMode(patterns []string, applyFix, jsonOut bool) int {
 		return 1
 	}
 	known := analysis.Names(analyzers)
-	var findings []finding
+	prefix := cwd + string(filepath.Separator) // diagnostics print relative paths
+	found := false
 	for _, u := range units {
 		diags, err := analysis.RunWithSuppressionAudit(u, analyzers, known)
 		if err != nil {
@@ -131,35 +119,14 @@ func standaloneMode(patterns []string, applyFix, jsonOut bool) int {
 			return 1
 		}
 		for _, d := range diags {
-			findings = append(findings, finding{fset: u.Fset, diag: d})
+			fmt.Fprintln(os.Stderr, strings.TrimPrefix(analysis.Format(u.Fset, d), prefix))
+			found = true
 		}
 	}
-	if jsonOut {
-		if err := writeSARIF(os.Stdout, cwd, analyzers, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "qpiad-vet:", err)
-			return 1
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, relativize(cwd, analysis.Format(f.fset, f.diag)))
-		}
-	}
-	if len(findings) > 0 {
+	if found {
 		return 1
 	}
 	return 0
-}
-
-// finding pairs a diagnostic with the file set that can resolve its
-// positions.
-type finding struct {
-	fset *token.FileSet
-	diag analysis.Diagnostic
-}
-
-// relativize trims the working directory off a diagnostic's path prefix.
-func relativize(cwd, s string) string {
-	return strings.TrimPrefix(s, cwd+string(filepath.Separator))
 }
 
 // vetConfig mirrors the JSON cmd/go writes for each vet unit (the contract

@@ -46,7 +46,7 @@ func main() {
 		sql      = flag.String("sql", "", "full SQL query (overrides -attr/-value/-where)")
 		replMode = flag.Bool("repl", false, "interactive SQL shell after learning")
 		alpha    = flag.Float64("alpha", 0, "F-measure alpha (0 = precision-only ordering)")
-		k        = flag.Int("k", 10, "max rewritten queries (-1 = unlimited)")
+		k        = flag.Int("k", 10, "max rewritten queries (0 or less = unlimited)")
 		limit    = flag.Int("limit", 15, "answers to print per section")
 		explain  = flag.Bool("explain", true, "show AFD-based explanations")
 		stats    = flag.Bool("stats", false, "print full per-source metrics (queries, retries, errors, latency percentiles)")
@@ -146,6 +146,11 @@ func setup(csvPath string, n int, seed int64, incmp, smplFrac, alpha float64, k 
 		fmt.Printf("generated %d car tuples, %.1f%% incomplete\n", db.Len(), 100*db.IncompleteFraction())
 	}
 
+	// The facade reads K 0 as its default of 10. Here, as in qpiad-server
+	// and over HTTP, k ≤ 0 means every generated rewrite.
+	if k <= 0 {
+		k = -1
+	}
 	cfg := qpiad.Config{
 		Alpha: alpha, K: k, Retry: res.retry,
 		MineWorkers: res.mineWorkers, NoCache: res.noCache, TopN: res.topN,

@@ -181,6 +181,23 @@ func TestREPLDegraded(t *testing.T) {
 	}
 }
 
+// TestKZeroIssuesEveryRewrite pins -k 0 as unlimited, the meaning K ≤ 0
+// has in qpiad-server and over HTTP: every generated rewrite is issued,
+// not the facade's default of 10.
+func TestKZeroIssuesEveryRewrite(t *testing.T) {
+	sys, _, err := setup("", 1000, 42, 0.10, 0.10, 0, 0, resilience{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sys.Query("db", qpiad.NewQuery("db", qpiad.Eq("body_style", qpiad.String("Convt"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Generated <= 10 || len(rs.Issued) != rs.Generated {
+		t.Errorf("k 0 issued %d of %d generated rewrites, want all of more than 10", len(rs.Issued), rs.Generated)
+	}
+}
+
 func TestExecSQLErrors(t *testing.T) {
 	sys, db, err := setup("", 1500, 7, 0.10, 0.10, 0, 5, resilience{})
 	if err != nil {

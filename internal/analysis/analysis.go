@@ -53,33 +53,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Diagnostic is one finding: a position, the analyzer that produced it, and
-// a human-readable message, optionally with machine-applicable fixes.
+// a human-readable message.
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	// Fixes are alternative machine-applicable repairs. Drivers that
-	// apply fixes (qpiad-vet -fix) use the first one; drivers that only
-	// report ignore them. An analyzer attaches a fix only when applying
-	// it cannot change the meaning of correct code (e.g. defer cancel()
-	// is idempotent; a defer mu.Unlock() is offered only when no other
-	// unlock exists).
-	Fixes []SuggestedFix
-}
-
-// SuggestedFix is one machine-applicable repair: a set of non-overlapping
-// text edits and a short description of what they do.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. An insertion
-// has End == Pos; a deletion has empty NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // PathMatches reports whether the package import path pkgPath matches one

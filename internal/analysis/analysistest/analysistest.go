@@ -15,11 +15,8 @@
 package analysistest
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"go/ast"
-	"go/format"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -34,9 +31,6 @@ import (
 
 	"qpiad/internal/analysis"
 )
-
-// -update regenerates the .golden files RunFixes compares against.
-var updateGolden = flag.Bool("update", false, "rewrite RunFixes .golden files from current analyzer output")
 
 // TestData returns the absolute path of the shared testdata directory,
 // which sits one level above each analyzer package.
@@ -65,90 +59,6 @@ func Run(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgPaths
 				t.Fatal(err)
 			}
 			checkWants(t, unit, diags)
-		})
-	}
-}
-
-// RunFixes loads each fixture package, applies every suggested fix the
-// analyzers report, gofmts the result, and compares it byte-for-byte
-// against <file>.golden. Files whose diagnostics carry no fixes need no
-// golden; a stray golden with no fixes behind it is an error (it means
-// the analyzer stopped suggesting a fix the golden still documents).
-// Run tests with -update to regenerate goldens.
-func RunFixes(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	ld := newLoader(testdata)
-	for _, path := range pkgPaths {
-		t.Run(path+"/fixes", func(t *testing.T) {
-			unit, err := ld.load(path)
-			if err != nil {
-				t.Fatalf("load fixture %s: %v", path, err)
-			}
-			diags, err := analysis.Run(unit, analyzers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			perFile := make(map[string][]analysis.OffsetEdit)
-			for _, d := range diags {
-				if len(d.Fixes) == 0 {
-					continue
-				}
-				for _, te := range d.Fixes[0].TextEdits {
-					pos := unit.Fset.Position(te.Pos)
-					end := unit.Fset.Position(te.End)
-					if pos.Filename == "" || pos.Filename != end.Filename {
-						t.Errorf("fix edit spans files or has no position: %v..%v", pos, end)
-						continue
-					}
-					perFile[pos.Filename] = append(perFile[pos.Filename],
-						analysis.OffsetEdit{Start: pos.Offset, End: end.Offset, Text: te.NewText})
-				}
-			}
-
-			fixed := make(map[string]bool)
-			for file, edits := range perFile {
-				src, err := os.ReadFile(file)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, n := analysis.ApplyEdits(src, edits)
-				if n != len(edits) {
-					t.Errorf("%s: only %d of %d edits applied (overlap?)", file, n, len(edits))
-				}
-				formatted, err := format.Source(out)
-				if err != nil {
-					t.Fatalf("%s: fixed source does not format: %v\n%s", file, err, out)
-				}
-				golden := file + ".golden"
-				fixed[golden] = true
-				if *updateGolden {
-					if err := os.WriteFile(golden, formatted, 0o666); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				want, err := os.ReadFile(golden)
-				if err != nil {
-					t.Fatalf("%s has suggested fixes but no golden: %v (run with -update)", file, err)
-				}
-				if !bytes.Equal(formatted, want) {
-					t.Errorf("%s: fixed output differs from %s (run with -update after verifying):\n--- got ---\n%s",
-						file, filepath.Base(golden), formatted)
-				}
-			}
-
-			// Golden files with no fixes behind them are stale.
-			dir := filepath.Join(testdata, "src", filepath.FromSlash(path))
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if strings.HasSuffix(e.Name(), ".golden") && !fixed[filepath.Join(dir, e.Name())] {
-					t.Errorf("%s exists but no analyzer suggests fixes for %s anymore",
-						e.Name(), strings.TrimSuffix(e.Name(), ".golden"))
-				}
-			}
 		})
 	}
 }

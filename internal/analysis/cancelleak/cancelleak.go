@@ -21,14 +21,9 @@
 // pending or only conditionally handled at the exit block is reported.
 // Discarding the cancel func outright (`ctx, _ := context.WithCancel(p)`)
 // is reported at the assignment.
-//
-// Suggested fix: insert `defer cancel()` right after the definition.
-// CancelFunc is documented idempotent, so the fix is safe even when some
-// paths already call it.
 package cancelleak
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 
@@ -108,9 +103,9 @@ func checkFunc(pass *analysis.Pass, fn flow.Function) {
 	for _, d := range defs {
 		switch exit.Get(d.obj) {
 		case dataflow.No:
-			report(pass, fn, d, "is never called (context leak)")
+			report(pass, d, "is never called (context leak)")
 		case dataflow.Top:
-			report(pass, fn, d, "is not called on every path to return")
+			report(pass, d, "is not called on every path to return")
 		}
 		// Bottom: the definition never reaches a return (the function
 		// always panics, exits, or loops) — nothing to release on a path
@@ -118,27 +113,9 @@ func checkFunc(pass *analysis.Pass, fn flow.Function) {
 	}
 }
 
-// report emits the diagnostic, attaching the defer-insertion fix when the
-// defining statement sits directly in a statement list (gofmt, run by the
-// fix driver, normalizes the inserted line's indentation).
-func report(pass *analysis.Pass, fn flow.Function, d *def, what string) {
-	diag := analysis.Diagnostic{
-		Pos:      d.stmt.Pos(),
-		Analyzer: "cancelleak",
-		Message:  fmt.Sprintf("the cancel function %s returned by context.%s %s", d.obj.Name(), d.ctor, what),
-	}
-	parents := flow.Parents(fn.Body)
-	if flow.InStatementList(parents, d.stmt) {
-		diag.Fixes = []analysis.SuggestedFix{{
-			Message: fmt.Sprintf("defer %s() immediately after obtaining it (CancelFunc is idempotent)", d.obj.Name()),
-			TextEdits: []analysis.TextEdit{{
-				Pos:     d.stmt.End(),
-				End:     d.stmt.End(),
-				NewText: []byte("\ndefer " + d.obj.Name() + "()"),
-			}},
-		}}
-	}
-	pass.Report(diag)
+// report emits the diagnostic at the defining statement.
+func report(pass *analysis.Pass, d *def, what string) {
+	pass.Reportf(d.stmt.Pos(), "the cancel function %s returned by context.%s %s", d.obj.Name(), d.ctor, what)
 }
 
 // collectDefs finds `ctx, cancel := context.WithX(...)` assignments in the

@@ -17,11 +17,3 @@ func TestCancelleak(t *testing.T) {
 		[]*analysis.Analyzer{cancelleak.Analyzer},
 		"internal/cancel")
 }
-
-// TestCancelleakFixes verifies the defer-insertion fixes against the
-// golden file.
-func TestCancelleakFixes(t *testing.T) {
-	analysistest.RunFixes(t, analysistest.TestData(t),
-		[]*analysis.Analyzer{cancelleak.Analyzer},
-		"internal/cancel")
-}

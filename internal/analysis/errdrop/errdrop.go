@@ -30,19 +30,10 @@
 // interface's own contract) — all documented or de-facto infallible.
 // Writes to an arbitrary io.Writer are NOT exempt: that writer can be a
 // socket.
-//
-// Suggested fix: an expression-statement drop of a single-result error
-// call, inside a function whose last result is error, becomes
-// `if err := call; err != nil { return zeros..., err }` — offered only
-// when every other result has an obvious zero value, so the rewrite
-// always compiles.
 package errdrop
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 
@@ -80,7 +71,9 @@ func checkDrops(pass *analysis.Pass, fn flow.Function) {
 		switch s := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok && returnsError(pass, call) && !exempt(pass, call) {
-				reportExprDrop(pass, fn, s, call)
+				pass.Reportf(s.Pos(),
+					"the error returned by %s is discarded: check it or suppress with //lint:allow errdrop",
+					callLabel(call))
 			}
 		case *ast.DeferStmt:
 			if returnsError(pass, s.Call) && !exempt(pass, s.Call) {
@@ -121,97 +114,6 @@ func checkBlankAssign(pass *analysis.Pass, s *ast.AssignStmt) {
 			return
 		}
 	}
-}
-
-// reportExprDrop emits the drop diagnostic, with the if-wrap fix when the
-// rewrite is guaranteed to compile (single error result, enclosing
-// function ends in error, every other result has an obvious zero).
-func reportExprDrop(pass *analysis.Pass, fn flow.Function, stmt *ast.ExprStmt, call *ast.CallExpr) {
-	diag := analysis.Diagnostic{
-		Pos:      stmt.Pos(),
-		Analyzer: "errdrop",
-		Message: fmt.Sprintf("the error returned by %s is discarded: check it or suppress with //lint:allow errdrop",
-			callLabel(call)),
-	}
-	if fix, ok := wrapFix(pass, fn, stmt, call); ok {
-		diag.Fixes = []analysis.SuggestedFix{fix}
-	}
-	pass.Report(diag)
-}
-
-// wrapFix builds `if err := call; err != nil { return zeros..., err }`.
-func wrapFix(pass *analysis.Pass, fn flow.Function, stmt *ast.ExprStmt, call *ast.CallExpr) (analysis.SuggestedFix, bool) {
-	if !isErrorType(pass.Info.TypeOf(call)) { // must be the sole result
-		return analysis.SuggestedFix{}, false
-	}
-	parents := flow.Parents(fn.Body)
-	if !flow.InStatementList(parents, stmt) {
-		return analysis.SuggestedFix{}, false
-	}
-	results := fn.Type.Results
-	if results == nil || len(results.List) == 0 {
-		return analysis.SuggestedFix{}, false
-	}
-	var zeros []string
-	for _, fld := range results.List {
-		t := pass.Info.TypeOf(fld.Type)
-		n := len(fld.Names)
-		if n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			z, ok := zeroOf(t)
-			if !ok {
-				return analysis.SuggestedFix{}, false
-			}
-			zeros = append(zeros, z)
-		}
-	}
-	if zeros[len(zeros)-1] != "nil" || !isErrorType(pass.Info.TypeOf(results.List[len(results.List)-1].Type)) {
-		return analysis.SuggestedFix{}, false
-	}
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, call); err != nil {
-		return analysis.SuggestedFix{}, false
-	}
-	rets := append(zeros[:len(zeros)-1:len(zeros)-1], "err")
-	text := "if err := " + buf.String() + "; err != nil {\nreturn " + join(rets) + "\n}"
-	return analysis.SuggestedFix{
-		Message:   "return the error to the caller",
-		TextEdits: []analysis.TextEdit{{Pos: stmt.Pos(), End: stmt.End(), NewText: []byte(text)}},
-	}, true
-}
-
-// zeroOf renders a zero value for the result types whose zero is
-// unambiguous in source form. Anything else (structs, arrays, named
-// non-basic types) declines the fix rather than risking a non-compiling
-// rewrite.
-func zeroOf(t types.Type) (string, bool) {
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		switch {
-		case u.Info()&types.IsNumeric != 0:
-			return "0", true
-		case u.Info()&types.IsString != 0:
-			return `""`, true
-		case u.Info()&types.IsBoolean != 0:
-			return "false", true
-		}
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
-		return "nil", true
-	}
-	return "", false
-}
-
-func join(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
 }
 
 // ---- dead-on-every-path definitions ----

@@ -19,12 +19,3 @@ func TestErrdrop(t *testing.T) {
 		[]*analysis.Analyzer{errdrop.Analyzer},
 		"internal/errflow")
 }
-
-// TestErrdropFixes verifies the if-wrap rewrite against the golden file:
-// only the single-error-result drop inside an error-returning function
-// gets the fix.
-func TestErrdropFixes(t *testing.T) {
-	analysistest.RunFixes(t, analysistest.TestData(t),
-		[]*analysis.Analyzer{errdrop.Analyzer},
-		"internal/errflow")
-}

@@ -1,8 +1,8 @@
 // Package flow holds the small helpers the flow-sensitive analyzers
 // (errdrop, lockbalance, cancelleak) share: enumerating function bodies,
-// inspecting a node without descending into nested function literals (a
-// closure's statements belong to the closure's own CFG, not its parent's),
-// and locating a statement's syntactic context for fix insertion.
+// and inspecting a node without descending into nested function literals
+// (a closure's statements belong to the closure's own CFG, not its
+// parent's).
 package flow
 
 import "go/ast"
@@ -49,34 +49,4 @@ func LocalInspect(root ast.Node, visit func(ast.Node) bool) {
 		}
 		return visit(n)
 	})
-}
-
-// Parents maps every node under body to its enclosing node, for questions
-// like "is this statement directly inside a block?".
-func Parents(body *ast.BlockStmt) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// InStatementList reports whether stmt sits directly in a statement list
-// (a block, case clause, or comm clause) — the positions where a fix can
-// insert a sibling statement after it.
-func InStatementList(parents map[ast.Node]ast.Node, stmt ast.Node) bool {
-	switch parents[stmt].(type) {
-	case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-		return true
-	}
-	return false
 }

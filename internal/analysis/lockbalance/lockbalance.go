@@ -32,15 +32,9 @@
 // covers its branch). sync.Mutex.TryLock is ignored: its acquisition is
 // conditional on the return value, which a 4-point lattice cannot track,
 // and the codebase does not use it.
-//
-// Suggested fix: when a function acquires a lock but contains no release
-// for it at all, insert `defer mu.Unlock()` right after the acquisition.
-// No fix is offered when some paths do unlock — a defer would then
-// double-unlock (a panic), and the right repair is a human decision.
 package lockbalance
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -147,12 +141,6 @@ func reportUnbalanced(pass *analysis.Pass, g *cfg.Graph, res *dataflow.Result, o
 
 	// One report per key: the first acquisition site speaks for the lock.
 	reported := make(map[lockKey]bool)
-	hasRelease := make(map[lockKey]bool)
-	for _, o := range ops {
-		if !o.acquire {
-			hasRelease[o.key] = true
-		}
-	}
 	for _, o := range ops {
 		if !o.acquire || reported[o.key] {
 			continue
@@ -160,42 +148,19 @@ func reportUnbalanced(pass *analysis.Pass, g *cfg.Graph, res *dataflow.Result, o
 		switch {
 		case exit.Get(o.key) == dataflow.Yes:
 			reported[o.key] = true
-			report(pass, o, hasRelease[o.key],
+			pass.Reportf(o.call.Pos(),
 				"%s is still locked at every return: missing %s", o.key, unlockName(o.key))
 		case exit.Get(o.key) == dataflow.Top:
 			reported[o.key] = true
-			report(pass, o, hasRelease[o.key],
+			pass.Reportf(o.call.Pos(),
 				"%s is not released on every path to return (early return between %s and %s?)",
 				o.key, lockName(o.key), unlockName(o.key))
 		case panicked != nil && (panicked.Get(o.key) == dataflow.Yes || panicked.Get(o.key) == dataflow.Top):
 			reported[o.key] = true
-			report(pass, o, hasRelease[o.key],
+			pass.Reportf(o.call.Pos(),
 				"%s is still held when a panic unwinds: release it with defer %s()", o.key, unlockName(o.key))
 		}
 	}
-}
-
-// report emits one diagnostic at the acquisition, attaching the
-// defer-insertion fix only when no release exists anywhere in the function
-// (with one, a defer would double-unlock).
-func report(pass *analysis.Pass, o *op, hasRelease bool, format string, args ...any) {
-	diag := analysis.Diagnostic{
-		Pos:      o.call.Pos(),
-		Analyzer: "lockbalance",
-		Message:  fmt.Sprintf(format, args...),
-	}
-	if !hasRelease {
-		fixText := "\ndefer " + o.key.recv + "." + unlockName(o.key) + "()"
-		diag.Fixes = []analysis.SuggestedFix{{
-			Message: "defer the release immediately after acquiring",
-			TextEdits: []analysis.TextEdit{{
-				Pos:     o.stmt.End(),
-				End:     o.stmt.End(),
-				NewText: []byte(fixText),
-			}},
-		}}
-	}
-	pass.Report(diag)
 }
 
 func lockName(k lockKey) string {

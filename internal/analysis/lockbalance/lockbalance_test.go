@@ -21,12 +21,3 @@ func TestLockbalance(t *testing.T) {
 		[]*analysis.Analyzer{lockbalance.Analyzer},
 		"internal/lockflow")
 }
-
-// TestLockbalanceFixes verifies the defer-unlock insertion against the
-// golden file: offered only when the function contains no release at all
-// (a defer next to an existing unlock would double-unlock).
-func TestLockbalanceFixes(t *testing.T) {
-	analysistest.RunFixes(t, analysistest.TestData(t),
-		[]*analysis.Analyzer{lockbalance.Analyzer},
-		"internal/lockflow")
-}

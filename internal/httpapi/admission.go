@@ -50,8 +50,9 @@ type AdmissionConfig struct {
 	Clock breaker.Clock
 }
 
-// withDefaults resolves zero fields.
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
+// WithDefaults resolves zero fields to their defaults and a negative
+// MaxQueue to 0 (no queue). The gate runs on the config it returns.
+func (c AdmissionConfig) WithDefaults() AdmissionConfig {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
 	}
@@ -105,7 +106,7 @@ type admission struct {
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return &admission{
 		cfg:   cfg,
 		clock: cfg.Clock,

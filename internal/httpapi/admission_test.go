@@ -48,6 +48,23 @@ func admissionWorld(t *testing.T, cfg AdmissionConfig, copts ...func(*core.Confi
 
 // --- gate unit tests (no HTTP, no timing dependence beyond short waits) ---
 
+// TestAdmissionConfigWithDefaults pins the queue-depth rule, which
+// qpiad-server's startup log reports: MaxQueue 0 is 2×MaxInFlight, a
+// negative MaxQueue is no queue, and an explicit depth passes through.
+func TestAdmissionConfigWithDefaults(t *testing.T) {
+	for _, tc := range []struct{ inflight, queue, want int }{
+		{8, 0, 16}, // default: 2×MaxInFlight
+		{8, -1, 0}, // negative: no queue
+		{8, 3, 3},  // explicit depth passes through
+		{64, 0, 128},
+	} {
+		got := AdmissionConfig{MaxInFlight: tc.inflight, MaxQueue: tc.queue}.WithDefaults().MaxQueue
+		if got != tc.want {
+			t.Errorf("MaxInFlight %d, MaxQueue %d: resolved MaxQueue %d, want %d", tc.inflight, tc.queue, got, tc.want)
+		}
+	}
+}
+
 func TestAdmissionQueueFullShed(t *testing.T) {
 	a := newAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueue: -1})
 	ctx := context.Background()

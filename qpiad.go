@@ -16,7 +16,8 @@
 //
 //	sys := qpiad.New(qpiad.Config{Alpha: 0, K: 10})
 //	sys.AddSource("cars", carsRelation, qpiad.Capabilities{})
-//	if err := sys.LearnFromSample("cars", sampleRelation); err != nil { ... }
+//	// Ratio 0: estimate the source/sample size ratio.
+//	if err := sys.LearnFromSample("cars", sampleRelation, 0); err != nil { ... }
 //	rs, err := sys.Query("cars", qpiad.NewQuery("cars",
 //	    qpiad.Eq("body_style", qpiad.String("Convt"))))
 //	// rs.Certain — exact matches; rs.Possible — ranked possible answers.
