@@ -181,7 +181,7 @@ func BenchmarkQuerySelectEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkResilientFetch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func BenchmarkBreakerFlap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Down-window failures and open-circuit rejections are the
 				// point of the workload, not benchmark errors.
-				_, _ = med.QuerySelect("cars", q)
+				_, _ = med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 			}
 			b.StopTimer()
 			st := src.Stats()
@@ -304,8 +304,8 @@ func BenchmarkMineKnowledge(b *testing.B) {
 }
 
 // BenchmarkWarmQuery measures a repeated identical selection with the
-// mediator answer cache on: after the first iteration every QuerySelect is
-// a cache hit plus a ResultSet clone. BenchmarkWarmQueryNoCache is the same
+// mediator answer cache on: after the first iteration every select is a
+// cache hit plus a ResultSet clone. BenchmarkWarmQueryNoCache is the same
 // workload through the full pipeline — their ratio is the cache's payoff.
 func BenchmarkWarmQuery(b *testing.B) {
 	benchWarmQuery(b, core.Config{Alpha: 0, K: 10})
@@ -322,13 +322,13 @@ func benchWarmQuery(b *testing.B, cfg core.Config) {
 	med := core.New(cfg)
 	med.Register(source.New("cars", ed, source.Capabilities{}), k)
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
-	if _, err := med.QuerySelect("cars", q); err != nil { // warm the cache
+	if _, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 		b.ReportMetric(float64(ttfaTotal.Nanoseconds())/float64(b.N), "ttfa-ns/op")
 	}
 	med, _ := newWorld(0)
-	rs, err := med.QuerySelect("cars", q)
+	rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			rs, err := med.QuerySelect("cars", q)
+			rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -431,7 +431,7 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				events, err := med.SelectStream(context.Background(), "cars", q)
+				events, err := med.SelectStreamWith(context.Background(), med.Config(), "cars", q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -605,7 +605,7 @@ func BenchmarkChainEmptyBase(b *testing.B) {
 	selective := pessimal
 	selective.Queries = append([]relation.Query(nil), pessimal.Queries...)
 	selective.Queries[3] = relation.NewQuery("recalls", relation.Eq("severity", relation.String("severe")))
-	if sel, err := m.QueryJoinChain(selective); err != nil || len(sel.Answers) == 0 {
+	if sel, err := m.QueryJoinChainCtx(context.Background(), selective); err != nil || len(sel.Answers) == 0 {
 		b.Fatalf("selective variant should produce answers (err=%v)", err)
 	}
 
@@ -622,7 +622,7 @@ func BenchmarkChainEmptyBase(b *testing.B) {
 	q0, t0 := totals()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.QueryJoinChain(pessimal)
+		res, err := m.QueryJoinChainCtx(context.Background(), pessimal)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func TestBuildMediatorGenerated(t *testing.T) {
 	if names := med.SourceNames(); len(names) != 1 || names[0] != "cars" {
 		t.Errorf("sources = %v", names)
 	}
-	rs, err := med.QuerySelect("cars", relation.NewQuery("cars",
+	rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", relation.NewQuery("cars",
 		relation.Eq("body_style", relation.String("Convt"))))
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,6 @@ type Function struct {
 	Body *ast.BlockStmt
 	// Type is the signature syntax, for result-type introspection.
 	Type *ast.FuncType
-	// Node is the *ast.FuncDecl or *ast.FuncLit itself.
-	Node ast.Node
 }
 
 // Functions lists every function with a body in the file, outermost first.
@@ -26,10 +24,10 @@ func Functions(f *ast.File) []Function {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			if fn.Body != nil {
-				fns = append(fns, Function{Body: fn.Body, Type: fn.Type, Node: fn})
+				fns = append(fns, Function{Body: fn.Body, Type: fn.Type})
 			}
 		case *ast.FuncLit:
-			fns = append(fns, Function{Body: fn.Body, Type: fn.Type, Node: fn})
+			fns = append(fns, Function{Body: fn.Body, Type: fn.Type})
 		}
 		return true
 	})

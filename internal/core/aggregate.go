@@ -73,32 +73,15 @@ type AggAnswer struct {
 	Degraded bool
 }
 
-// QueryAggregate processes an aggregate query (q.Agg != nil) per Section
-// 4.4: compute the aggregate over the certain answers, then — when
-// IncludePossible — generate rewritten queries and fold in the aggregate of
-// each rewrite whose predicted most-likely value satisfies the original
-// predicate (RuleArgmax) or a precision-weighted fraction (RuleFractional).
-func (m *Mediator) QueryAggregate(srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryAggregateCtx
-	return m.QueryAggregateCtx(context.Background(), srcName, q, opts)
-}
-
-// QueryAggregateCtx is QueryAggregate under a caller-supplied context:
-// cancelling ctx aborts in-flight source attempts and retry backoffs.
-func (m *Mediator) QueryAggregateCtx(ctx context.Context, srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
-	return m.QueryAggregateWithCtx(ctx, m.cfg, srcName, q, opts)
-}
-
-// QueryAggregateWith is QueryAggregate under an explicit per-call
-// configuration; it never touches the mediator's shared config, so
-// concurrent callers with different α/K settings cannot interfere.
-func (m *Mediator) QueryAggregateWith(cfg Config, srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryAggregateWithCtx
-	return m.QueryAggregateWithCtx(context.Background(), cfg, srcName, q, opts)
-}
-
-// QueryAggregateWithCtx is QueryAggregateWith under a caller-supplied
-// context.
+// QueryAggregateWithCtx processes an aggregate query (q.Agg != nil) per
+// Section 4.4 under the per-call configuration cfg: compute the aggregate
+// over the certain answers, then — when IncludePossible — generate
+// rewritten queries and fold in the aggregate of each rewrite whose
+// predicted most-likely value satisfies the original predicate
+// (RuleArgmax) or a precision-weighted fraction (RuleFractional). The
+// mediator's own config is never read, so concurrent callers with
+// different α/K settings cannot interfere. Cancelling ctx aborts in-flight
+// source attempts and retry backoffs.
 func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
 	if q.Agg == nil {
 		return nil, fmt.Errorf("core: QueryAggregate needs an aggregate query")

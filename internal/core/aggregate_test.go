@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -23,7 +24,7 @@ func countQuery() relation.Query {
 
 func TestAggregateCertainOnly(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
-	ans, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{})
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", countQuery(), AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +37,11 @@ func TestAggregateCertainOnly(t *testing.T) {
 func TestAggregateWithPossibleApproachesTruth(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
 	truth := float64(f.gd.Count(convtQuery()))
-	noPred, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{})
+	noPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", countQuery(), AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPred, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{
+	withPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", countQuery(), AggOptions{
 		IncludePossible: true,
 		PredictMissing:  true,
 		Rule:            RuleArgmax,
@@ -67,7 +68,7 @@ func TestAggregateWithPossibleApproachesTruth(t *testing.T) {
 // COUNT(*) the kept tuples are exactly the possible rows.
 func TestAggregateRewriteAccounting(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
-	ans, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", countQuery(), AggOptions{
 		IncludePossible: true,
 		PredictMissing:  true,
 		Rule:            RuleArgmax,
@@ -97,7 +98,7 @@ func TestAggregateArgmaxExcludesUnlikelyRewrites(t *testing.T) {
 	// Civic at 0.15) have a different argmax, so no rewrite qualifies.
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Coupe")))
 	q.Agg = &relation.Aggregate{Func: relation.AggCount}
-	ans, err := f.m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleArgmax})
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{IncludePossible: true, Rule: RuleArgmax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestAggregateFractionalRule(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Coupe")))
 	q.Agg = &relation.Aggregate{Func: relation.AggCount}
-	ans, err := f.m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestAggregateSumWithPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPred, err := f.m.QueryAggregate("cars", q, AggOptions{})
+	noPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPred, err := f.m.QueryAggregate("cars", q, AggOptions{PredictMissing: true})
+	withPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{PredictMissing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +150,15 @@ func TestAggregateSumWithPrediction(t *testing.T) {
 
 func TestAggregateErrors(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, err := f.m.QueryAggregate("cars", convtQuery(), AggOptions{}); err == nil {
+	if _, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", convtQuery(), AggOptions{}); err == nil {
 		t.Error("non-aggregate query should error")
 	}
-	if _, err := f.m.QueryAggregate("nope", countQuery(), AggOptions{}); err == nil {
+	if _, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "nope", countQuery(), AggOptions{}); err == nil {
 		t.Error("unknown source should error")
 	}
 	bad := convtQuery()
 	bad.Agg = &relation.Aggregate{Func: relation.AggSum, Attr: "nope"}
-	if _, err := f.m.QueryAggregate("cars", bad, AggOptions{}); err == nil {
+	if _, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", bad, AggOptions{}); err == nil {
 		t.Error("unknown aggregate attribute should error")
 	}
 }
@@ -210,7 +211,7 @@ func TestAggregateFoldFailureDegrades(t *testing.T) {
 	m := trimFixture(t, Config{Alpha: 1, K: 0})
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
 	q.Agg = &relation.Aggregate{Func: relation.AggAvg, Attr: "trim"}
-	ans, err := m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleArgmax})
+	ans, err := m.QueryAggregateWithCtx(context.Background(), m.Config(), "cars", q, AggOptions{IncludePossible: true, Rule: RuleArgmax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestAggregateOpenCircuitStopsPlan(t *testing.T) {
 	f.src.SetFaults(faults.New(faults.Profile{FlapUp: 1, FlapDown: 1 << 30}))
 	q := relation.NewQuery("cars", relation.Between("price", relation.Int(20000), relation.Int(40000)))
 	q.Agg = &relation.Aggregate{Func: relation.AggCount}
-	ans, err := f.m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +292,11 @@ func TestAggregateParallelSameAnswer(t *testing.T) {
 			q := tc.q.Clone()
 			q.Agg = &tc.agg
 			opts := AggOptions{IncludePossible: true, PredictMissing: true, Rule: rule}
-			a, err := seq.m.QueryAggregate("cars", q, opts)
+			a, err := seq.m.QueryAggregateWithCtx(context.Background(), seq.m.Config(), "cars", q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := par.m.QueryAggregate("cars", q, opts)
+			b, err := par.m.QueryAggregateWithCtx(context.Background(), par.m.Config(), "cars", q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

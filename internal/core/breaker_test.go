@@ -97,7 +97,7 @@ func TestSelectOpenCircuitAccounting(t *testing.T) {
 	// the circuit opens, then the rest of the plan is skipped.
 	f.src.SetFaults(faults.New(faults.Profile{FlapUp: 1, FlapDown: 1 << 30}))
 
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func staleFixture(t *testing.T) (*fixture, *coreClock, *ResultSet) {
 		Clock:    clk.Now,
 	}
 	f := faultyFixture(t, cfg, faults.Profile{})
-	rsFresh, err := f.m.QuerySelect("cars", convtQuery())
+	rsFresh, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func staleFixture(t *testing.T) (*fixture, *coreClock, *ResultSet) {
 	f.src.SetFaults(faults.New(faults.Profile{FlapDown: 1}))
 	// The recompute attempt fails with transient errors (2 attempts), which
 	// trips the 2-consecutive-failure breaker.
-	if _, err := f.m.QuerySelect("cars", convtQuery()); err == nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery()); err == nil {
 		t.Fatal("recompute against a down source should fail before the circuit opens")
 	}
 	if st := f.src.Breaker().State(); st != breaker.StateOpen {
@@ -167,7 +167,7 @@ func staleFixture(t *testing.T) (*fixture, *coreClock, *ResultSet) {
 func TestStaleFallbackEquivalence(t *testing.T) {
 	f, _, rsFresh := staleFixture(t)
 
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatalf("stale fallback should have served, got error: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestStaleFallbackEquivalence(t *testing.T) {
 		t.Errorf("stale serve must leave the circuit open, got %v", snap.State)
 	}
 	// A second stale serve must not mutate the cached master.
-	rs2, err := f.m.QuerySelect("cars", convtQuery())
+	rs2, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil || !rs2.Stale {
 		t.Fatalf("second stale serve: %v, stale=%v", err, rs2 != nil && rs2.Stale)
 	}
@@ -213,15 +213,15 @@ func TestStaleFallbackDisabled(t *testing.T) {
 		Breaker: trippy(), CacheTTL: time.Second, Clock: clk.Now,
 	}
 	f := faultyFixture(t, cfg, faults.Profile{})
-	if _, err := f.m.QuerySelect("cars", convtQuery()); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery()); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
 	f.src.SetFaults(faults.New(faults.Profile{FlapDown: 1}))
-	if _, err := f.m.QuerySelect("cars", convtQuery()); err == nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery()); err == nil {
 		t.Fatal("first recompute should fail")
 	}
-	_, err := f.m.QuerySelect("cars", convtQuery())
+	_, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if !errors.Is(err, breaker.ErrOpen) {
 		t.Fatalf("with StaleTTL=0 the open circuit must surface: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestStaleFallbackDisabled(t *testing.T) {
 func TestStaleTTLBound(t *testing.T) {
 	f, clk, _ := staleFixture(t)
 	clk.Advance(2 * time.Hour) // beyond StaleTTL=1h
-	_, err := f.m.QuerySelect("cars", convtQuery())
+	_, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if !errors.Is(err, breaker.ErrOpen) {
 		t.Fatalf("entry older than StaleTTL must not be served: %v", err)
 	}

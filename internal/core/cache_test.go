@@ -21,13 +21,13 @@ func TestAnswerCacheHitSkipsSource(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	cold, err := f.m.QuerySelect("cars", q)
+	cold, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queriesAfterCold := f.src.Stats().Queries
 
-	warm, err := f.m.QuerySelect("cars", q)
+	warm, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAnswerCacheHitSkipsSource(t *testing.T) {
 	// The returned ResultSet must be the caller's to mutate: truncating it
 	// must not corrupt what the next caller sees.
 	warm.Certain = warm.Certain[:0]
-	again, err := f.m.QuerySelect("cars", q)
+	again, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestAnswerCacheKeyedByConfig(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	rs2, err := f.m.QuerySelectWith(Config{Alpha: 0, K: 2}, "cars", q)
+	rs2, err := f.m.QuerySelectWithCtx(context.Background(), Config{Alpha: 0, K: 2}, "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs10, err := f.m.QuerySelectWith(Config{Alpha: 0, K: 10}, "cars", q)
+	rs10, err := f.m.QuerySelectWithCtx(context.Background(), Config{Alpha: 0, K: 10}, "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,14 @@ func TestAnswerCacheInvalidatedOnRegister(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	if _, err := f.m.QuerySelect("cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	warmQueries := f.src.Stats().Queries
 
 	// Re-register the same source (e.g. after a knowledge reload).
 	f.m.Register(f.src, f.k)
-	if _, err := f.m.QuerySelect("cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.src.Stats().Queries; got <= warmQueries {
@@ -106,11 +106,11 @@ func TestAnswerCacheDisabled(t *testing.T) {
 	q := convtQuery()
 
 	f := newFixture(t, Config{Alpha: 0, K: 10})
-	if _, err := f.m.QuerySelect("cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	warmQueries := f.src.Stats().Queries
-	if _, err := f.m.QuerySelectWith(Config{Alpha: 0, K: 10, NoCache: true}, "cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), Config{Alpha: 0, K: 10, NoCache: true}, "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.src.Stats().Queries; got <= warmQueries {
@@ -118,11 +118,11 @@ func TestAnswerCacheDisabled(t *testing.T) {
 	}
 
 	off := newFixture(t, Config{Alpha: 0, K: 10, CacheSize: -1})
-	if _, err := off.m.QuerySelect("cars", q); err != nil {
+	if _, err := off.m.QuerySelectWithCtx(context.Background(), off.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	first := off.src.Stats().Queries
-	if _, err := off.m.QuerySelect("cars", q); err != nil {
+	if _, err := off.m.QuerySelectWithCtx(context.Background(), off.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	if got := off.src.Stats().Queries; got <= first {
@@ -140,7 +140,7 @@ func TestAnswerCacheConcurrentIdentical(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	baseline, err := f.m.QuerySelect("cars", q)
+	baseline, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAnswerCacheConcurrentIdentical(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 4; r++ {
-				rs, err := f.m.QuerySelect("cars", q)
+				rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 				if err != nil {
 					errs <- err
 					return
@@ -255,7 +255,7 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	q := convtQuery()
 	pristine := f.ed.Clone()
 
-	cold, err := f.m.QuerySelect("cars", q)
+	cold, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 		t.Error("source relation answers changed after caller mutation")
 	}
 
-	events, err := f.m.SelectStream(context.Background(), "cars", q)
+	events, err := f.m.SelectStreamWith(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	checkStoreWall(t, "stream", streamed, f.ed)
 
 	jf := newJoinFixture(t, Config{Alpha: 0, K: 10})
-	jres, err := jf.m.QueryJoin(joinSpec(2, 10))
+	jres, err := jf.m.QueryJoinCtx(context.Background(), joinSpec(2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	checkStoreWall(t, "two-way join", joined, jf.ed, jf.complaintsED)
 
 	cf := newChainFixture(t)
-	cres, err := cf.m.QueryJoinChain(pairChainSpec(2, 10))
+	cres, err := cf.m.QueryJoinChainCtx(context.Background(), pairChainSpec(2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	checkStoreWall(t, "chain", chained, cf.cars, cf.comp)
 
 	xf, ysrc, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 10})
-	xrs, err := xf.m.QuerySelectCorrelated("yahoo",
+	xrs, err := xf.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo",
 		relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt"))))
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func checkStoreWall(t *testing.T, entry string, answers []relation.Tuple, stores
 func TestBatchSelectIgnoresTopN(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 10})
 	q := convtQuery()
-	full, err := f.m.QuerySelectWith(Config{Alpha: 1, K: 10, NoCache: true}, "cars", q)
+	full, err := f.m.QuerySelectWithCtx(context.Background(), Config{Alpha: 1, K: 10, NoCache: true}, "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestBatchSelectIgnoresTopN(t *testing.T) {
 	}
 	cfg := Config{Alpha: 1, K: 10, TopN: 1}
 	for _, call := range []string{"miss", "hit"} {
-		rs, err := f.m.QuerySelectWith(cfg, "cars", q)
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), cfg, "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}

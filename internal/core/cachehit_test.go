@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -57,7 +58,7 @@ func TestAnswerCacheHitSharesSections(t *testing.T) {
 	cfg := Config{Alpha: 0, K: 10}
 	f := newFixture(t, cfg)
 	q := convtQuery()
-	if _, err := f.m.QuerySelect("cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := f.m.cache.Get(answerKey("cars", q, f.m.Config()))
@@ -65,7 +66,7 @@ func TestAnswerCacheHitSharesSections(t *testing.T) {
 		t.Fatal("the cold query left no cache entry")
 	}
 	master := v.(*ResultSet)
-	hit, err := f.m.QuerySelect("cars", q)
+	hit, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestAnswerCacheHitSharesSections(t *testing.T) {
 func TestAnswerCacheHitCallerEditsStayLocal(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
-	first, err := f.m.QuerySelect("cars", q)
+	first, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +137,12 @@ func TestAnswerCacheHitCallerEditsStayLocal(t *testing.T) {
 			}
 		}},
 	} {
-		hit, err := f.m.QuerySelect("cars", q)
+		hit, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		edit.do(hit)
-		next, err := f.m.QuerySelect("cars", q)
+		next, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestAnswerCacheHitCallerEditsStayLocal(t *testing.T) {
 func TestAnswerCacheHitAllocations(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
-	cold, err := f.m.QuerySelect("cars", q)
+	cold, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestAnswerCacheHitAllocations(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < hits; i++ {
-			if _, err := f.m.QuerySelect("cars", q); err != nil {
+			if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -195,7 +196,7 @@ func TestAnswerCacheHitAllocations(t *testing.T) {
 func TestAnswerCacheHitConcurrentCallers(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
-	first, err := f.m.QuerySelect("cars", q)
+	first, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestAnswerCacheHitConcurrentCallers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < 10; r++ {
-				rs, err := f.m.QuerySelect("cars", q)
+				rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 				if err != nil {
 					errs <- err
 					return
@@ -242,7 +243,7 @@ func TestAnswerCacheHitConcurrentCallers(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	last, err := f.m.QuerySelect("cars", q)
+	last, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ type Config struct {
 	// reliable sources, since capability and budget refusals never retry.
 	Retry RetryPolicy
 	// TopN, when > 0, arms the streaming executor's confidence-bound early
-	// termination (SelectStream): once TopN possible answers have been
+	// termination (SelectStreamWith): once TopN possible answers have been
 	// emitted, no unissued rewrite — every one of which has estimated
 	// precision at most that of the answers already out — can improve the
 	// top-N, so the remaining rewrites are skipped and in-flight ones are
@@ -309,7 +309,7 @@ type Answer struct {
 // ResultSet is the full outcome of a selection query.
 //
 // A ResultSet served from the answer cache shares its answer sections and
-// Issued with the cached entry (see QuerySelectWith): reslice, append or
+// Issued with the cached entry (see QuerySelectWithCtx): reslice, append or
 // Project it, and reorder it only through SortBy; never write to an
 // element in place.
 type ResultSet struct {
@@ -356,73 +356,38 @@ type Mediator struct {
 	// mu guards the sources and knowledge maps: Register (including
 	// knowledge reload mid-serve — the chaos harness swaps knowledge files
 	// under live traffic) takes the write lock, every query path reads
-	// through the lookup accessors under the read lock. SetConfig is a
-	// setup-time operation and is NOT safe concurrently with queries (it
-	// also swaps the answer cache and rebuilds breakers).
+	// through the lookup accessors under the read lock.
 	mu        sync.RWMutex
 	sources   map[string]*source.Source
 	knowledge map[string]*Knowledge
-	// cache memoizes full QuerySelect results keyed by (source, query key,
-	// config fingerprint) with singleflight collapsing of concurrent
-	// identical queries. nil when Config.CacheSize < 0.
+	// cache memoizes full QuerySelectWithCtx results keyed by (source,
+	// query key, config fingerprint) with singleflight collapsing of
+	// concurrent identical queries. nil when Config.CacheSize < 0.
 	cache *qcache.Cache
 	// staleServed counts answers served by the stale-cache fallback.
 	staleServed atomic.Int64
 }
 
-// New creates a mediator.
+// New creates a mediator. cfg is fixed for its lifetime; a query that
+// needs other settings passes its own Config.
 func New(cfg Config) *Mediator {
-	return &Mediator{
+	m := &Mediator{
 		cfg:       cfg,
 		sources:   make(map[string]*source.Source),
 		knowledge: make(map[string]*Knowledge),
-		cache:     newAnswerCache(cfg),
 	}
-}
-
-// newAnswerCache builds the answer cache for cfg, or nil when disabled.
-func newAnswerCache(cfg Config) *qcache.Cache {
-	if cfg.CacheSize < 0 {
-		return nil
+	if cfg.CacheSize >= 0 {
+		m.cache = qcache.New(qcache.Config{
+			Capacity: cfg.CacheSize,
+			FreshTTL: cfg.CacheTTL,
+			Clock:    cfg.Clock,
+		})
 	}
-	return qcache.New(qcache.Config{
-		Capacity: cfg.CacheSize,
-		FreshTTL: cfg.CacheTTL,
-		Clock:    cfg.Clock,
-	})
-}
-
-// newBreaker builds the per-source breaker for cfg, or nil when admission
-// control is disabled.
-func newBreaker(cfg Config, name string) *breaker.Breaker {
-	if cfg.Breaker == nil {
-		return nil
-	}
-	bc := *cfg.Breaker
-	if bc.Clock == nil {
-		bc.Clock = cfg.Clock
-	}
-	return breaker.New(name, bc)
+	return m
 }
 
 // Config returns the mediator's configuration.
 func (m *Mediator) Config() Config { return m.cfg }
-
-// SetConfig replaces the rewriting/ranking configuration (α and K are
-// user- and source-dependent knobs; see Section 4.1). The answer cache is
-// rebuilt: entries are keyed by config fingerprint so stale reuse cannot
-// happen either way, but a fresh cache also applies a changed CacheSize.
-// Per-source breakers are likewise rebuilt (or detached when cfg.Breaker
-// is nil), starting every source closed with an empty failure window.
-func (m *Mediator) SetConfig(cfg Config) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cfg = cfg
-	m.cache = newAnswerCache(cfg)
-	for name, src := range m.sources {
-		src.SetBreaker(newBreaker(cfg, name))
-	}
-}
 
 // Register adds a source with its mined knowledge. Knowledge may be nil for
 // sources that are only ever queried through correlated knowledge
@@ -440,7 +405,11 @@ func (m *Mediator) Register(src *source.Source, k *Knowledge) {
 		m.cache.DeletePrefix(src.Name() + "\x1e")
 	}
 	if m.cfg.Breaker != nil && src.Breaker() == nil {
-		src.SetBreaker(newBreaker(m.cfg, src.Name()))
+		bc := *m.cfg.Breaker
+		if bc.Clock == nil {
+			bc.Clock = m.cfg.Clock
+		}
+		src.SetBreaker(breaker.New(src.Name(), bc))
 	}
 }
 

@@ -70,24 +70,17 @@ func (m *Mediator) FindCorrelatedSource(target, attr string) (CorrelatedPlan, bo
 	return best, best.Confidence >= 0
 }
 
-// QuerySelectCorrelated retrieves relevant possible answers for q from a
-// source that does not support q's constrained attribute, using the base
+// QuerySelectCorrelatedCtx retrieves relevant possible answers for q from
+// a source that does not support q's constrained attribute, using the base
 // set and knowledge of a correlated source (Section 4.3). q must constrain
 // exactly one attribute (the unsupported one); remaining predicates, if
-// any, must be supported by the target source.
+// any, must be supported by the target source. Cancelling ctx aborts
+// in-flight source attempts and retry backoffs promptly.
 //
 // Because the target source does not export the constrained attribute at
 // all, every retrieved tuple is a possible answer (there is no post-filter
 // on a null we cannot see); tuples are ranked by their retrieving query's
 // precision as usual.
-func (m *Mediator) QuerySelectCorrelated(targetSrc string, q relation.Query) (*ResultSet, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QuerySelectCorrelatedCtx
-	return m.QuerySelectCorrelatedCtx(context.Background(), targetSrc, q)
-}
-
-// QuerySelectCorrelatedCtx is QuerySelectCorrelated under a caller-supplied
-// context: cancelling ctx aborts in-flight source attempts and retry
-// backoffs promptly.
 func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc string, q relation.Query) (*ResultSet, error) {
 	sk, _, ok := m.lookup(targetSrc)
 	if !ok {
@@ -105,7 +98,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 	}
 	if unsupported == "" {
 		// Everything is supported; the normal path applies.
-		return nil, fmt.Errorf("core: source %q supports all query attributes; use QuerySelect", targetSrc)
+		return nil, fmt.Errorf("core: source %q supports all query attributes; use QuerySelectWithCtx", targetSrc)
 	}
 	plan, ok := m.FindCorrelatedSource(targetSrc, unsupported)
 	if !ok {
@@ -134,7 +127,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 		}
 	}
 	rs.Generated = len(usable)
-	chosen := m.scoreAndSelect(usable)
+	chosen := scoreAndSelectWith(m.cfg, usable)
 
 	issueQs := make([]relation.Query, len(chosen))
 	for i, rq := range chosen {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestFindCorrelatedSource(t *testing.T) {
 func TestQuerySelectCorrelated(t *testing.T) {
 	f, ysrc, truth := newCorrelatedFixture(t, Config{Alpha: 0, K: 10})
 	q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
-	rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+	rs, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +105,12 @@ func TestQuerySelectCorrelated(t *testing.T) {
 
 func TestQuerySelectCorrelatedErrors(t *testing.T) {
 	f, _, _ := newCorrelatedFixture(t, DefaultConfig())
-	// Fully supported query: caller should use QuerySelect.
+	// Fully supported query: caller should use QuerySelectWithCtx.
 	q := relation.NewQuery("gs", relation.Eq("model", relation.String("Z4")))
-	if _, err := f.m.QuerySelectCorrelated("yahoo", q); err == nil {
+	if _, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q); err == nil {
 		t.Error("supported query should be rejected")
 	}
-	if _, err := f.m.QuerySelectCorrelated("nope", convtQuery()); err == nil {
+	if _, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "nope", convtQuery()); err == nil {
 		t.Error("unknown source should error")
 	}
 	// Two unsupported attributes cannot be served.
@@ -117,7 +118,7 @@ func TestQuerySelectCorrelatedErrors(t *testing.T) {
 		relation.Eq("body_style", relation.String("Convt")),
 		relation.Eq("certified", relation.String("yes")),
 	)
-	if _, err := f.m.QuerySelectCorrelated("yahoo", q2); err == nil {
+	if _, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q2); err == nil {
 		t.Error("doubly-unsupported query should error")
 	}
 }
@@ -127,7 +128,7 @@ func TestCorrelatedDeterministic(t *testing.T) {
 	run := func() []string {
 		f, _, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 5})
 		q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
-		rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+		rs, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestCorrelatedOpenCircuitAccounting(t *testing.T) {
 	f, ysrc, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 10, Retry: fastRetry(1), Breaker: trippy()})
 	ysrc.SetFaults(faults.New(faults.Profile{FlapUp: 0, FlapDown: 1 << 30}))
 	q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
-	rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+	rs, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestCorrelatedOpenCircuitAccounting(t *testing.T) {
 func TestCorrelatedRewriteAccounting(t *testing.T) {
 	f, ysrc, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 10})
 	q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
-	rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+	rs, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q)
 	if err != nil {
 		t.Fatal(err)
 	}

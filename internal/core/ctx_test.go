@@ -22,7 +22,7 @@ func slowRetry() RetryPolicy {
 }
 
 // TestQuerySelectCtxCancelPrompt verifies that cancelling the context of
-// QuerySelectCtx aborts the pipeline promptly: with a permanently failing
+// QuerySelectWithCtx aborts the pipeline promptly: with a permanently failing
 // source and a multi-second retry schedule, a 30ms context deadline must
 // surface within a small bound, as a context error.
 func TestQuerySelectCtxCancelPrompt(t *testing.T) {
@@ -32,7 +32,7 @@ func TestQuerySelectCtxCancelPrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := f.m.QuerySelectCtx(ctx, "cars", convtQuery())
+	_, err := f.m.QuerySelectWithCtx(ctx, f.m.Config(), "cars", convtQuery())
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("expected error from cancelled context under permanent faults")
@@ -44,33 +44,6 @@ func TestQuerySelectCtxCancelPrompt(t *testing.T) {
 	// to that means the context was dropped on the floor.
 	if elapsed > 2*time.Second {
 		t.Errorf("cancellation not prompt: took %v", elapsed)
-	}
-}
-
-// TestQuerySelectCtxBackgroundEquivalence pins the wrapper contract:
-// QuerySelect and QuerySelectCtx(Background) produce identical results.
-func TestQuerySelectCtxBackgroundEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NoCache = true
-	f := newFixture(t, cfg)
-	a, err := f.m.QuerySelect("cars", convtQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.m.QuerySelectCtx(context.Background(), "cars", convtQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Certain) != len(b.Certain) || len(a.Possible) != len(b.Possible) ||
-		len(a.Unranked) != len(b.Unranked) || len(a.Issued) != len(b.Issued) {
-		t.Fatalf("QuerySelect and QuerySelectCtx(Background) diverge: %d/%d/%d/%d vs %d/%d/%d/%d",
-			len(a.Certain), len(a.Possible), len(a.Unranked), len(a.Issued),
-			len(b.Certain), len(b.Possible), len(b.Unranked), len(b.Issued))
-	}
-	for i := range a.Possible {
-		if a.Possible[i].Tuple.Key() != b.Possible[i].Tuple.Key() {
-			t.Fatalf("possible answer %d differs", i)
-		}
 	}
 }
 
@@ -111,7 +84,7 @@ func TestQueryAggregateCtxCancelPrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := f.m.QueryAggregateCtx(ctx, "cars", q, AggOptions{IncludePossible: true})
+	_, err := f.m.QueryAggregateWithCtx(ctx, f.m.Config(), "cars", q, AggOptions{IncludePossible: true})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("expected error from cancelled context under permanent faults")

@@ -32,21 +32,16 @@ type GlobalResult struct {
 	Degraded bool
 }
 
-// QuerySelectGlobal runs a selection query on the mediator's global schema
-// against every registered source: sources that support all constrained
-// attributes and have mined knowledge are queried directly (Section 4.2);
-// sources lacking a constrained attribute are queried through correlated
-// knowledge (Section 4.3). Possible answers are merged across sources by
-// descending confidence. At least one source must succeed, otherwise an
-// error summarizing the per-source failures is returned.
-func (m *Mediator) QuerySelectGlobal(q relation.Query) (*GlobalResult, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QuerySelectGlobalCtx
-	return m.QuerySelectGlobalCtx(context.Background(), q)
-}
-
-// QuerySelectGlobalCtx is QuerySelectGlobal under a caller-supplied context:
-// the context is threaded into every per-source selection, so cancelling it
-// stops the fan-out promptly.
+// QuerySelectGlobalCtx runs a selection query on the mediator's global
+// schema against every registered source: sources that support all
+// constrained attributes and have mined knowledge are queried directly
+// (Section 4.2); sources lacking a constrained attribute are queried
+// through correlated knowledge (Section 4.3). Possible answers are merged
+// across sources by descending confidence. At least one source must
+// succeed, otherwise an error summarizing the per-source failures is
+// returned; when ctx is done by then, that error wraps ctx.Err(). ctx is
+// threaded into every per-source selection, so cancelling it stops the
+// fan-out promptly.
 func (m *Mediator) QuerySelectGlobalCtx(ctx context.Context, q relation.Query) (*GlobalResult, error) {
 	out := &GlobalResult{
 		Query:     q,
@@ -71,7 +66,7 @@ func (m *Mediator) QuerySelectGlobalCtx(ctx context.Context, q relation.Query) (
 			err error
 		)
 		if supportsAll && k != nil {
-			rs, err = m.QuerySelectCtx(ctx, name, q)
+			rs, err = m.QuerySelectWithCtx(ctx, m.cfg, name, q)
 		} else if !supportsAll {
 			rs, err = m.QuerySelectCorrelatedCtx(ctx, name, q)
 		} else {
@@ -99,6 +94,9 @@ func (m *Mediator) QuerySelectGlobalCtx(ctx context.Context, q relation.Query) (
 		out.Unranked = append(out.Unranked, tag(rs.Unranked)...)
 	}
 	if len(out.PerSource) == 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: no source answered %s: %w", q, err)
+		}
 		return nil, fmt.Errorf("core: no source could answer %s (%d failures)", q, len(out.Errors))
 	}
 	sort.SliceStable(out.Possible, func(i, j int) bool {

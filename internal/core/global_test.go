@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"qpiad/internal/relation"
@@ -11,7 +12,7 @@ func TestQuerySelectGlobal(t *testing.T) {
 	// and is reached through correlated knowledge.
 	f, ysrc, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 5})
 	q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
-	res, err := f.m.QuerySelectGlobal(q)
+	res, err := f.m.QuerySelectGlobalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestQuerySelectGlobalPartialFailure(t *testing.T) {
 	// succeeds through "cars".
 	f.m.Register(f.src2(t), nil)
 	q := convtQuery()
-	res, err := f.m.QuerySelectGlobal(q)
+	res, err := f.m.QuerySelectGlobalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestQuerySelectGlobalPartialFailure(t *testing.T) {
 
 func TestQuerySelectGlobalTotalFailure(t *testing.T) {
 	m := New(DefaultConfig())
-	if _, err := m.QuerySelectGlobal(relation.NewQuery("gs")); err == nil {
+	if _, err := m.QuerySelectGlobalCtx(context.Background(), relation.NewQuery("gs")); err == nil {
 		t.Error("no sources should be a hard error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestRandomizedQueryInvariants(t *testing.T) {
 
 	for trial := 0; trial < 40; trial++ {
 		q := randomQuery()
-		rs, err := f.m.QuerySelect("cars", q)
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			t.Fatalf("trial %d query %s: %v", trial, q, err)
 		}
@@ -113,7 +114,7 @@ func TestRandomizedAggregateInvariants(t *testing.T) {
 			{IncludePossible: true, Rule: RuleArgmax},
 			{IncludePossible: true, PredictMissing: true, Rule: RuleFractional},
 		} {
-			ans, err := f.m.QueryAggregate("cars", q, opts)
+			ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, opts)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

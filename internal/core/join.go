@@ -86,18 +86,12 @@ type JoinResult struct {
 	EstSavedTuples float64
 }
 
-// QueryJoin processes a join query per Section 4.5: retrieve both base
+// QueryJoinCtx processes a join query per Section 4.5: retrieve both base
 // sets, generate rewrites on each side, score all query pairs by combined
 // precision and join-aware estimated selectivity, issue the top-K pairs,
 // and join their results — predicting missing join values with the NBC
-// predictors.
-func (m *Mediator) QueryJoin(spec JoinSpec) (*JoinResult, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryJoinCtx
-	return m.QueryJoinCtx(context.Background(), spec)
-}
-
-// QueryJoinCtx is QueryJoin under a caller-supplied context: cancelling ctx
-// aborts in-flight source attempts and retry backoffs promptly.
+// predictors. Cancelling ctx aborts in-flight source attempts and retry
+// backoffs promptly.
 func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult, error) {
 	ls, lk, ok := m.lookup(spec.LeftSource)
 	if !ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -87,7 +88,7 @@ func joinSpec(alpha float64, k int) JoinSpec {
 
 func TestJoinCertainAnswers(t *testing.T) {
 	jf := newJoinFixture(t, Config{Alpha: 0, K: 10})
-	res, err := jf.m.QueryJoin(joinSpec(0, 10))
+	res, err := jf.m.QueryJoinCtx(context.Background(), joinSpec(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestJoinCertainAnswers(t *testing.T) {
 
 func TestJoinRespectsPairBudget(t *testing.T) {
 	jf := newJoinFixture(t, Config{Alpha: 0, K: 0})
-	res, err := jf.m.QueryJoin(joinSpec(0.5, 4))
+	res, err := jf.m.QueryJoinCtx(context.Background(), joinSpec(0.5, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestJoinAlphaZeroVsTwoRecall(t *testing.T) {
 func runJoin(t *testing.T, alpha float64) *JoinResult {
 	t.Helper()
 	jf := newJoinFixture(t, Config{Alpha: 0, K: 10})
-	res, err := jf.m.QueryJoin(joinSpec(alpha, 10))
+	res, err := jf.m.QueryJoinCtx(context.Background(), joinSpec(alpha, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func countPossible(res *JoinResult) int {
 
 func TestJoinPredictsMissingJoinValues(t *testing.T) {
 	jf := newJoinFixture(t, Config{Alpha: 0, K: 0})
-	res, err := jf.m.QueryJoin(joinSpec(2, 20))
+	res, err := jf.m.QueryJoinCtx(context.Background(), joinSpec(2, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestJoinPredictsMissingJoinValues(t *testing.T) {
 
 func TestJoinAnswersSortedCertainFirst(t *testing.T) {
 	jf := newJoinFixture(t, Config{Alpha: 0, K: 10})
-	res, err := jf.m.QueryJoin(joinSpec(1, 10))
+	res, err := jf.m.QueryJoinCtx(context.Background(), joinSpec(1, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,17 +236,17 @@ func TestJoinErrors(t *testing.T) {
 	jf := newJoinFixture(t, DefaultConfig())
 	bad := joinSpec(0, 10)
 	bad.LeftSource = "nope"
-	if _, err := jf.m.QueryJoin(bad); err == nil {
+	if _, err := jf.m.QueryJoinCtx(context.Background(), bad); err == nil {
 		t.Error("unknown left source should error")
 	}
 	bad = joinSpec(0, 10)
 	bad.RightSource = "nope"
-	if _, err := jf.m.QueryJoin(bad); err == nil {
+	if _, err := jf.m.QueryJoinCtx(context.Background(), bad); err == nil {
 		t.Error("unknown right source should error")
 	}
 	bad = joinSpec(0, 10)
 	bad.LeftJoinAttr = "nope"
-	if _, err := jf.m.QueryJoin(bad); err == nil {
+	if _, err := jf.m.QueryJoinCtx(context.Background(), bad); err == nil {
 		t.Error("unknown join attribute should error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -161,7 +162,7 @@ func TestJoinAnswersPinned(t *testing.T) {
 	pinJoins(t, 2501, func(rng *rand.Rand) func(*Mediator, *strings.Builder) float64 {
 		spec := randomJoinSpec(rng)
 		return func(m *Mediator, b *strings.Builder) float64 {
-			res, err := m.QueryJoin(spec)
+			res, err := m.QueryJoinCtx(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("%+v: %v", spec, err)
 			}
@@ -184,7 +185,7 @@ func TestChainAnswersPinned(t *testing.T) {
 	pinJoins(t, 2502, func(rng *rand.Rand) func(*Mediator, *strings.Builder) float64 {
 		spec := randomChainSpec(rng)
 		return func(m *Mediator, b *strings.Builder) float64 {
-			res, err := m.QueryJoinChain(spec)
+			res, err := m.QueryJoinChainCtx(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("%+v: %v", spec, err)
 			}
@@ -219,7 +220,7 @@ func TestJoinEmptyBaseSendsNoRewrites(t *testing.T) {
 	}
 	var res *JoinResult
 	var err error
-	queries := callQueries(f.m, func() { res, err = f.m.QueryJoin(spec) })
+	queries := callQueries(f.m, func() { res, err = f.m.QueryJoinCtx(context.Background(), spec) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestJoinStopsAtBudget(t *testing.T) {
 			m := configTwin(f.m, parallel)
 			comp := source.New("complaints", f.comp, source.Capabilities{MaxQueries: budget})
 			m.Register(comp, f.m.knowledge["complaints"])
-			res, err := m.QueryJoin(spec)
+			res, err := m.QueryJoinCtx(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("parallel=%d budget=%d: %v", parallel, budget, err)
 			}

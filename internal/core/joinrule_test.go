@@ -108,7 +108,7 @@ func TestChainValidationBeforeFetch(t *testing.T) {
 	m, srcs := slowChainFixture(t, 0)
 	bad := chainSpec(0.5, 8)
 	bad.JoinAttrs[1] = [2]string{"nope", "component"}
-	if _, err := m.QueryJoinChain(bad); err == nil {
+	if _, err := m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Fatal("unknown join attribute should error")
 	}
 	for i, src := range srcs {
@@ -143,7 +143,7 @@ func openChainFixture(t *testing.T) (*Mediator, *source.Source) {
 // rewrites never issued.
 func TestChainOpenCircuitAccountingParity(t *testing.T) {
 	m, src := openChainFixture(t)
-	res, err := m.QueryJoinChain(chainSpec(0.5, 8))
+	res, err := m.QueryJoinChainCtx(context.Background(), chainSpec(0.5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestChainOpenCircuitAccountingParity(t *testing.T) {
 }
 
 // TestJoinOpenCircuitAccounting is the two-way side of the parity: the
-// same breaker scenario through QueryJoin must produce the same
+// same breaker scenario through QueryJoinCtx must produce the same
 // accounting semantics.
 func TestJoinOpenCircuitAccounting(t *testing.T) {
 	m, src := openChainFixture(t)
-	res, err := m.QueryJoin(JoinSpec{
+	res, err := m.QueryJoinCtx(context.Background(), JoinSpec{
 		LeftSource:  "cars",
 		RightSource: "complaints",
 		LeftQuery: relation.NewQuery("cars",
@@ -207,7 +207,7 @@ func TestChainEmptyBaseSendsNoRewrites(t *testing.T) {
 		relation.Eq("severity", relation.String("zzz-none")))
 	var res *ChainResult
 	var err error
-	queries := callQueries(f.m, func() { res, err = f.m.QueryJoinChain(spec) })
+	queries := callQueries(f.m, func() { res, err = f.m.QueryJoinChainCtx(context.Background(), spec) })
 	if err != nil {
 		t.Fatal(err)
 	}

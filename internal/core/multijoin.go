@@ -60,20 +60,14 @@ type ChainResult struct {
 	EstSavedTuples float64
 }
 
-// QueryJoinChain processes an n-way chain join. Each adjacency is planned
-// exactly like a two-way join (Section 4.5): complete queries plus
+// QueryJoinChainCtx processes an n-way chain join. Each adjacency is
+// planned exactly like a two-way join (Section 4.5): complete queries plus
 // rewrites on both sides, pair scoring over join-attribute distributions,
 // top-K pair selection. The union of selected component queries per source
 // determines what is retrieved; the retrieved answer sets are then chained
 // with a hash join per adjacency, predicting missing join values with the
-// NBC predictors.
-func (m *Mediator) QueryJoinChain(spec ChainSpec) (*ChainResult, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryJoinChainCtx
-	return m.QueryJoinChainCtx(context.Background(), spec)
-}
-
-// QueryJoinChainCtx is QueryJoinChain under a caller-supplied context:
-// cancelling ctx aborts in-flight source attempts and retry backoffs.
+// NBC predictors. Cancelling ctx aborts in-flight source attempts and
+// retry backoffs.
 //
 // Execution needs no statistics. The base queries go out one source after
 // another in chain order, and every adjacency is pair-scored on the base

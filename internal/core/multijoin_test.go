@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -89,7 +90,7 @@ func pairChainSpec(alpha float64, k int) ChainSpec {
 
 func TestChainJoinBasic(t *testing.T) {
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(chainSpec(0.5, 8))
+	res, err := f.m.QueryJoinChainCtx(context.Background(), chainSpec(0.5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestChainJoinBasic(t *testing.T) {
 
 func TestChainJoinIncludesPredictedLinks(t *testing.T) {
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(pairChainSpec(2, 10))
+	res, err := f.m.QueryJoinChainCtx(context.Background(), pairChainSpec(2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestChainJoinIncludesPredictedLinks(t *testing.T) {
 
 func TestChainJoinOrdering(t *testing.T) {
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(chainSpec(1, 8))
+	res, err := f.m.QueryJoinChainCtx(context.Background(), chainSpec(1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestChainJoinOrdering(t *testing.T) {
 func TestChainJoinTwoWayDegenerate(t *testing.T) {
 	// A 2-source chain must behave like the pairwise join path.
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(pairChainSpec(0.5, 8))
+	res, err := f.m.QueryJoinChainCtx(context.Background(), pairChainSpec(0.5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,22 +192,22 @@ func TestChainJoinValidation(t *testing.T) {
 	f := newChainFixture(t)
 	bad := chainSpec(0.5, 8)
 	bad.Sources = bad.Sources[:1]
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("single-source chain should error")
 	}
 	bad = chainSpec(0.5, 8)
 	bad.Queries = bad.Queries[:2]
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("query/source count mismatch should error")
 	}
 	bad = chainSpec(0.5, 8)
 	bad.Sources[2] = "nope"
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("unknown source should error")
 	}
 	bad = chainSpec(0.5, 8)
 	bad.JoinAttrs[1] = [2]string{"nope", "component"}
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("unknown join attribute should error")
 	}
 }

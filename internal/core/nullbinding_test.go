@@ -40,12 +40,12 @@ func TestNullBindingReducesTransfer(t *testing.T) {
 	q := convtQuery()
 
 	fNo := newFixture(t, Config{Alpha: 0, K: 5})
-	rsNo, err := fNo.m.QuerySelect("cars", q)
+	rsNo, err := fNo.m.QuerySelectWithCtx(context.Background(), fNo.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fYes := nullBindingFixture(t, Config{Alpha: 0, K: 5})
-	rsYes, err := fYes.m.QuerySelect("cars", q)
+	rsYes, err := fYes.m.QuerySelectWithCtx(context.Background(), fYes.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestNullBindingSameAnswers(t *testing.T) {
 	q := convtQuery()
 	fNo := newFixture(t, Config{Alpha: 0, K: 0})
 	fYes := nullBindingFixture(t, Config{Alpha: 0, K: 0})
-	rsNo, err := fNo.m.QuerySelect("cars", q)
+	rsNo, err := fNo.m.QuerySelectWithCtx(context.Background(), fNo.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsYes, err := fYes.m.QuerySelect("cars", q)
+	rsYes, err := fYes.m.QuerySelectWithCtx(context.Background(), fYes.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestNullBindingNoDuplicateAnswers(t *testing.T) {
 	refetched := 0
 	for _, spec := range testModels {
 		q := relation.NewQuery("cars", relation.IsNull("body_style"), relation.Eq("make", relation.String(spec.make)))
-		rs, err := f.m.QuerySelect("cars", q)
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestNullBindingNoDuplicateAnswers(t *testing.T) {
 			}
 		}
 
-		events, err := f.m.SelectStream(context.Background(), "cars", q)
+		events, err := f.m.SelectStreamWith(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestNullBindingNoDuplicateAnswers(t *testing.T) {
 // null binding from QPIAD.
 func TestIssuedQueryNeverBindsNullOnRestrictedSource(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
-	if _, err := f.m.QuerySelect("cars", convtQuery()); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery()); err != nil {
 		t.Fatal(err)
 	}
 	if rej := f.src.Stats().Rejected; rej != 0 {

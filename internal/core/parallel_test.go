@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -38,11 +39,11 @@ func TestParallelSameResults(t *testing.T) {
 	q := convtQuery()
 	seq := newFixture(t, Config{Alpha: 1, K: 0, Parallel: 1})
 	par := newFixture(t, Config{Alpha: 1, K: 0, Parallel: 8})
-	rsSeq, err := seq.m.QuerySelect("cars", q)
+	rsSeq, err := seq.m.QuerySelectWithCtx(context.Background(), seq.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsPar, err := par.m.QuerySelect("cars", q)
+	rsPar, err := par.m.QuerySelectWithCtx(context.Background(), par.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestParallelFasterUnderLatency(t *testing.T) {
 
 	seq := latencyFixture(t, Config{Alpha: 1, K: 8, Parallel: 1}, lat)
 	start := time.Now()
-	rsSeq, err := seq.m.QuerySelect("cars", q)
+	rsSeq, err := seq.m.QuerySelectWithCtx(context.Background(), seq.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestParallelFasterUnderLatency(t *testing.T) {
 
 	par := latencyFixture(t, Config{Alpha: 1, K: 8, Parallel: 8}, lat)
 	start = time.Now()
-	rsPar, err := par.m.QuerySelect("cars", q)
+	rsPar, err := par.m.QuerySelectWithCtx(context.Background(), par.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func FuzzLoadKnowledge(f *testing.F) {
 		}
 		m := New(Config{K: 3})
 		m.Register(source.New(k.Source, k.Sample, source.Capabilities{}), k)
-		if _, err := m.QuerySelectCtx(context.Background(), k.Source, q); err != nil {
+		if _, err := m.QuerySelectWithCtx(context.Background(), m.Config(), k.Source, q); err != nil {
 			t.Fatalf("loaded knowledge cannot answer %v: %v", q, err)
 		}
 	})

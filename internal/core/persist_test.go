@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -72,7 +73,7 @@ func TestKnowledgeSaveLoadFile(t *testing.T) {
 	// The loaded knowledge drives queries end-to-end.
 	m := New(DefaultConfig())
 	m.Register(f.src, loaded)
-	rs, err := m.QuerySelect("cars", convtQuery())
+	rs, err := m.QuerySelectWithCtx(context.Background(), m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

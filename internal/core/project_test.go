@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 
 func TestResultSetProject(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestConcurrentRegisterDuringQueries(t *testing.T) {
 					return
 				default:
 				}
-				rs, err := f.m.QuerySelectCtx(context.Background(), "cars", q)
+				rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 				if err != nil {
 					t.Errorf("query during reload: %v", err)
 					return

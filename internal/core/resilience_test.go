@@ -65,13 +65,13 @@ func TestGracefulDegradation(t *testing.T) {
 	cfg := Config{Alpha: 1, K: 10, Parallel: 4, Retry: fastRetry(2)}
 
 	clean := faultyFixture(t, Config{Alpha: 1, K: 10}, faults.Profile{})
-	rsClean, err := clean.m.QuerySelect("cars", convtQuery())
+	rsClean, err := clean.m.QuerySelectWithCtx(context.Background(), clean.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	f := faultyFixture(t, cfg, profile)
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDegradationReproducible(t *testing.T) {
 		profile := faults.Profile{Seed: degradationSeed, TransientRate: 0.3}
 		cfg := Config{Alpha: 1, K: 10, Parallel: 4, Retry: fastRetry(2)}
 		f := faultyFixture(t, cfg, profile)
-		rs, err := f.m.QuerySelect("cars", convtQuery())
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +157,14 @@ func TestDegradationReproducible(t *testing.T) {
 // and retries must never double-count transferred tuples.
 func TestRetryRecovery(t *testing.T) {
 	clean := faultyFixture(t, Config{Alpha: 1, K: 8}, faults.Profile{})
-	rsClean, err := clean.m.QuerySelect("cars", convtQuery())
+	rsClean, err := clean.m.QuerySelectWithCtx(context.Background(), clean.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	f := faultyFixture(t, Config{Alpha: 1, K: 8, Retry: fastRetry(3)},
 		faults.Profile{Seed: 1, FailFirstAttempts: 2})
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAccountingInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		f := faultyFixture(t, Config{Alpha: 1, K: 8, Retry: fastRetry(5)},
 			faults.Profile{Seed: seed, TransientRate: 0.3})
-		rs, err := f.m.QuerySelect("cars", q)
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			// The base query failed all 5 attempts (possible at ~0.24% per
 			// seed); the invariant still holds but there is no ResultSet to
@@ -276,7 +276,7 @@ func TestBudgetEarlyStop(t *testing.T) {
 
 	run := func(parallel int) (*ResultSet, source.Stats) {
 		f := budgetFixture(t, Config{Alpha: 1, K: 10, Parallel: parallel}, budget)
-		rs, err := f.m.QuerySelect("cars", q)
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestParallelFaultsUnderRace(t *testing.T) {
 	profile := faults.Profile{Seed: 11, TransientRate: 0.3}
 	shape := func(parallel int) string {
 		f := faultyFixture(t, Config{Alpha: 1, K: 10, Parallel: parallel, Retry: fastRetry(2)}, profile)
-		rs, err := f.m.QuerySelect("cars", q)
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestQuerySelectWithConcurrent(t *testing.T) {
 	cfgB := Config{Alpha: 2, K: 10}
 
 	baseline := func(cfg Config) *ResultSet {
-		rs, err := f.m.QuerySelectWith(cfg, "cars", q)
+		rs, err := f.m.QuerySelectWithCtx(context.Background(), cfg, "cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func TestQuerySelectWithConcurrent(t *testing.T) {
 		go func(cfg Config, want *ResultSet) {
 			defer wg.Done()
 			for j := 0; j < 4; j++ {
-				rs, err := f.m.QuerySelectWith(cfg, "cars", q)
+				rs, err := f.m.QuerySelectWithCtx(context.Background(), cfg, "cars", q)
 				if err != nil {
 					errs <- err.Error()
 					return

@@ -235,17 +235,11 @@ func maskedMass(d nbc.Distribution, mask []bool) (mass float64, modeMarked bool)
 	return mass, best >= 0 && mask[best]
 }
 
-// scoreAndSelect implements Steps 2(b) and 2(c): compute normalized recall
-// and F-measure over the candidate set, keep the top-K by the configured
-// ordering, then reorder the survivors by descending precision (so
-// retrieved tuples inherit their query's precision as their final rank).
-func (m *Mediator) scoreAndSelect(cands []RewrittenQuery) []RewrittenQuery {
-	return scoreAndSelectWith(m.cfg, cands)
-}
-
-// scoreAndSelectWith is scoreAndSelect under an explicit per-call config
-// (the With-variant entry points use it so concurrent requests with
-// different α/K never touch the shared mediator config).
+// scoreAndSelectWith implements Steps 2(b) and 2(c) under cfg: compute
+// normalized recall and F-measure over the candidate set, keep the top-K
+// by the configured ordering, then reorder the survivors by descending
+// precision (so retrieved tuples inherit their query's precision as their
+// final rank).
 func scoreAndSelectWith(cfg Config, cands []RewrittenQuery) []RewrittenQuery {
 	return ScoreAndSelect(cands, cfg.Alpha, cfg.K, cfg.Ordering)
 }

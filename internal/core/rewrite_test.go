@@ -74,7 +74,7 @@ func TestScoreAndSelectOrdering(t *testing.T) {
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("highP-lowS"))), Precision: 0.9, EstSel: 5},
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("midP-midS"))), Precision: 0.6, EstSel: 20},
 	}
-	chosen := m.scoreAndSelect(append([]RewrittenQuery{}, cands...))
+	chosen := scoreAndSelectWith(m.Config(), append([]RewrittenQuery{}, cands...))
 	if len(chosen) != 2 {
 		t.Fatalf("top-K = %d", len(chosen))
 	}
@@ -85,7 +85,7 @@ func TestScoreAndSelectOrdering(t *testing.T) {
 
 	// α large: throughput dominates → lowP-highS must be selected.
 	m2 := New(Config{Alpha: 10, K: 2})
-	chosen2 := m2.scoreAndSelect(append([]RewrittenQuery{}, cands...))
+	chosen2 := scoreAndSelectWith(m2.Config(), append([]RewrittenQuery{}, cands...))
 	found := false
 	for _, c := range chosen2 {
 		if c.Precision == 0.3 {
@@ -109,7 +109,7 @@ func TestScoreAndSelectRecallNormalization(t *testing.T) {
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("a"))), Precision: 0.5, EstSel: 10},
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("b"))), Precision: 0.5, EstSel: 30},
 	}
-	chosen := m.scoreAndSelect(cands)
+	chosen := scoreAndSelectWith(m.Config(), cands)
 	sum := 0.0
 	for _, c := range chosen {
 		sum += c.Recall
@@ -133,11 +133,11 @@ func TestScoreAndSelectRecallNormalization(t *testing.T) {
 
 func TestScoreAndSelectEmptyAndZero(t *testing.T) {
 	m := New(DefaultConfig())
-	if got := m.scoreAndSelect(nil); len(got) != 0 {
+	if got := scoreAndSelectWith(m.Config(), nil); len(got) != 0 {
 		t.Error("empty candidates should return empty")
 	}
 	zero := []RewrittenQuery{{Query: relation.NewQuery("r", relation.Eq("x", relation.String("a")))}}
-	got := m.scoreAndSelect(zero)
+	got := scoreAndSelectWith(m.Config(), zero)
 	if len(got) != 1 || got[0].F != 0 || got[0].Recall != 0 {
 		t.Errorf("zero-throughput candidate: %+v", got[0])
 	}

@@ -12,8 +12,8 @@ import (
 	"qpiad/internal/source"
 )
 
-// QuerySelect runs the full QPIAD selection algorithm (Section 4.2) against
-// the named source:
+// QuerySelectWithCtx runs the full QPIAD selection algorithm (Section 4.2)
+// against the named source under the per-call configuration cfg:
 //
 //  1. issue Q, return the base result set as certain answers;
 //  2. generate rewritten queries from the base set's determining-set value
@@ -22,21 +22,11 @@ import (
 //     possible answers ranked by their retrieving query's precision.
 //
 // Tuples with more than one null over the constrained attributes are
-// reported in ResultSet.Unranked, after the ranked answers.
-func (m *Mediator) QuerySelect(srcName string, q relation.Query) (*ResultSet, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QuerySelectCtx
-	return m.QuerySelectCtx(context.Background(), srcName, q)
-}
-
-// QuerySelectCtx is QuerySelect under a caller-supplied context: cancelling
-// ctx aborts in-flight source attempts and retry backoffs promptly.
-func (m *Mediator) QuerySelectCtx(ctx context.Context, srcName string, q relation.Query) (*ResultSet, error) {
-	return m.QuerySelectWithCtx(ctx, m.cfg, srcName, q)
-}
-
-// QuerySelectWith is QuerySelect under an explicit per-call configuration.
-// It never reads or mutates the mediator's shared config, so concurrent
-// callers with different α/K/retry settings cannot bleed into each other.
+// reported in ResultSet.Unranked, after the ranked answers. The pipeline
+// reads cfg, never the mediator's own config, so concurrent callers with
+// different α/K/retry settings cannot bleed into each other; pass Config()
+// for the mediator's settings. Cancelling ctx aborts in-flight source
+// attempts and retry backoffs promptly.
 //
 // Results are served from the mediator answer cache when possible:
 // identical (source, query, α/K/ordering) calls hit the cached ResultSet,
@@ -50,13 +40,6 @@ func (m *Mediator) QuerySelectCtx(ctx context.Context, srcName string, q relatio
 // budget-skipped) are returned but evicted immediately — a later retry gets
 // a chance at the complete answer set. cfg.NoCache bypasses the cache for
 // this call only.
-func (m *Mediator) QuerySelectWith(cfg Config, srcName string, q relation.Query) (*ResultSet, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QuerySelectWithCtx
-	return m.QuerySelectWithCtx(context.Background(), cfg, srcName, q)
-}
-
-// QuerySelectWithCtx is QuerySelectWith under a caller-supplied context,
-// with the same sharing contract for cached answers.
 //
 // Cache caveat: when concurrent identical misses are collapsed, the whole
 // pipeline runs under the *leader's* context. A follower that cancels its

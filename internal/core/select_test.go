@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"qpiad/internal/relation"
@@ -12,7 +13,7 @@ func convtQuery() relation.Query {
 
 func TestQuerySelectCertainAnswers(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestQuerySelectCertainAnswers(t *testing.T) {
 
 func TestQuerySelectPossibleAnswersAreNullOnTarget(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestQuerySelectPossibleAnswersAreNullOnTarget(t *testing.T) {
 
 func TestQuerySelectHighPrecision(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestQuerySelectHighPrecision(t *testing.T) {
 
 func TestQuerySelectRankingIsMonotone(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestQuerySelectRankingIsMonotone(t *testing.T) {
 
 func TestQuerySelectRespectsK(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 3})
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestQuerySelectRespectsK(t *testing.T) {
 
 func TestQuerySelectUnlimitedK(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 0})
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestQuerySelectUnlimitedK(t *testing.T) {
 
 func TestRewritesNeverConstrainTargetOrBindNull(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestRewritesNeverConstrainTargetOrBindNull(t *testing.T) {
 
 func TestRewritesUseDeterminingSet(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestRewritesUseDeterminingSet(t *testing.T) {
 
 func TestQuerySelectNoDuplicates(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestQuerySelectNoDuplicates(t *testing.T) {
 
 func TestQuerySelectRecallWithUnlimitedK(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestQuerySelectMultiAttribute(t *testing.T) {
 		relation.Eq("model", relation.String("A4")),
 		relation.Between("price", relation.Int(22000), relation.Int(26000)),
 	)
-	rs, err := f.m.QuerySelect("cars", q)
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +256,12 @@ func TestQuerySelectMultiAttribute(t *testing.T) {
 
 func TestQuerySelectErrors(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, err := f.m.QuerySelect("nope", convtQuery()); err == nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "nope", convtQuery()); err == nil {
 		t.Error("unknown source should error")
 	}
 	m2 := New(DefaultConfig())
 	m2.Register(f.src, nil)
-	if _, err := m2.QuerySelect("cars", convtQuery()); err == nil {
+	if _, err := m2.QuerySelectWithCtx(context.Background(), m2.Config(), "cars", convtQuery()); err == nil {
 		t.Error("missing knowledge should error")
 	}
 }
@@ -269,7 +270,7 @@ func TestQuerySelectNoAFDForTarget(t *testing.T) {
 	// Querying an attribute with no mined AFD yields certain answers only.
 	f := newFixture(t, DefaultConfig())
 	q := relation.NewQuery("cars", relation.Eq("id", relation.Int(17)))
-	rs, err := f.m.QuerySelect("cars", q)
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestQuerySelectNoAFDForTarget(t *testing.T) {
 
 func TestAllAnswersOrder(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	rs, err := f.m.QuerySelect("cars", convtQuery())
+	rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", convtQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,9 +311,5 @@ func TestMediatorAccessors(t *testing.T) {
 	}
 	if names := f.m.SourceNames(); len(names) != 1 || names[0] != "cars" {
 		t.Errorf("SourceNames = %v", names)
-	}
-	f.m.SetConfig(Config{Alpha: 2, K: 5})
-	if f.m.Config().Alpha != 2 || f.m.Config().K != 5 {
-		t.Error("SetConfig did not apply")
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"qpiad/internal/source"
 )
 
-// This file implements the streaming form of selection. Batch QuerySelect
-// returns the answer list once every chosen rewrite has been folded;
-// SelectStream runs the same pipeline (runSelect) and emits the answers in
-// runs as they are folded:
+// This file implements the streaming form of selection. Batch
+// QuerySelectWithCtx returns the answer list once every chosen rewrite has
+// been folded; SelectStreamWith runs the same pipeline (runSelect) and
+// emits the answers in runs as they are folded:
 //
 //   - the certain answers are emitted as one run as soon as the base query
 //     returns, before any rewriting work starts;
@@ -80,7 +80,7 @@ func (k StreamEventKind) String() string {
 	}
 }
 
-// StreamEvent is one message on a SelectStream channel. Exactly one of
+// StreamEvent is one message on a SelectStreamWith channel. Exactly one of
 // Answers, Rewrite, Summary and Panic is non-nil, per Kind.
 type StreamEvent struct {
 	Kind StreamEventKind
@@ -115,7 +115,7 @@ type StreamEvent struct {
 // the early-termination savings accounting.
 type StreamSummary struct {
 	// Result is the fully reassembled result set. With Config.TopN == 0 it
-	// is identical to what batch QuerySelect would have returned for the
+	// is identical to what batch QuerySelectWithCtx would have returned for the
 	// same query (pinned by TestSelectStreamEquivalence).
 	Result *ResultSet
 	// EarlyStopped reports that the top-N confidence bound tripped.
@@ -137,12 +137,6 @@ type StreamSummary struct {
 // every other RewrittenQuery.Err it does NOT degrade the result set: the
 // emitted top-N is provably unaffected.
 var ErrEarlyStop = errors.New("core: rewrite not needed: top-N confidence bound met")
-
-// SelectStream is the streaming form of QuerySelect under the mediator's
-// configuration. See SelectStreamWith.
-func (m *Mediator) SelectStream(ctx context.Context, srcName string, q relation.Query) (<-chan StreamEvent, error) {
-	return m.SelectStreamWith(ctx, m.cfg, srcName, q)
-}
 
 // SelectStreamWith runs the QPIAD selection pipeline and streams its output:
 // the certain answers as one run as soon as the base query returns, each

@@ -57,7 +57,7 @@ func TestSelectStreamEquivalence(t *testing.T) {
 			f.m.Register(src, f.k)
 
 			q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
-			batch, err := f.m.QuerySelectWith(cfg, "cars", q)
+			batch, err := f.m.QuerySelectWithCtx(context.Background(), cfg, "cars", q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestSelectStreamTopN(t *testing.T) {
 	f.m.Register(src, f.k)
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
 
-	batch, err := f.m.QuerySelectWith(full, "cars", q)
+	batch, err := f.m.QuerySelectWithCtx(context.Background(), full, "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}

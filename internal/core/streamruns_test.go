@@ -60,7 +60,7 @@ func TestSelectStreamRuns(t *testing.T) {
 	} {
 		for _, parallel := range []int{1, 4} {
 			cfg := Config{Alpha: 0.5, K: 10, Parallel: parallel, NoCache: true}
-			batch, err := f.m.QuerySelectWith(cfg, "cars", tc.q)
+			batch, err := f.m.QuerySelectWithCtx(context.Background(), cfg, "cars", tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}

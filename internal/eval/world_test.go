@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"qpiad/internal/afd"
@@ -55,7 +56,7 @@ func TestNewWorldProtocol(t *testing.T) {
 func TestWorldRelevance(t *testing.T) {
 	w := testWorld(t, "body_style")
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
-	rs, err := w.Med.QuerySelect("cars", q)
+	rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}

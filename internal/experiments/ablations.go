@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/afd"
@@ -41,7 +42,7 @@ func init() {
 // queried attribute so the recall differences between policies are
 // measured over a statistically meaningful answer pool.
 func AblationOrdering(s Scale) (*Report, error) {
-	w, err := carsWorld(s, "body_style", core.Config{}, 0)
+	w, err := carsWorld(s, "body_style", core.Config{Alpha: 1, K: 5}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +57,10 @@ func AblationOrdering(s Scale) (*Report, error) {
 		Header: []string{"Ordering", "Precision", "Recall", "Answers", "Tuples transferred"},
 	}
 	for _, ord := range []core.Ordering{core.OrderFMeasure, core.OrderSelectivity, core.OrderArbitrary} {
-		w.Med.SetConfig(core.Config{Alpha: 1, K: 5, Ordering: ord})
+		cfg := w.Med.Config()
+		cfg.Ordering = ord
 		w.Src.ResetStats()
-		rs, err := w.Med.QuerySelect("cars", q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), cfg, "cars", q)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +160,7 @@ func AblationAKeyPruning(s Scale) (*Report, error) {
 		}
 		q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
 		totalRelevant := w.RelevantPossibleCount(q)
-		rs, err := w.Med.QuerySelect("cars", q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), "cars", q)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +212,7 @@ func AblationAggregateRule(s Scale) (*Report, error) {
 			if err != nil || truthRes.Value == 0 {
 				continue
 			}
-			got, err := w.Med.QueryAggregate("cars", aq, core.AggOptions{
+			got, err := w.Med.QueryAggregateWithCtx(context.Background(), w.Med.Config(), "cars", aq, core.AggOptions{
 				IncludePossible: true,
 				PredictMissing:  true,
 				Rule:            rule,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -164,18 +165,45 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	rep, err := Figure5(small())
+	// At small()'s 5000 cars the price query issues no rewrite at any α,
+	// so the recall check below would compare 0 with 0. Run at the Cars
+	// size EXPERIMENTS.md reports (under a second).
+	s := small()
+	s.CarsN = Full.CarsN
+	rep, err := Figure5(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Series) != 3 {
 		t.Fatalf("series = %v", seriesNames(rep))
 	}
+	// Each α's note reads "... (N answers from R rewrites; ...)".
+	issuing := 0
+	for _, note := range rep.Notes {
+		_, rest, ok := strings.Cut(note, " answers from ")
+		if !ok {
+			continue
+		}
+		n, _, _ := strings.Cut(rest, " rewrites")
+		if r, err := strconv.Atoi(n); err != nil || r == 0 {
+			t.Errorf("no rewrite issued: %s", note)
+			continue
+		}
+		issuing++
+	}
+	if issuing != 3 {
+		t.Errorf("%d of 3 α values issued rewrites; notes %q", issuing, rep.Notes)
+	}
 	// Higher α should extend recall at least as far.
 	a0 := findSeries(t, rep, "alpha = 0.0000")
 	a1 := findSeries(t, rep, "alpha = 1.0000")
 	if maxX(a1) < maxX(a0)-1e-9 {
 		t.Errorf("α=1 recall reach (%v) should be >= α=0 (%v)", maxX(a1), maxX(a0))
+	}
+	// α reaches the pipeline through a per-call Config; ignoring it would
+	// draw the same curve twice and still pass the check above.
+	if slices.Equal(a0.X, a1.X) && slices.Equal(a0.Y, a1.Y) {
+		t.Error("α=0 and α=1 draw the same curve")
 	}
 }
 
@@ -338,6 +366,11 @@ func TestAblationOrderingShape(t *testing.T) {
 	// F-measure (row 0) should be at least as good as arbitrary (row 2).
 	if recall(0) < recall(2)-1e-9 {
 		t.Errorf("f-measure recall %v < arbitrary %v", recall(0), recall(2))
+	}
+	// The policy reaches the pipeline through a per-call Config; ignoring
+	// it would give three equal rows and still pass the check above.
+	if slices.Equal(rows[0][1:], rows[1][1:]) && slices.Equal(rows[0][1:], rows[2][1:]) {
+		t.Errorf("all three policies give the row %v", rows[0][1:])
 	}
 }
 

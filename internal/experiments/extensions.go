@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -79,7 +80,7 @@ func ExtMultiJoin(s Scale) (*Report, error) {
 			Alpha:     alpha,
 			K:         8,
 		}
-		res, err := med.QueryJoinChain(spec)
+		res, err := med.QueryJoinChainCtx(context.Background(), spec)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +127,7 @@ func ExtParallel(s Scale) (*Report, error) {
 		med := core.New(core.Config{Alpha: 0.5, K: 10, Parallel: par})
 		med.Register(src, know)
 		start := time.Now()
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			return nil, err
 		}

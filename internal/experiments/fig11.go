@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/core"
@@ -56,7 +57,7 @@ func Figure11(s Scale) (*Report, error) {
 		var curves [][]float64
 		for _, style := range queries {
 			q := relation.NewQuery("gs", relation.Eq("body_style", relation.String(style)))
-			rs, err := w.Med.QuerySelectCorrelated(name, q)
+			rs, err := w.Med.QuerySelectCorrelatedCtx(context.Background(), name, q)
 			if err != nil {
 				return nil, fmt.Errorf("fig11: %s %s: %w", name, style, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/core"
@@ -97,11 +98,11 @@ func Figure12(s Scale) (*Report, error) {
 			if truthRes.Value == 0 {
 				continue
 			}
-			noPred, err := w.Med.QueryAggregate("cars", aq, core.AggOptions{})
+			noPred, err := w.Med.QueryAggregateWithCtx(context.Background(), w.Med.Config(), "cars", aq, core.AggOptions{})
 			if err != nil {
 				return nil, err
 			}
-			withPred, err := w.Med.QueryAggregate("cars", aq, core.AggOptions{
+			withPred, err := w.Med.QueryAggregateWithCtx(context.Background(), w.Med.Config(), "cars", aq, core.AggOptions{
 				IncludePossible: true,
 				PredictMissing:  true,
 				Rule:            core.RuleArgmax,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/core"
@@ -73,7 +74,7 @@ func Figure13(s Scale) (*Report, error) {
 				Alpha:         a,
 				K:             10,
 			}
-			res, err := med.QueryJoin(spec)
+			res, err := med.QueryJoinCtx(context.Background(), spec)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/baseline"
@@ -52,7 +53,7 @@ func prVsAllReturned(w *eval.World, q relation.Query, id, title string) (*Report
 		return nil, fmt.Errorf("%s: no relevant possible answers in world", id)
 	}
 
-	rs, err := w.Med.QuerySelect(w.Name, q)
+	rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), w.Name, q)
 	if err != nil {
 		return nil, err
 	}

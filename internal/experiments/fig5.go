@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"qpiad/internal/core"
 	"qpiad/internal/eval"
 	"qpiad/internal/relation"
@@ -23,8 +25,8 @@ func Figure5(s Scale) (*Report, error) {
 	rep := &Report{ID: "fig5", Title: "Effect of α on precision and recall (K = 10 rewritten queries)"}
 
 	// Reuse one world across α values: same data, same knowledge; only the
-	// mediator's ordering changes. Incompleteness is concentrated on price
-	// (as in Figure 7) so the precision/recall tradeoff is measured over a
+	// per-call α changes. Incompleteness is concentrated on price (as in
+	// Figure 7) so the precision/recall tradeoff is measured over a
 	// meaningful pool of hidden prices.
 	w, err := carsWorld(s, "price", core.Config{Alpha: 0, K: 10}, 0)
 	if err != nil {
@@ -38,9 +40,10 @@ func Figure5(s Scale) (*Report, error) {
 	totalRelevant := w.RelevantPossibleCount(q)
 
 	for _, a := range alphas {
-		w.Med.SetConfig(core.Config{Alpha: a, K: 10})
+		cfg := w.Med.Config()
+		cfg.Alpha = a
 		w.Src.ResetStats()
-		rs, err := w.Med.QuerySelect("cars", q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), cfg, "cars", q)
 		if err != nil {
 			return nil, err
 		}

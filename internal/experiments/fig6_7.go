@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/baseline"
@@ -70,7 +71,7 @@ func accumulatedPrecisionReport(w *eval.World, queries []relation.Query, id, tit
 			continue
 		}
 		used++
-		rs, err := w.Med.QuerySelect(w.Name, q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), w.Name, q)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/baseline"
@@ -37,7 +38,7 @@ func Figure8(s Scale) (*Report, error) {
 	// QPIAD: per-answer transferred-so-far cost. Answers arrive grouped by
 	// their retrieving query, in issue order; cumulative Transferred gives
 	// the cost at the moment each query's answers land.
-	rs, err := w.Med.QuerySelect("cars", q)
+	rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), "cars", q)
 	if err != nil {
 		return nil, err
 	}

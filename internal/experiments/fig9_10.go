@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/core"
@@ -50,7 +51,7 @@ func Figure9(s Scale) (*Report, error) {
 		if w.RelevantPossibleCount(q) == 0 {
 			continue
 		}
-		rs, err := w.Med.QuerySelect("cars", q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), "cars", q)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +113,7 @@ func Figure10(s Scale) (*Report, error) {
 			return nil, err
 		}
 		q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
-		rs, err := w.Med.QuerySelect("cars", q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), "cars", q)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -54,7 +55,7 @@ func ExtResilience(s Scale) (*Report, error) {
 		}
 		med := core.New(core.Config{Alpha: 0.5, K: 10, Parallel: 4, Retry: retry})
 		med.Register(src, know)
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			// The base query failed all attempts: total degradation, still a
 			// data point rather than an experiment failure.
@@ -104,7 +105,7 @@ func ExtResilience(s Scale) (*Report, error) {
 		med.Register(src, know)
 		answered := 0
 		for i := 0; i < 10; i++ {
-			if rs, err := med.QuerySelect("cars", q); err == nil && !rs.Degraded {
+			if rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q); err == nil && !rs.Degraded {
 				answered++
 			}
 		}

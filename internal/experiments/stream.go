@@ -58,7 +58,7 @@ func ExtStream(s Scale) (*Report, error) {
 		)
 		start := time.Now()
 		if mode == "batch" {
-			rs, err := med.QuerySelect("cars", q)
+			rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 			if err != nil {
 				return err
 			}
@@ -67,7 +67,7 @@ func ExtStream(s Scale) (*Report, error) {
 			possible = len(rs.Possible)
 			saved = "-"
 		} else {
-			events, err := med.SelectStream(context.Background(), "cars", q)
+			events, err := med.SelectStreamWith(context.Background(), med.Config(), "cars", q)
 			if err != nil {
 				return err
 			}

@@ -2,10 +2,10 @@ package relation
 
 // This file is the pull-based relational-algebra core. Every operator —
 // selection (Relation.Scan), projection (ProjectSeq), duplicate
-// elimination (DistinctOnSeq), hash join (JoinSeq) and the streaming
-// aggregate fold (Aggregate.Fold) — produces or consumes a TupleSeq, so a
-// whole plan runs tuple-at-a-time without materializing intermediate
-// slices. The batch entry points (Select, DistinctOn, ProjectTuples,
+// elimination (DistinctOnSeq) and the streaming aggregate fold
+// (Aggregate.Fold) — produces or consumes a TupleSeq, so a whole plan
+// runs tuple-at-a-time without materializing intermediate slices. The
+// batch entry points (Select, DistinctOn, ProjectTuples,
 // Aggregate.Apply) are thin collectors over the same iterators, proven
 // tuple-for-tuple identical (order included) to the pre-iterator
 // implementations by the equivalence suite in seq_test.go.
@@ -15,8 +15,8 @@ package relation
 //   - A tuple yielded by a TupleSeq may alias the relation's backing store.
 //     It is valid only for the duration of the yield; a consumer that wants
 //     to hold it afterwards must take a copy (Tuple.Clone).
-//   - Operators that construct fresh tuples (projection, distinct-on,
-//     join concatenation) yield tuples the consumer owns outright.
+//   - Operators that construct fresh tuples (projection, distinct-on)
+//     yield tuples the consumer owns outright.
 //   - Close semantics: returning false from yield (breaking out of a
 //     range loop) stops the pipeline immediately. Operators hold no locks
 //     and own no resources while yielding, so early termination — the
@@ -181,39 +181,4 @@ func ProjectSeq(s *Schema, seq TupleSeq, attrs []string) (TupleSeq, *Schema, err
 		}
 	}
 	return out, ps, nil
-}
-
-// JoinSeq hash-joins two tuple streams on equality of the given columns
-// (SQL semantics: nulls never join). The build side is consumed in full
-// when iteration starts — the one barrier inherent to a hash join — and
-// the probe side streams: each yielded tuple is the fresh concatenation
-// build-tuple ++ probe-tuple, owned by the consumer. Output order is probe
-// order, with build-side matches in build insertion order, so the result
-// is deterministic.
-func JoinSeq(build TupleSeq, buildCol int, probe TupleSeq, probeCol int) TupleSeq {
-	return func(yield func(Tuple) bool) {
-		index := make(map[string][]Tuple)
-		for t := range build {
-			v := t[buildCol]
-			if v.IsNull() {
-				continue
-			}
-			//lint:allow tupleescape hash-join build table retains build-side tuples until iteration ends, per the operator contract
-			index[v.Key()] = append(index[v.Key()], t)
-		}
-		for t := range probe {
-			v := t[probeCol]
-			if v.IsNull() {
-				continue
-			}
-			for _, b := range index[v.Key()] {
-				joined := make(Tuple, 0, len(b)+len(t))
-				joined = append(joined, b...)
-				joined = append(joined, t...)
-				if !yield(joined) {
-					return
-				}
-			}
-		}
-	}
 }

@@ -104,25 +104,6 @@ var (
 
 func nan() float64 { return math.NaN() }
 
-// naiveJoin is a nested-loop equi-join: probe order outer, build order
-// inner, nulls never join — the contract JoinSeq must reproduce.
-func naiveJoin(build []Tuple, bcol int, probe []Tuple, pcol int) []Tuple {
-	var out []Tuple
-	for _, p := range probe {
-		if p[pcol].IsNull() {
-			continue
-		}
-		for _, b := range build {
-			if b[bcol].IsNull() || !b[bcol].Equal(p[pcol]) {
-				continue
-			}
-			j := append(append(make(Tuple, 0, len(b)+len(p)), b...), p...)
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 func sameTuples(t *testing.T, got, want []Tuple, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -366,18 +347,6 @@ func TestDistinctOnSeqEquivalence(t *testing.T) {
 			got := DistinctOnSeq(r.Schema, r.All(), attrs).Collect()
 			sameTuples(t, got, want, "DistinctOnSeq")
 		}
-	}
-}
-
-func TestJoinSeqEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		build := randomRelation(rng, rng.Intn(40))
-		probe := randomRelation(rng, rng.Intn(40))
-		bcol, pcol := 2, 2 // join on price (floats with collisions and nulls)
-		want := naiveJoin(build.Tuples(), bcol, probe.Tuples(), pcol)
-		got := JoinSeq(build.All(), bcol, probe.All(), pcol).Collect()
-		sameTuples(t, got, want, "JoinSeq vs nested loop")
 	}
 }
 

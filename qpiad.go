@@ -357,8 +357,9 @@ func New(cfg Config) *System {
 	}
 }
 
-// Mediator exposes the underlying mediator for advanced use (ordering
-// ablations, direct knowledge access).
+// Mediator exposes the underlying mediator for advanced use: direct
+// knowledge access, and queries under a per-call Config (ordering
+// ablations pass one to each call).
 func (s *System) Mediator() *core.Mediator { return s.med }
 
 // AddSource registers a relation as an autonomous source with the given
@@ -438,13 +439,14 @@ func (s *System) LearnByProbing(name string, cfg ProbeConfig, seed int64) error 
 // Query runs the QPIAD selection algorithm: certain answers plus ranked
 // relevant possible answers (Section 4.2).
 func (s *System) Query(sourceName string, q Query) (*ResultSet, error) {
-	return s.med.QuerySelect(sourceName, q)
+	//lint:allow ctxflow audited root: context-free facade method over QuerySelectWithCtx
+	return s.med.QuerySelectWithCtx(context.Background(), s.med.Config(), sourceName, q)
 }
 
 // QueryCtx is Query under a caller-supplied context: cancelling ctx aborts
 // in-flight source attempts and retry backoffs promptly.
 func (s *System) QueryCtx(ctx context.Context, sourceName string, q Query) (*ResultSet, error) {
-	return s.med.QuerySelectCtx(ctx, sourceName, q)
+	return s.med.QuerySelectWithCtx(ctx, s.med.Config(), sourceName, q)
 }
 
 // QueryStream runs the QPIAD selection algorithm as a stream: the certain
@@ -455,14 +457,15 @@ func (s *System) QueryCtx(ctx context.Context, sourceName string, q Query) (*Res
 // provably in hand, saving source queries and tuple transfer. Cancelling ctx
 // aborts the stream.
 func (s *System) QueryStream(ctx context.Context, sourceName string, q Query) (<-chan StreamEvent, error) {
-	return s.med.SelectStream(ctx, sourceName, q)
+	return s.med.SelectStreamWith(ctx, s.med.Config(), sourceName, q)
 }
 
 // QueryCorrelated answers a query whose constrained attribute the target
 // source does not support, using knowledge from a correlated source
 // (Section 4.3).
 func (s *System) QueryCorrelated(targetSource string, q Query) (*ResultSet, error) {
-	return s.med.QuerySelectCorrelated(targetSource, q)
+	//lint:allow ctxflow audited root: context-free facade method over QuerySelectCorrelatedCtx
+	return s.med.QuerySelectCorrelatedCtx(context.Background(), targetSource, q)
 }
 
 // QueryGlobal runs a selection on the mediator's global schema against
@@ -470,14 +473,16 @@ func (s *System) QueryCorrelated(targetSource string, q Query) (*ResultSet, erro
 // and has learned knowledge, through correlated knowledge where it lacks
 // the constrained attribute — and merges the ranked possible answers.
 func (s *System) QueryGlobal(q Query) (*GlobalResult, error) {
-	return s.med.QuerySelectGlobal(q)
+	//lint:allow ctxflow audited root: context-free facade method over QuerySelectGlobalCtx
+	return s.med.QuerySelectGlobalCtx(context.Background(), q)
 }
 
 // QueryAggregate processes an aggregate query, optionally folding in
 // incomplete tuples via rewritten queries and predicted values
 // (Section 4.4).
 func (s *System) QueryAggregate(sourceName string, q Query, opts AggOptions) (*AggAnswer, error) {
-	return s.med.QueryAggregate(sourceName, q, opts)
+	//lint:allow ctxflow audited root: context-free facade method over QueryAggregateWithCtx
+	return s.med.QueryAggregateWithCtx(context.Background(), s.med.Config(), sourceName, q, opts)
 }
 
 // QueryJoin processes a two-way join over incomplete sources via ranked
@@ -485,7 +490,8 @@ func (s *System) QueryAggregate(sourceName string, q Query, opts AggOptions) (*A
 // join before any rewrite is sent; JoinResult.EstSavedTuples counts what
 // that saved.
 func (s *System) QueryJoin(spec JoinSpec) (*JoinResult, error) {
-	return s.med.QueryJoin(spec)
+	//lint:allow ctxflow audited root: context-free facade method over QueryJoinCtx
+	return s.med.QueryJoinCtx(context.Background(), spec)
 }
 
 // QueryJoinChain processes an n-way chain join, planning each adjacency as
@@ -493,7 +499,8 @@ func (s *System) QueryJoin(spec JoinSpec) (*JoinResult, error) {
 // with QueryJoin, an empty base set ends the chain before any rewrite is
 // sent.
 func (s *System) QueryJoinChain(spec ChainSpec) (*ChainResult, error) {
-	return s.med.QueryJoinChain(spec)
+	//lint:allow ctxflow audited root: context-free facade method over QueryJoinChainCtx
+	return s.med.QueryJoinChainCtx(context.Background(), spec)
 }
 
 // Knowledge returns the mined knowledge of a source, if learned.
